@@ -26,7 +26,7 @@ from .climb_optimizer import (
     solve_optimal_speed,
     total_cost,
 )
-from .cost_index import CiEvent, CostIndexSchedule, ci_at, ci_ode_check
+from .cost_index import CiEvent, CostIndexSchedule, ci_at
 from .errors import (
     ConfigError,
     DegenerateSegmentError,
@@ -79,7 +79,6 @@ __all__ = [
     "CiEvent",
     "CostIndexSchedule",
     "ci_at",
-    "ci_ode_check",
     "ConfigError",
     "DegenerateSegmentError",
     "DomainError",

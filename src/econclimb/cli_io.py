@@ -82,6 +82,8 @@ def _get_number(mapping, key, path, required=True, default=None,
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
     value = float(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}.{key}: must be finite, got {value!r}")
     if minimum is not None:
         if exclusive_min and not value > minimum:
             raise ConfigError(f"{path}.{key}: must be > {minimum:g}, got {value:g}")
@@ -95,8 +97,8 @@ def _get_number(mapping, key, path, required=True, default=None,
 def _get_pair(value, path):
     if (not isinstance(value, (list, tuple)) or len(value) != 2
             or any(isinstance(u, bool) or not isinstance(u, (int, float))
-                   for u in value)):
-        raise ConfigError(f"{path}: expected [x, h] numbers, got {value!r}")
+                   or not math.isfinite(u) for u in value)):
+        raise ConfigError(f"{path}: expected finite [x, h] numbers, got {value!r}")
     return [float(value[0]), float(value[1])]
 
 

@@ -11,7 +11,9 @@ where the cost index relaxes from ci0 toward the commanded ci_in with time
 constant tau (``math.inf`` = constant-CI mode, collapsing the first two terms
 to ci0 d / v). Q_f comes from the closed-form segment discharge in
 ``vehicle``. J is scalar in v, so the optimum is found by bracketed
-root-finding on dJ/dv with a positivity check on the second derivative.
+root-finding on dJ/dv with a positivity check on the second derivative. The
+constant-CI condition ci = v^2 (-dQf/dv) / d is stated once each way round,
+in ``ci_for_speed`` and its inverse ``economy_speed``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .atmosphere import TROPOSPHERE, mean_density, mean_inverse_density
 from .errors import (
@@ -37,6 +38,12 @@ V_LO_DEFAULT = 5.0
 
 #: Points in the gradient sign scan used for bracket discovery.
 _SCAN_POINTS = 50
+
+#: Relative tolerance on v for the root polishes.
+_RTOL = 1e-10
+
+#: Iteration cap for the root polishes; both converge well inside it.
+_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -109,8 +116,7 @@ class ClimbPlan:
     t_c_star: float  # [s]
     j_star: float  # [C]
     q_f: float | None  # [C]; None when no initial charge was given
-    sufficient_ok: bool
-    iterations: int
+    iterations: int  # steps of the root polish; 0 when clipped to v_max
     at_envelope_limit: bool = False
     battery_depleted: bool = False
 
@@ -176,15 +182,45 @@ def climbing_time(v, seg):
     return seg.d / v
 
 
+def _rtsafe(slope_and_curvature, lo, hi):
+    """Root of f in [lo, hi] with f(lo) <= 0 <= f(hi), by safeguarded Newton.
+
+    ``slope_and_curvature(x)`` returns (f(x), f'(x)) as floats. A Newton step
+    is taken when it lands in the closed bracket and is at most half the step
+    before last; otherwise the bracket, whose ends keep the signs of f(lo)
+    and f(hi), is bisected (Numerical Recipes 9.4). Returns (root, steps).
+    """
+    x = 0.5 * (lo + hi)
+    f, df = slope_and_curvature(x)
+    dx_old = dx = hi - lo
+    for iteration in range(1, _MAXITER + 1):
+        if (((x - hi) * df - f) * ((x - lo) * df - f) <= 0.0
+                and abs(2.0 * f) <= abs(dx_old * df)):
+            dx_old, dx = dx, f / df
+            x -= dx
+        else:
+            dx_old, dx = dx, 0.5 * (hi - lo)
+            x = lo + dx
+        if abs(dx) <= _RTOL * x:
+            break
+        f, df = slope_and_curvature(x)
+        if f < 0.0:
+            lo = x
+        else:
+            hi = x
+    return x, iteration
+
+
 def solve_optimal_speed(seg, ci0, ci_in, tau, params, q0=None,
-                        v_lo=V_LO_DEFAULT, rtol=1e-10, maxiter=200):
+                        v_lo=V_LO_DEFAULT):
     """Find the cost-minimizing constant airspeed for one segment.
 
     Scans gradient signs on a log-spaced grid over (v_lo, v_max], polishes
-    each descending-to-ascending crossing with Brent's method, and keeps the
-    candidate with the lowest cost. A gradient still negative at v_max means
-    the unconstrained optimum sits outside the envelope; the plan then clips
-    to v_max and flags it.
+    each descending-to-ascending crossing with a safeguarded Newton iteration
+    on dJ/dv (using the analytic curvature), and keeps the candidate with the
+    lowest cost. A gradient still negative at v_max means the unconstrained
+    optimum sits outside the envelope; the plan then clips to v_max and flags
+    it.
 
     Args:
         seg: ClimbSegment to fly.
@@ -195,8 +231,6 @@ def solve_optimal_speed(seg, ci0, ci_in, tau, params, q0=None,
         q0: optional charge at segment start [C]; enables q_f and the
             depletion flag on the returned plan.
         v_lo: lower search bound  [m s^-1]
-        rtol: relative tolerance on v for the root polish.
-        maxiter: iteration cap for the root polish.
 
     Raises:
         NoInteriorOptimumError: gradient has no usable sign change and is not
@@ -215,23 +249,21 @@ def solve_optimal_speed(seg, ci0, ci_in, tau, params, q0=None,
     grid = np.geomspace(v_lo, params.v_max, _SCAN_POINTS)
     grad = cost_gradient(grid, seg, ci0, ci_in, tau, params)
 
-    candidates = []
-    for i in range(len(grid) - 1):
-        if grad[i] <= 0.0 <= grad[i + 1]:
-            root, info = brentq(
-                lambda v: cost_gradient(v, seg, ci0, ci_in, tau, params),
-                grid[i], grid[i + 1],
-                rtol=rtol, maxiter=maxiter, full_output=True, disp=False,
-            )
-            if info.converged:
-                candidates.append((float(root), info.iterations))
+    def slope_and_curvature(v):
+        return (float(cost_gradient(v, seg, ci0, ci_in, tau, params)),
+                float(cost_curvature(v, seg, ci0, ci_in, tau, params)))
+
+    candidates = [
+        _rtsafe(slope_and_curvature, float(grid[i]), float(grid[i + 1]))
+        for i in range(len(grid) - 1)
+        if grad[i] <= 0.0 <= grad[i + 1]
+    ]
 
     if not candidates:
         if grad[-1] < 0.0:
             # Cost still falling at the envelope edge: clipped optimum.
             return _assemble_plan(params.v_max, seg, ci0, ci_in, tau, params,
-                                  q0, iterations=0, at_envelope_limit=True,
-                                  sufficient_ok=True)
+                                  q0, iterations=0, at_envelope_limit=True)
         raise NoInteriorOptimumError(
             "cost gradient has no descending-to-ascending sign change in "
             f"({v_lo:g}, {params.v_max:g}] m/s",
@@ -249,12 +281,11 @@ def solve_optimal_speed(seg, ci0, ci_in, tau, params, q0=None,
             f"curvature {curvature:.6g}"
         )
     return _assemble_plan(best_v, seg, ci0, ci_in, tau, params, q0,
-                          iterations=best_iters, at_envelope_limit=False,
-                          sufficient_ok=True)
+                          iterations=best_iters, at_envelope_limit=False)
 
 
 def _assemble_plan(v_star, seg, ci0, ci_in, tau, params, q0, iterations,
-                   at_envelope_limit, sufficient_ok):
+                   at_envelope_limit):
     j_star = total_cost(v_star, seg, ci0, ci_in, tau, q0 if q0 is not None else 0.0,
                         params)
     q_f = None if q0 is None else final_charge(q0, v_star, seg, params)
@@ -263,7 +294,6 @@ def _assemble_plan(v_star, seg, ci0, ci_in, tau, params, q0, iterations,
         t_c_star=seg.d / v_star,
         j_star=float(j_star),
         q_f=q_f,
-        sufficient_ok=sufficient_ok,
         iterations=iterations,
         at_envelope_limit=at_envelope_limit,
         battery_depleted=bool(q_f is not None and q_f < 0.0),
@@ -279,18 +309,51 @@ def fms_initial_speed(seg, ci0, params, q0=None, **kwargs):
     return solve_optimal_speed(seg, ci0, ci0, math.inf, params, q0=q0, **kwargs)
 
 
+def ci_for_speed(seg, v, params):
+    """Constant cost index whose optimal airspeed on the segment is v.
+
+    Solves the constant-CI optimality condition -ci d / v^2 - dQf/dv = 0 for
+    ci = v^2 (-dQf/dv) / d  [C s^-1]; negative below best-economy speed.
+    """
+    return v**2 * (-final_charge_sensitivity(v, seg, params)) / seg.d
+
+
+def economy_speed(seg, ci, params):
+    """Constant-CI optimal airspeed for each cost index in ci.  [m s^-1]
+
+    Inverts ci_for_speed. Multiplied out, its condition is the quartic
+    A v^4 - R v - B = 0 with A = rho_bar S cd0, B = 4 cd2 W^2 delta_rho_bar / S
+    and R = ci eta U + W h_dot_bar, convex for v > 0 with one positive root.
+    Newton's method from v_max falls monotonically onto that root where the
+    quartic is >= 0 at v_max; elsewhere the optimum lies beyond the envelope
+    and the speed is exactly v_max.
+    """
+    w = params.weight
+    s = params.wing_area
+    a = seg.rho_bar * s * params.cd0
+    b = 4.0 * params.cd2 * w**2 * seg.delta_rho_bar / s
+    r = np.asarray(ci, dtype=float) * params.efficiency * params.voltage \
+        + w * seg.h_dot_bar
+    v = np.full_like(r, params.v_max)
+    inside = a * v**4 - r * v - b >= 0.0
+    for _ in range(_MAXITER):
+        step = np.divide(a * v**4 - r * v - b, 4.0 * a * v**3 - r,
+                         out=np.zeros_like(v), where=inside)
+        v = v - step
+        if np.all(np.abs(step) <= _RTOL * v):
+            break
+    return v
+
+
 def calibrate_ci_max(params, seg):
     """Cost-index ceiling implied by the airspeed envelope.
 
-    Returns the constant CI whose optimal airspeed is exactly v_max, by
-    inverting the constant-CI optimality condition at v_max:
-
-        ci_max = v_max^2 * (-dQf/dv at v_max) / d
+    Returns the constant CI whose optimal airspeed is exactly v_max,
+    ci_for_speed at v_max.
     """
     if seg.d <= 0.0:
         raise DegenerateSegmentError("segment has zero length")
-    vm = params.v_max
-    ci = vm**2 * (-final_charge_sensitivity(vm, seg, params)) / seg.d
+    ci = ci_for_speed(seg, params.v_max, params)
     if not ci > 0.0:
         raise EnvelopeError(
             f"envelope calibration gave non-positive ci_max {ci:.6g}; "
@@ -303,9 +366,9 @@ def calibrate_ci_max_to_speed(params, seg, v_ref, ci0_fraction):
     """Cost-index ceiling anchored to a known-good initial climb speed.
 
     Picks ci_max such that planning with ci0 = ci0_fraction * ci_max yields
-    v_ref as the constant-CI optimum. Uses the closed-form inverse of the
-    optimality condition at v_ref; the constant-CI optimal speed is strictly
-    increasing in CI, so the anchoring is exact.
+    v_ref as the constant-CI optimum, i.e. ci_for_speed at v_ref divided by
+    the fraction; the constant-CI optimal speed is strictly increasing in
+    CI, so the anchoring is exact.
 
     Args:
         params: AircraftParams.
@@ -323,8 +386,7 @@ def calibrate_ci_max_to_speed(params, seg, v_ref, ci0_fraction):
         raise DomainError(
             f"v_ref must lie in (0, v_max={params.v_max:g}], got {v_ref!r}"
         )
-    ci_ref = v_ref**2 * (-final_charge_sensitivity(v_ref, seg, params)) / seg.d
-    ci = ci_ref / ci0_fraction
+    ci = ci_for_speed(seg, v_ref, params) / ci0_fraction
     if not ci > 0.0:
         raise EnvelopeError(
             f"reference calibration gave non-positive ci_max {ci:.6g}; "

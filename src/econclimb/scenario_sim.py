@@ -29,6 +29,7 @@ import numpy as np
 from .atmosphere import TROPOSPHERE
 from .cost_index import CostIndexSchedule, ci_at
 from .climb_optimizer import (
+    economy_speed,
     fms_initial_speed,
     segment_between,
     solve_optimal_speed,
@@ -261,7 +262,6 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
                 "flown_time_s": leg.t1 - leg.t0,
                 "j_star_C": plan.j_star,
                 "q_f_C": plan.q_f,
-                "sufficient_ok": plan.sufficient_ok,
                 "at_envelope_limit": plan.at_envelope_limit,
                 "iterations": plan.iterations,
             }
@@ -339,7 +339,7 @@ def _simulate_profile(scn, legs, full_seg, t_total):
 
     v_track = None
     if scn.emit_tracking:
-        v_track = _tracking_speeds(ci, full_seg, params)
+        v_track = economy_speed(full_seg, ci, params)
 
     rows = []
     for i, t in enumerate(times):
@@ -349,36 +349,6 @@ def _simulate_profile(scn, legs, full_seg, t_total):
             v_track=float(v_track[i]) if v_track is not None else None,
         ))
     return rows
-
-
-def _tracking_speeds(ci, seg, params, v_lo=5.0):
-    """Instantaneous constant-CI optimal speed for each CI value.
-
-    Solves ci = (v^2/d) * (-dQf/dv) per entry, which reduces to finding the
-    positive root of A v^4 - R v - B with A = rho_bar S cd0,
-    B = 4 cd2 W^2 delta_rho_bar / S and R = ci eta U + W h_dot_bar. The
-    polynomial has exactly one positive root; vectorized bisection finds it.
-    Roots beyond v_max clip to v_max.
-    """
-    w = params.weight
-    s = params.wing_area
-    a = seg.rho_bar * s * params.cd0
-    b = 4.0 * params.cd2 * w**2 * seg.delta_rho_bar / s
-    r = np.asarray(ci) * params.efficiency * params.voltage + w * seg.h_dot_bar
-
-    def f(v):
-        return a * v**4 - r * v - b
-
-    lo = np.full_like(r, v_lo)
-    hi = np.full_like(r, params.v_max)
-    beyond = f(hi) < 0.0  # optimum outside the envelope
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        high_side = f(mid) > 0.0
-        hi = np.where(high_side, mid, hi)
-        lo = np.where(high_side, lo, mid)
-    root = 0.5 * (lo + hi)
-    return np.where(beyond, params.v_max, root)
 
 
 @dataclass(frozen=True)

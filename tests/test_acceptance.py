@@ -17,7 +17,6 @@ from econclimb import (
     ConstantAtmosphere,
     calibrate_ci_max,
     ci_at,
-    ci_ode_check,
     cost_curvature,
     cost_gradient,
     final_charge_sensitivity,
@@ -29,6 +28,7 @@ from econclimb import (
     total_cost,
 )
 from econclimb.cli_io import main
+from tests.ode_reference import ci_ode_check
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" \
     / "e430_atc_climb.yaml"

@@ -1,11 +1,15 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 
+import econclimb
 from econclimb.cli_io import (
     ConfigError,
     build_scenario,
@@ -94,6 +98,19 @@ def test_value_validation():
     raw = _read_config_dict()
     raw["cost_index"]["tau"] = {"mode": "seconds"}  # missing seconds
     with pytest.raises(ConfigError, match="seconds"):
+        validate_config(raw)
+
+    for block, key, value in (("scenario", "q0_coulombs", math.nan),
+                              ("scenario", "h_dot_bar_ms", math.inf),
+                              ("aircraft", "mass_kg", -math.inf)):
+        raw = _read_config_dict()
+        raw[block][key] = value
+        with pytest.raises(ConfigError, match=f"{key}: must be finite"):
+            validate_config(raw)
+
+    raw = _read_config_dict()
+    raw["scenario"]["waypoints_km"][1] = [math.nan, 0.5]
+    with pytest.raises(ConfigError, match="finite"):
         validate_config(raw)
 
 
@@ -300,3 +317,13 @@ def test_main_env_override_applies(monkeypatch, tmp_path, capsys):
 def test_main_no_event_flag(capsys):
     assert main(["plan", "--config", str(CONFIG), "--no-event"]) == 0
     assert "delta: 0 s" in capsys.readouterr().out
+
+
+def test_cli_import_does_not_load_scipy():
+    src = Path(econclimb.__file__).resolve().parent.parent
+    code = ("import sys, econclimb.cli_io; "
+            "assert 'scipy' not in sys.modules")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -10,8 +10,8 @@ from econclimb import (
     CostIndexSchedule,
     DomainError,
     ci_at,
-    ci_ode_check,
 )
+from tests.ode_reference import ci_ode_check
 
 CI0 = 196.79
 CI_IN = 295.19

@@ -186,7 +186,6 @@ def test_reference_initial_plan(params, full_segment):
     assert plan.t_c_star == pytest.approx(TC0, rel=1e-9)
     assert plan.j_star == pytest.approx(J0, rel=1e-9)
     assert plan.q_f == pytest.approx(67121.09888349051, rel=1e-9)
-    assert plan.sufficient_ok
     assert not plan.at_envelope_limit
     assert not plan.battery_depleted
     assert plan.iterations > 0
@@ -320,6 +319,25 @@ def test_calibration_rejects_uneconomic_reference(params, full_segment):
         calibrate_ci_max_to_speed(params, full_segment, 40.0, 1.5)
 
 
+def test_economy_speed_matches_planner(params, full_segment, replan_segment):
+    # the vectorized quartic and the planner's scan-and-polish solve the same
+    # constant-CI condition, and ci_for_speed inverts both
+    for seg in (full_segment, replan_segment):
+        ci = np.linspace(0.0, 1.05 * calibrate_ci_max(params, seg), 43)
+        v = co.economy_speed(seg, ci, params)
+        clipped = 0
+        for ci_k, v_k in zip(ci, v):
+            plan = fms_initial_speed(seg, ci_k, params)
+            if plan.at_envelope_limit:
+                clipped += 1
+                assert v_k == params.v_max
+            else:
+                assert v_k == pytest.approx(plan.v_star, rel=1e-9)
+                assert co.ci_for_speed(seg, v_k, params) == \
+                    pytest.approx(ci_k, rel=1e-9, abs=1e-9)
+        assert clipped > 0
+
+
 def test_envelope_calibration_needs_room(full_segment):
     slow = e430()
     import dataclasses
@@ -352,6 +370,25 @@ def test_saddle_check_guards_the_accepted_root(params, full_segment,
                         lambda *args, **kwargs: -1.0)
     with pytest.raises(SaddlePointError):
         fms_initial_speed(full_segment, CI0, params)
+
+
+def test_root_polish_safeguards():
+    # a linear slope's Newton step lands exactly on the bracket end: a closed
+    # bracket test accepts it, a strict one falls back to bisection
+    assert co._rtsafe(lambda x: (x - 1.0, 1.0), 1.0, 3.0) == (1.0, 2)
+
+    # Newton on a square-root-like slope bounces across the root and closes
+    # in only slowly; the step-length test bisects instead
+    root = math.sqrt(2.0)
+
+    def slope(x):
+        e = x - root
+        s = math.sqrt(abs(e))
+        return math.copysign(s, e) * (1.0 + e), (1.0 + 3.0 * e) / (2.0 * s)
+
+    v, steps = co._rtsafe(slope, 0.0, 3.0)
+    assert v == pytest.approx(root, rel=1e-9)
+    assert steps < co._MAXITER
 
 
 def test_solver_input_validation(params, full_segment):
