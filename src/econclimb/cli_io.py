@@ -55,6 +55,10 @@ _COST_INDEX_KEYS = {"ci0_fraction", "ci0_value_Cs", "ci_max", "tau", "events"}
 _CI_MAX_KEYS = {"mode", "reference_v_kmh", "value_Cs"}
 _TAU_KEYS = {"mode", "factor", "seconds"}
 _EVENT_KEYS = {"ci_in_fraction", "ci_in_value_Cs", "at_waypoint_km", "at_time_s"}
+# lowercased key -> config key, for environment overrides
+_CANONICAL_KEYS = {key.lower(): key for key in set().union(
+    _AIRCRAFT_KEYS, _SCENARIO_KEYS, _COST_INDEX_KEYS, _CI_MAX_KEYS, _TAU_KEYS,
+    _EVENT_KEYS)}
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +276,8 @@ def _apply_env_overrides(raw, env):
     for name, text in sorted(env.items()):
         if not name.startswith(ENV_PREFIX):
             continue
-        path = name[len(ENV_PREFIX):].lower().split("__")
+        path = [_CANONICAL_KEYS.get(part, part)
+                for part in name[len(ENV_PREFIX):].lower().split("__")]
         if not all(path):
             raise ConfigError(f"malformed override variable {name}")
         try:
@@ -324,12 +329,8 @@ def serialize_config(cfg):
 # ---------------------------------------------------------------------------
 # scenario assembly
 
-def build_scenario(cfg, no_event=False):
-    """Resolve config modes into a concrete Scenario.
-
-    Returns (scenario, meta) where meta records the resolved calibration:
-    ci_max mode and value, ci0, tau mode and value.
-    """
+def _airframe(cfg):
+    """(params, waypoints [m], origin-to-cruise segment) of a validated config."""
     ac = cfg["aircraft"]
     params = AircraftParams(
         wing_area=ac["wing_area_m2"],
@@ -343,11 +344,24 @@ def build_scenario(cfg, no_event=False):
     )
     sc = cfg["scenario"]
     waypoints = tuple((x * 1000.0, h * 1000.0) for x, h in sc["waypoints_km"])
-    h_dot_bar = sc["h_dot_bar_ms"]
-    atmo_step = sc["atmosphere_step_m"]
+    full_seg = segment_between(waypoints[0], waypoints[-1], sc["h_dot_bar_ms"],
+                               TROPOSPHERE, sc["atmosphere_step_m"])
+    return params, waypoints, full_seg
 
-    full_seg = segment_between(waypoints[0], waypoints[-1], h_dot_bar,
-                               TROPOSPHERE, atmo_step)
+
+def build_scenario(cfg, no_event=False):
+    """Resolve config modes into a concrete Scenario.
+
+    Returns (scenario, meta) where meta records the resolved calibration:
+    ci_max mode and value, ci0, tau mode and value.
+    """
+    return _resolve_scenario(cfg, no_event)[:2]
+
+
+def _resolve_scenario(cfg, no_event):
+    """build_scenario's (scenario, meta), plus the origin-to-cruise segment."""
+    params, waypoints, full_seg = _airframe(cfg)
+    sc = cfg["scenario"]
 
     cx = cfg["cost_index"]
     cm = cx["ci_max"]
@@ -397,10 +411,10 @@ def build_scenario(cfg, no_event=False):
         aircraft=params,
         schedule=schedule,
         q0=sc["q0_coulombs"],
-        h_dot_bar=h_dot_bar,
+        h_dot_bar=sc["h_dot_bar_ms"],
         sim_step=sc["sim_step_s"],
         atmo=TROPOSPHERE,
-        atmo_step=atmo_step,
+        atmo_step=sc["atmosphere_step_m"],
         ci_max_mode=mode,
     )
     meta = {
@@ -410,7 +424,7 @@ def build_scenario(cfg, no_event=False):
         "tau_mode": tau_cfg["mode"],
         "tau_s": tau,
     }
-    return scenario, meta
+    return scenario, meta, full_seg
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +436,14 @@ def fmt(value):
         return "n/a"
     if isinstance(value, bool):
         return "yes" if value else "no"
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
     return f"{value:.6g}"
+
+
+def _csv(header, table):
+    """CSV text: the header line, then one line per row of a 2-D float
+    table, each cell rendered as fmt renders it (one % over the table)."""
+    row = ",".join(["%.6g"] * table.shape[1]) + "\n"
+    return f"{header}\n" + (row * len(table)) % tuple(table.ravel().tolist())
 
 
 def _jsonable(value):
@@ -507,19 +526,11 @@ def cmd_plan(config_path, out_path=None, no_event=False, sim_step=None,
     return 0
 
 
-def _profile_csv(samples):
-    has_track = samples and samples[0].v_track is not None
+def _profile_csv(table):
     header = "t_s,x_m,h_m,v_ms,ci_Cs,q_C,e_J"
-    if has_track:
+    if table.shape[1] == 8:
         header += ",v_track_ms"
-    rows = [header]
-    for smp in samples:
-        row = (f"{fmt(smp.t)},{fmt(smp.x)},{fmt(smp.h)},{fmt(smp.v)},"
-               f"{fmt(smp.ci)},{fmt(smp.q)},{fmt(smp.e)}")
-        if has_track:
-            row += f",{fmt(smp.v_track)}"
-        rows.append(row)
-    return "\n".join(rows) + "\n"
+    return _csv(header, table)
 
 
 def cmd_profile(config_path, out_path, no_event=False, sim_step=None,
@@ -529,7 +540,7 @@ def cmd_profile(config_path, out_path, no_event=False, sim_step=None,
                       atmo_step=atmo_step)
     scenario, _meta = build_scenario(cfg, no_event=no_event)
     result = run_scenario(scenario)
-    _write_text(out_path, _profile_csv(result.samples))
+    _write_text(out_path, _profile_csv(result.samples.table))
     meta_path = f"{out_path}.meta.json"
     _write_text(meta_path, json.dumps(_jsonable(result.summary), indent=2,
                                       sort_keys=True, allow_nan=False) + "\n")
@@ -546,7 +557,7 @@ def cmd_sweep(config_path, out_path, v_min_kmh, v_max_kmh, v_step_kmh,
     stream = stream if stream is not None else sys.stdout
     cfg = load_config(config_path, env=env, sim_step=sim_step,
                       atmo_step=atmo_step)
-    scenario, meta = build_scenario(cfg, no_event=no_event)
+    scenario, meta, full_seg = _resolve_scenario(cfg, no_event)
     if v_max_kmh is None:
         v_max_kmh = cfg["aircraft"]["vmax_kmh"]
     if not v_step_kmh > 0.0 or v_min_kmh >= v_max_kmh:
@@ -579,21 +590,18 @@ def cmd_sweep(config_path, out_path, v_min_kmh, v_max_kmh, v_step_kmh,
                 raise ConfigError(f"tau entries must be positive, got {item!r}")
             taus.append(value)
 
-    origin = scenario.waypoints[0]
-    cruise = scenario.waypoints[-1]
-    full_seg = segment_between(origin, cruise, scenario.h_dot_bar,
-                               scenario.atmo, scenario.atmo_step)
     curves = sweep_cost(full_seg, scenario.schedule, scenario.aircraft,
                         v_grid, taus, q0=scenario.q0)
 
-    rows = ["tau_s,v_ms,v_kmh,j_C,is_argmin"]
+    blocks = []
     for curve in curves:
-        for i, (v, j) in enumerate(zip(curve.v, curve.j)):
-            rows.append(
-                f"{fmt(curve.tau)},{fmt(v)},{fmt(v * 3.6)},{fmt(j)},"
-                f"{1 if i == curve.argmin_index else 0}"
-            )
-    _write_text(out_path, "\n".join(rows) + "\n")
+        v = np.asarray(curve.v)
+        is_argmin = np.zeros_like(v)
+        is_argmin[curve.argmin_index] = 1.0
+        blocks.append(np.column_stack([np.full_like(v, curve.tau), v, v * 3.6,
+                                       curve.j, is_argmin]))
+    _write_text(out_path, _csv("tau_s,v_ms,v_kmh,j_C,is_argmin",
+                               np.concatenate(blocks)))
     stream.write(f"wrote {len(curves)} curves to {out_path}\n")
     return 0
 
@@ -603,16 +611,7 @@ def cmd_calibrate(config_path, out_path=None, sim_step=None, atmo_step=None,
     stream = stream if stream is not None else sys.stdout
     cfg = load_config(config_path, env=env, sim_step=sim_step,
                       atmo_step=atmo_step)
-    ac = cfg["aircraft"]
-    params = AircraftParams(
-        wing_area=ac["wing_area_m2"], mass=ac["mass_kg"], cd0=ac["cd0"],
-        cd2=ac["cd2"], v_max=ac["vmax_kmh"] / 3.6, voltage=ac["voltage_v"],
-        efficiency=ac["efficiency"], gravity=ac["gravity_ms2"],
-    )
-    sc = cfg["scenario"]
-    waypoints = [(x * 1000.0, h * 1000.0) for x, h in sc["waypoints_km"]]
-    full_seg = segment_between(waypoints[0], waypoints[-1], sc["h_dot_bar_ms"],
-                               TROPOSPHERE, sc["atmosphere_step_m"])
+    params, _waypoints, full_seg = _airframe(cfg)
     cx = cfg["cost_index"]
     if "ci0_fraction" not in cx:
         raise ConfigError(

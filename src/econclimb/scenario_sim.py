@@ -22,6 +22,7 @@ Geometry conventions used by the replay:
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,6 +120,37 @@ class ProfileSample:
     v_track: float | None = None  # [m s^-1]
 
 
+class Profile(Sequence):
+    """Read-only sequence of ProfileSample over one float table.
+
+    ``table`` is the (n, 7) or (n, 8) float64 array of the columns
+    t, x, h, v, ci, q, e and, when tracking speeds are emitted, v_track;
+    samples are built from its rows on access.
+    """
+
+    __slots__ = ("table",)
+
+    def __init__(self, table):
+        table.flags.writeable = False
+        self.table = table
+
+    def __len__(self):
+        return len(self.table)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Profile(self.table[index])
+        return ProfileSample(*self.table[index].tolist())
+
+    def __iter__(self):
+        return (ProfileSample(*row) for row in self.table.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+
 @dataclass(frozen=True)
 class _Leg:
     """One flown stretch at constant airspeed (internal)."""
@@ -135,7 +167,7 @@ class _Leg:
 @dataclass
 class ScenarioResult:
     plans: list
-    samples: list
+    samples: Profile
     summary: dict
 
 
@@ -148,7 +180,7 @@ def _tag_segment(exc, index):
 def run_scenario(scn: Scenario) -> ScenarioResult:
     """Plan and replay the scenario.
 
-    Returns the per-leg plans, the profile sample list, and a summary
+    Returns the per-leg plans, the profile samples, and a summary
     mapping. Solver failures propagate with the leg index prepended;
     battery depletion is reported in the summary, not raised.
     """
@@ -241,10 +273,11 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
     legs.append(_Leg(t0=t_leg, t1=t_total, pos0=pos_leg, pos1=cruise,
                      v=v_leg, ci_start=ci_start_leg, ci_in=ci_in_leg))
 
-    samples = _simulate_profile(scn, legs, full_seg, t_total)
+    samples = Profile(_simulate_profile(scn, legs, full_seg, t_total))
 
-    final_q = samples[-1].q
-    final_h = samples[-1].h
+    last = samples[-1]
+    final_q = last.q
+    final_h = last.h
     closed_q_f = plans[-1].q_f if plans[-1].q_f is not None else None
     summary = {
         "ci_max_Cs": sched.ci_max,
@@ -272,7 +305,7 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
         "total_time_s": t_total,
         "time_delta_s": t_total - plan0.t_c_star,
         "final_q_C": final_q,
-        "final_e_J": samples[-1].e,
+        "final_e_J": last.e,
         "energy_used_J": (scn.q0 - final_q) * params.voltage,
         "closed_form_final_q_C": closed_q_f,
         "battery_depleted": bool(final_q < 0.0
@@ -286,16 +319,12 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
 def _sample_times(t_total, dt):
     """Fixed-step grid from 0, with a final sample snapped to t_total."""
     eps = 1e-9 * max(1.0, t_total)
-    times = []
-    k = 0
-    while k * dt < t_total - eps:
-        times.append(k * dt)
-        k += 1
-    times.append(t_total)
-    return np.asarray(times)
+    grid = dt * np.arange(math.ceil(t_total / dt))
+    return np.append(grid[grid < t_total - eps], t_total)
 
 
 def _simulate_profile(scn, legs, full_seg, t_total):
+    """The replayed profile as one (n, 7|8) table, columns as in Profile."""
     params = scn.aircraft
     cruise_h = scn.waypoints[-1][1]
     origin_h = scn.waypoints[0][1]
@@ -328,7 +357,7 @@ def _simulate_profile(scn, legs, full_seg, t_total):
     edges = np.unique(np.concatenate([times, np.asarray(interior_starts)]))
     e_idx = np.clip(np.searchsorted(leg_starts, edges, side="right") - 1,
                     0, len(legs) - 1)
-    e_v = np.asarray([legs[k].v for k in e_idx])
+    e_v = np.asarray([leg.v for leg in legs])[e_idx]
     e_h = np.minimum(origin_h + scn.h_dot_bar * edges, cruise_h)
     e_hdot = np.where(e_h < cruise_h, scn.h_dot_bar, 0.0)
     e_rho = scn.atmo.density(e_h)
@@ -337,18 +366,10 @@ def _simulate_profile(scn, legs, full_seg, t_total):
     q_edges = scn.q0 + np.concatenate([[0.0], np.cumsum(rates[:-1] * widths)])
     q = q_edges[np.searchsorted(edges, times)]
 
-    v_track = None
+    columns = [times, x, h, v, ci, q, q * params.voltage]
     if scn.emit_tracking:
-        v_track = economy_speed(full_seg, ci, params)
-
-    rows = []
-    for i, t in enumerate(times):
-        rows.append(ProfileSample(
-            t=float(t), x=float(x[i]), h=float(h[i]), v=float(v[i]),
-            ci=float(ci[i]), q=float(q[i]), e=float(q[i] * params.voltage),
-            v_track=float(v_track[i]) if v_track is not None else None,
-        ))
-    return rows
+        columns.append(economy_speed(full_seg, ci, params))
+    return np.column_stack(columns)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -6,12 +7,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 import econclimb
 from econclimb.cli_io import (
     ConfigError,
+    _csv,
+    _profile_csv,
     build_scenario,
     cmd_calibrate,
     cmd_plan,
@@ -126,6 +130,22 @@ def test_env_overrides(tmp_path):
         load_config(CONFIG, env=bad)
 
 
+def test_env_overrides_reach_mixed_case_keys(tmp_path):
+    raw = _read_config_dict()
+    cx = raw["cost_index"]
+    del cx["ci0_fraction"]
+    cx["ci0_value_Cs"] = 150.0
+    cx["ci_max"] = {"mode": "value", "value_Cs": 300.0}
+    cx["events"][0] = {"at_time_s": 100.0, "ci_in_value_Cs": 200.0}
+    path = tmp_path / "values.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    env = {"ECONCLIMB_COST_INDEX__CI0_VALUE_CS": "120",
+           "ECONCLIMB_COST_INDEX__CI_MAX__VALUE_CS": "5"}
+    cfg = load_config(path, env=env)
+    assert cfg["cost_index"]["ci0_value_Cs"] == 120.0
+    assert cfg["cost_index"]["ci_max"]["value_Cs"] == 5.0
+
+
 def test_flag_overrides_beat_env():
     env = {"ECONCLIMB_SCENARIO__SIM_STEP_S": "0.5"}
     cfg = load_config(CONFIG, env=env, sim_step=0.25, atmo_step=2.0)
@@ -151,6 +171,7 @@ def test_fmt_six_significant_digits():
     assert fmt(0.000123456789) == "0.000123457"
     assert fmt(1.0) == "1"
     assert fmt(math.inf) == "inf"
+    assert fmt(-math.inf) == "-inf"
     assert fmt(True) == "yes"
     assert fmt(False) == "no"
     assert fmt(None) == "n/a"
@@ -212,6 +233,28 @@ def test_profile_csv(tmp_path):
         q_prev = q
     assert rows[-1][1] == pytest.approx(30000.0, rel=1e-5)
     assert rows[-1][2] == pytest.approx(1000.0, rel=1e-9)
+
+
+def test_profile_csv_without_tracking_column():
+    scenario, _ = build_scenario(load_config(CONFIG, env={}, sim_step=5.0))
+    result = econclimb.run_scenario(
+        dataclasses.replace(scenario, emit_tracking=False))
+    lines = _profile_csv(result.samples.table).splitlines()
+    assert lines[0] == "t_s,x_m,h_m,v_ms,ci_Cs,q_C,e_J"
+    assert len(lines) == len(result.samples) + 1
+    assert all(ln.count(",") == 6 for ln in lines)
+
+
+def test_csv_renders_cells_as_fmt():
+    table = np.array([
+        [math.inf, -math.inf, math.nan, -0.0, 0.0],
+        [1e-7, 1.5e21, 123456.789, 0.000123456789, -2.5],
+        [1.0, 0.0, 16200.0, 140.0, -7.0],
+    ])
+    expected = "".join(",".join(fmt(u) for u in row) + "\n"
+                       for row in table.tolist())
+    assert _csv("a,b,c,d,e", table) == "a,b,c,d,e\n" + expected
+    assert _csv("a,b", np.empty((0, 2))) == "a,b\n"
 
 
 def test_profile_respects_sim_step(tmp_path):

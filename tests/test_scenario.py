@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from econclimb import (
     segment_between,
     sweep_cost,
 )
+from econclimb.scenario_sim import ProfileSample, _sample_times
 
 # Frozen reference scenario solution (see test_optimizer for the leg-level
 # values): 30 km / 1000 m climb, command to 0.9 ci_max at the mid waypoint.
@@ -163,7 +165,56 @@ def test_tracking_speed_series(params, reference_result, full_segment):
 def test_tracking_can_be_disabled(params):
     res = run_scenario(_reference_scenario(aircraft=params,
                                            emit_tracking=False))
+    assert res.samples.table.shape == (len(res.samples), 7)
     assert all(smp.v_track is None for smp in res.samples)
+
+
+def _sample_times_loop(t_total, dt):
+    """The sample grid built one step at a time (oracle for _sample_times)."""
+    eps = 1e-9 * max(1.0, t_total)
+    times = []
+    k = 0
+    while k * dt < t_total - eps:
+        times.append(k * dt)
+        k += 1
+    times.append(t_total)
+    return times
+
+
+def test_sample_times_match_stepwise_grid():
+    totals = (10.0, 736.0, T_TOTAL, T_BASELINE, 0.3, 1.0 + 1e-12, 5e-10,
+              100.0, 700.0000001, 3600.0)
+    steps = (0.01, 0.1, 0.25, 1.0, 7.3, 100.0)
+    for t_total in totals:
+        for dt in steps:
+            times = _sample_times(t_total, dt)
+            assert times.tolist() == _sample_times_loop(t_total, dt), \
+                (t_total, dt)
+    # exact multiples end on the grid point itself, not on a duplicate
+    assert _sample_times(10.0, 0.1).size == 101
+    assert _sample_times(736.0, 0.01).size == 73601
+
+
+def test_profile_is_a_sequence_of_samples(reference_result):
+    samples = reference_result.samples
+    table = samples.table
+    n = len(samples)
+    assert table.shape == (n, 8)
+    assert not table.flags.writeable
+    rows = table.tolist()
+    assert samples[-1] == samples[n - 1] == ProfileSample(*rows[-1])
+    with pytest.raises(IndexError):
+        samples[n]
+    every = samples[::500]
+    assert len(every) == len(rows[::500])
+    assert [dataclasses.astuple(smp) for smp in every] == \
+        [tuple(row) for row in rows[::500]]
+    listed = list(samples)
+    assert all(type(smp) is ProfileSample for smp in listed)
+    assert [dataclasses.astuple(smp) for smp in listed] == \
+        [tuple(row) for row in rows]
+    assert samples == listed
+    assert samples != samples[1:]
 
 
 def test_plan_and_profile_agree_on_times(reference_result):
