@@ -19,6 +19,17 @@ import numpy as np
 from .errors import DegenerateSegmentError, DomainError
 
 
+def _checked_altitude(h, h_max):
+    """h as a float array; raises DomainError naming the altitude range
+    (not the array) when any entry lies outside [0, h_max]."""
+    h_arr = np.asarray(h, dtype=float)
+    if np.any(h_arr < 0.0) or np.any(h_arr > h_max):
+        lo, hi = float(np.min(h_arr)), float(np.max(h_arr))
+        got = f"{lo:g} m" if lo == hi else f"{lo:g} to {hi:g} m"
+        raise DomainError(f"altitude must lie in [0, {h_max:g}] m, got {got}")
+    return h_arr
+
+
 @dataclass(frozen=True)
 class AtmosphereModel:
     """Power-law density model for the troposphere.
@@ -47,11 +58,7 @@ class AtmosphereModel:
         Returns:
             Density in kg/m^3, same shape as h.
         """
-        h_arr = np.asarray(h, dtype=float)
-        if np.any(h_arr < 0.0) or np.any(h_arr > self.h_max):
-            raise DomainError(
-                f"altitude must lie in [0, {self.h_max:g}] m, got {h!r}"
-            )
+        h_arr = _checked_altitude(h, self.h_max)
         rho = self.c0 * (self.t0 - self.lapse * h_arr) ** self.exponent
         if h_arr.ndim == 0:
             return float(rho)
@@ -66,11 +73,7 @@ class ConstantAtmosphere:
     h_max: float = float("inf")  # [m]
 
     def density(self, h):
-        h_arr = np.asarray(h, dtype=float)
-        if np.any(h_arr < 0.0) or np.any(h_arr > self.h_max):
-            raise DomainError(
-                f"altitude must lie in [0, {self.h_max:g}] m, got {h!r}"
-            )
+        h_arr = _checked_altitude(h, self.h_max)
         if h_arr.ndim == 0:
             return self.value
         return np.full_like(h_arr, self.value)

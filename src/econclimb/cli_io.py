@@ -43,67 +43,131 @@ from .vehicle import STANDARD_GRAVITY, AircraftParams
 
 ENV_PREFIX = "ECONCLIMB_"
 
-_AIRCRAFT_KEYS = {
-    "wing_area_m2", "mass_kg", "cd0", "cd2", "vmax_kmh", "voltage_v",
-    "efficiency", "gravity_ms2",
+#: Default slot of a _SCHEMA row for a key that must be present.
+_REQUIRED = "required"
+
+# Block path -> key -> (lower bound, whether the bound itself is allowed,
+# upper bound, default or _REQUIRED); keys that are not numbers have no row
+# (None). Keys of an either/or pair, and keys of a moded block (see
+# _MODES), are read only when the pair or the mode calls for them.
+_SCHEMA = {
+    "config": {"aircraft": None, "scenario": None, "cost_index": None},
+    "aircraft": {
+        "wing_area_m2": (0.0, False, math.inf, _REQUIRED),
+        "mass_kg": (0.0, False, math.inf, _REQUIRED),
+        "cd0": (0.0, False, math.inf, _REQUIRED),
+        "cd2": (0.0, False, math.inf, _REQUIRED),
+        "vmax_kmh": (0.0, False, math.inf, _REQUIRED),
+        "voltage_v": (0.0, False, math.inf, _REQUIRED),
+        "efficiency": (0.0, False, 1.0, _REQUIRED),
+        "gravity_ms2": (0.0, False, math.inf, STANDARD_GRAVITY),
+    },
+    "scenario": {
+        "waypoints_km": None,
+        "q0_coulombs": (0.0, True, math.inf, _REQUIRED),
+        "h_dot_bar_ms": (0.0, False, math.inf, _REQUIRED),
+        "sim_step_s": (0.0, False, math.inf, 0.1),
+        "atmosphere_step_m": (0.0, False, math.inf, 1.0),
+    },
+    "cost_index": {
+        "ci0_fraction": (0.0, True, 1.0, _REQUIRED),
+        "ci0_value_Cs": (0.0, True, math.inf, _REQUIRED),
+        "ci_max": None, "tau": None, "events": None,
+    },
+    "cost_index.ci_max": {"mode": None,
+                          "reference_v_kmh": (0.0, False, math.inf, _REQUIRED),
+                          "value_Cs": (0.0, False, math.inf, _REQUIRED)},
+    "cost_index.tau": {"mode": None,
+                       "factor": (0.0, False, math.inf, _REQUIRED),
+                       "seconds": (0.0, False, math.inf, _REQUIRED)},
+    "cost_index.events[]": {
+        "ci_in_fraction": (0.0, True, 1.0, _REQUIRED),
+        "ci_in_value_Cs": (0.0, True, math.inf, _REQUIRED),
+        "at_waypoint_km": None,
+        "at_time_s": (0.0, False, math.inf, _REQUIRED),
+    },
 }
-_SCENARIO_KEYS = {
-    "waypoints_km", "q0_coulombs", "h_dot_bar_ms", "sim_step_s",
-    "atmosphere_step_m",
+# Moded block -> mode -> (keys the mode requires, keys it also allows).
+_MODES = {
+    "cost_index.ci_max": {"vmax": ((), ("reference_v_kmh",)),
+                          "calibrated": (("reference_v_kmh",), ()),
+                          "value": (("value_Cs",), ("reference_v_kmh",))},
+    "cost_index.tau": {"fraction_of_tc0": (("factor",), ()),
+                       "seconds": (("seconds",), ()),
+                       "infinite": ((), ())},
 }
-_COST_INDEX_KEYS = {"ci0_fraction", "ci0_value_Cs", "ci_max", "tau", "events"}
-_CI_MAX_KEYS = {"mode", "reference_v_kmh", "value_Cs"}
-_TAU_KEYS = {"mode", "factor", "seconds"}
-_EVENT_KEYS = {"ci_in_fraction", "ci_in_value_Cs", "at_waypoint_km", "at_time_s"}
 # lowercased key -> config key, for environment overrides
-_CANONICAL_KEYS = {key.lower(): key for key in set().union(
-    _AIRCRAFT_KEYS, _SCENARIO_KEYS, _COST_INDEX_KEYS, _CI_MAX_KEYS, _TAU_KEYS,
-    _EVENT_KEYS)}
+_CANONICAL_KEYS = {key.lower(): key for rows in _SCHEMA.values() for key in rows}
 
 
 # ---------------------------------------------------------------------------
 # configuration loading and validation
 
-def _require_mapping(obj, path):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected a mapping, got {type(obj).__name__}")
-    return obj
-
-
-def _reject_unknown(mapping, allowed, path):
-    unknown = sorted(set(mapping) - allowed)
+def _block(raw, path, schema=None):
+    """raw, checked to be a mapping of keys of _SCHEMA[schema or path]."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: expected a mapping, got {type(raw).__name__}")
+    unknown = sorted(str(key) for key in raw if key not in _SCHEMA[schema or path])
     if unknown:
         raise ConfigError(f"{path}: unknown key(s) {', '.join(unknown)}")
+    return raw
 
 
-def _get_number(mapping, key, path, required=True, default=None,
-                minimum=None, maximum=None, exclusive_min=False):
-    if key not in mapping:
-        if required:
+def _number(raw, key, path, row):
+    """raw[key] checked against its schema row; the row's default if absent."""
+    low, low_allowed, high, default = row
+    if key not in raw:
+        if default == _REQUIRED:
             raise ConfigError(f"{path}: missing required key {key}")
         return default
-    value = mapping[key]
+    path, value = f"{path}.{key}", raw[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, inf or a huge int
+        raise ConfigError(f"{path}: must be finite, got {value!r}")
     value = float(value)
-    if not math.isfinite(value):
-        raise ConfigError(f"{path}.{key}: must be finite, got {value!r}")
-    if minimum is not None:
-        if exclusive_min and not value > minimum:
-            raise ConfigError(f"{path}.{key}: must be > {minimum:g}, got {value:g}")
-        if not exclusive_min and value < minimum:
-            raise ConfigError(f"{path}.{key}: must be >= {minimum:g}, got {value:g}")
-    if maximum is not None and value > maximum:
-        raise ConfigError(f"{path}.{key}: must be <= {maximum:g}, got {value:g}")
+    if value < low or (value == low and not low_allowed) or value > high:
+        upper = f" and <= {high:g}" if high < math.inf else ""
+        raise ConfigError(f"{path}: must be {'>=' if low_allowed else '>'} "
+                          f"{low:g}{upper}, got {value:g}")
     return value
 
 
-def _get_pair(value, path):
+def _pair(value, path):
     if (not isinstance(value, (list, tuple)) or len(value) != 2
             or any(isinstance(u, bool) or not isinstance(u, (int, float))
-                   or not math.isfinite(u) for u in value)):
+                   or not abs(u) <= sys.float_info.max for u in value)):
         raise ConfigError(f"{path}: expected finite [x, h] numbers, got {value!r}")
     return [float(value[0]), float(value[1])]
+
+
+def _either(raw, keys, path, schema="cost_index"):
+    """{key: value} for the one key of the pair ``keys`` that raw holds."""
+    present = [key for key in keys if key in raw]
+    if len(present) != 1:
+        raise ConfigError(f"{path}: exactly one of {keys[0]} or {keys[1]} "
+                          "is required")
+    key = present[0]
+    row = _SCHEMA[schema][key]
+    return {key: _pair(raw[key], f"{path}.{key}") if row is None
+            else _number(raw, key, path, row)}
+
+
+def _moded(raw, path):
+    """A ci_max or tau block: its mode plus the keys _MODES lets it carry."""
+    block = _block(raw or {}, path)
+    mode = block.get("mode")
+    if not isinstance(mode, str) or mode not in _MODES[path]:
+        raise ConfigError(f"{path}.mode: expected one of "
+                          f"{', '.join(_MODES[path])}, got {mode!r}")
+    required, allowed = _MODES[path][mode]
+    out = {"mode": mode}
+    for key, row in _SCHEMA[path].items():
+        if key in required or (key in allowed and key in block):
+            out[key] = _number(block, key, path, row)
+        elif key in block and row is not None:
+            raise ConfigError(f"{path}.{key}: not allowed with mode {mode}")
+    return out
 
 
 def validate_config(raw):
@@ -112,163 +176,43 @@ def validate_config(raw):
     The canonical form has every optional key filled with its default, so
     serializing and re-parsing it is idempotent.
     """
-    raw = _require_mapping(raw, "config")
-    _reject_unknown(raw, {"aircraft", "scenario", "cost_index"}, "config")
-    for block in ("aircraft", "scenario", "cost_index"):
-        if block not in raw:
-            raise ConfigError(f"config: missing required block {block}")
+    raw = _block(raw, "config")
+    for name in _SCHEMA["config"]:
+        if name not in raw:
+            raise ConfigError(f"config: missing required block {name}")
+    cfg = {}
+    for name in ("aircraft", "scenario"):
+        block = _block(raw[name], name)
+        cfg[name] = {key: _number(block, key, name, row)
+                     for key, row in _SCHEMA[name].items() if row is not None}
 
-    ac = _require_mapping(raw["aircraft"], "aircraft")
-    _reject_unknown(ac, _AIRCRAFT_KEYS, "aircraft")
-    aircraft = {
-        "wing_area_m2": _get_number(ac, "wing_area_m2", "aircraft",
-                                    minimum=0.0, exclusive_min=True),
-        "mass_kg": _get_number(ac, "mass_kg", "aircraft",
-                               minimum=0.0, exclusive_min=True),
-        "cd0": _get_number(ac, "cd0", "aircraft", minimum=0.0,
-                           exclusive_min=True),
-        "cd2": _get_number(ac, "cd2", "aircraft", minimum=0.0,
-                           exclusive_min=True),
-        "vmax_kmh": _get_number(ac, "vmax_kmh", "aircraft", minimum=0.0,
-                                exclusive_min=True),
-        "voltage_v": _get_number(ac, "voltage_v", "aircraft", minimum=0.0,
-                                 exclusive_min=True),
-        "efficiency": _get_number(ac, "efficiency", "aircraft",
-                                  minimum=0.0, maximum=1.0, exclusive_min=True),
-        "gravity_ms2": _get_number(ac, "gravity_ms2", "aircraft",
-                                   required=False, default=STANDARD_GRAVITY,
-                                   minimum=0.0, exclusive_min=True),
-    }
+    wps = raw["scenario"].get("waypoints_km")
+    if not isinstance(wps, (list, tuple)) or len(wps) < 2:
+        raise ConfigError("scenario.waypoints_km: expected a list of at "
+                          "least two [x, h] pairs")
+    cfg["scenario"]["waypoints_km"] = [
+        _pair(wp, f"scenario.waypoints_km[{i}]") for i, wp in enumerate(wps)]
 
-    sc = _require_mapping(raw["scenario"], "scenario")
-    _reject_unknown(sc, _SCENARIO_KEYS, "scenario")
-    if "waypoints_km" not in sc:
-        raise ConfigError("scenario: missing required key waypoints_km")
-    wps_raw = sc["waypoints_km"]
-    if not isinstance(wps_raw, (list, tuple)) or len(wps_raw) < 2:
-        raise ConfigError(
-            "scenario.waypoints_km: expected a list of at least two [x, h] pairs"
-        )
-    waypoints = [_get_pair(wp, f"scenario.waypoints_km[{i}]")
-                 for i, wp in enumerate(wps_raw)]
-    scenario = {
-        "waypoints_km": waypoints,
-        "q0_coulombs": _get_number(sc, "q0_coulombs", "scenario", minimum=0.0),
-        "h_dot_bar_ms": _get_number(sc, "h_dot_bar_ms", "scenario",
-                                    minimum=0.0, exclusive_min=True),
-        "sim_step_s": _get_number(sc, "sim_step_s", "scenario", required=False,
-                                  default=0.1, minimum=0.0, exclusive_min=True),
-        "atmosphere_step_m": _get_number(sc, "atmosphere_step_m", "scenario",
-                                         required=False, default=1.0,
-                                         minimum=0.0, exclusive_min=True),
-    }
-
-    cx = _require_mapping(raw["cost_index"], "cost_index")
-    _reject_unknown(cx, _COST_INDEX_KEYS, "cost_index")
-    has_fraction = "ci0_fraction" in cx
-    has_value = "ci0_value_Cs" in cx
-    if has_fraction == has_value:
-        raise ConfigError(
-            "cost_index: exactly one of ci0_fraction or ci0_value_Cs is required"
-        )
-    cost_index = {}
-    if has_fraction:
-        cost_index["ci0_fraction"] = _get_number(
-            cx, "ci0_fraction", "cost_index", minimum=0.0, maximum=1.0)
-    else:
-        cost_index["ci0_value_Cs"] = _get_number(
-            cx, "ci0_value_Cs", "cost_index", minimum=0.0)
-
-    cm = _require_mapping(cx.get("ci_max", None) or {}, "cost_index.ci_max")
-    _reject_unknown(cm, _CI_MAX_KEYS, "cost_index.ci_max")
-    mode = cm.get("mode")
-    if mode not in ("vmax", "calibrated", "value"):
-        raise ConfigError(
-            "cost_index.ci_max.mode: expected one of vmax, calibrated, value, "
-            f"got {mode!r}"
-        )
-    ci_max = {"mode": mode}
-    ref_v = _get_number(cm, "reference_v_kmh", "cost_index.ci_max",
-                        required=(mode == "calibrated"), default=None,
-                        minimum=0.0, exclusive_min=True)
-    if ref_v is not None:
-        ci_max["reference_v_kmh"] = ref_v
-    if mode == "value":
-        ci_max["value_Cs"] = _get_number(cm, "value_Cs", "cost_index.ci_max",
-                                         minimum=0.0, exclusive_min=True)
-    elif "value_Cs" in cm:
-        raise ConfigError(
-            "cost_index.ci_max.value_Cs: only allowed with mode value"
-        )
-    if mode == "calibrated" and "ci0_fraction" not in cost_index:
-        raise ConfigError(
-            "cost_index.ci_max: mode calibrated needs ci0_fraction "
-            "(the anchor uses it)"
-        )
-    cost_index["ci_max"] = ci_max
-
-    tau_raw = _require_mapping(cx.get("tau", None) or {}, "cost_index.tau")
-    _reject_unknown(tau_raw, _TAU_KEYS, "cost_index.tau")
-    tau_mode = tau_raw.get("mode")
-    if tau_mode not in ("fraction_of_tc0", "seconds", "infinite"):
-        raise ConfigError(
-            "cost_index.tau.mode: expected one of fraction_of_tc0, seconds, "
-            f"infinite, got {tau_mode!r}"
-        )
-    tau = {"mode": tau_mode}
-    if tau_mode == "fraction_of_tc0":
-        tau["factor"] = _get_number(tau_raw, "factor", "cost_index.tau",
-                                    minimum=0.0, exclusive_min=True)
-    elif tau_mode == "seconds":
-        tau["seconds"] = _get_number(tau_raw, "seconds", "cost_index.tau",
-                                     minimum=0.0, exclusive_min=True)
-    for key in ("factor", "seconds"):
-        if key in tau_raw and key not in tau:
-            raise ConfigError(
-                f"cost_index.tau.{key}: only allowed with its matching mode"
-            )
-    cost_index["tau"] = tau
-
-    events_raw = cx.get("events", [])
-    if events_raw is None:
-        events_raw = []
-    if not isinstance(events_raw, (list, tuple)):
+    cx = _block(raw["cost_index"], "cost_index")
+    cost_index = _either(cx, ("ci0_fraction", "ci0_value_Cs"), "cost_index")
+    cost_index["ci_max"] = _moded(cx.get("ci_max"), "cost_index.ci_max")
+    if (cost_index["ci_max"]["mode"] == "calibrated"
+            and "ci0_fraction" not in cost_index):
+        raise ConfigError("cost_index.ci_max: mode calibrated needs "
+                          "ci0_fraction (the anchor uses it)")
+    cost_index["tau"] = _moded(cx.get("tau"), "cost_index.tau")
+    events = cx.get("events")
+    if not isinstance(events, (list, tuple, type(None))):
         raise ConfigError("cost_index.events: expected a list")
-    events = []
-    for i, ev_raw in enumerate(events_raw):
-        path = f"cost_index.events[{i}]"
-        ev_raw = _require_mapping(ev_raw, path)
-        _reject_unknown(ev_raw, _EVENT_KEYS, path)
-        ev = {}
-        has_f = "ci_in_fraction" in ev_raw
-        has_v = "ci_in_value_Cs" in ev_raw
-        if has_f == has_v:
-            raise ConfigError(
-                f"{path}: exactly one of ci_in_fraction or ci_in_value_Cs "
-                "is required"
-            )
-        if has_f:
-            ev["ci_in_fraction"] = _get_number(ev_raw, "ci_in_fraction", path,
-                                               minimum=0.0, maximum=1.0)
-        else:
-            ev["ci_in_value_Cs"] = _get_number(ev_raw, "ci_in_value_Cs", path,
-                                               minimum=0.0)
-        has_wp = "at_waypoint_km" in ev_raw
-        has_t = "at_time_s" in ev_raw
-        if has_wp == has_t:
-            raise ConfigError(
-                f"{path}: exactly one of at_waypoint_km or at_time_s is required"
-            )
-        if has_wp:
-            ev["at_waypoint_km"] = _get_pair(ev_raw["at_waypoint_km"],
-                                             f"{path}.at_waypoint_km")
-        else:
-            ev["at_time_s"] = _get_number(ev_raw, "at_time_s", path, minimum=0.0)
-        events.append(ev)
-    cost_index["events"] = events
-
-    return {"aircraft": aircraft, "scenario": scenario,
-            "cost_index": cost_index}
+    cost_index["events"] = []
+    for i, ev in enumerate(events or ()):
+        path, schema = f"cost_index.events[{i}]", "cost_index.events[]"
+        ev = _block(ev, path, schema)
+        cost_index["events"].append({
+            **_either(ev, ("ci_in_fraction", "ci_in_value_Cs"), path, schema),
+            **_either(ev, ("at_waypoint_km", "at_time_s"), path, schema)})
+    cfg["cost_index"] = cost_index
+    return cfg
 
 
 def _apply_env_overrides(raw, env):
@@ -312,7 +256,7 @@ def load_config(path, env=None, sim_step=None, atmo_step=None):
         raise ConfigError(f"config {path} is not valid YAML: {exc}")
     if raw is None:
         raise ConfigError(f"config {path} is empty")
-    raw = _require_mapping(raw, "config")
+    raw = _block(raw, "config")
     raw = _apply_env_overrides(raw, env if env is not None else os.environ)
     if sim_step is not None:
         raw.setdefault("scenario", {})["sim_step_s"] = sim_step
@@ -358,6 +302,13 @@ def build_scenario(cfg, no_event=False):
     return _resolve_scenario(cfg, no_event)[:2]
 
 
+def _cost_index(block, prefix, ci_max):
+    """A validated either/or cost index in C/s: ``<prefix>_fraction`` of
+    ci_max, or ``<prefix>_value_Cs``."""
+    fraction = block.get(f"{prefix}_fraction")
+    return block[f"{prefix}_value_Cs"] if fraction is None else fraction * ci_max
+
+
 def _resolve_scenario(cfg, no_event):
     """build_scenario's (scenario, meta), plus the origin-to-cruise segment."""
     params, waypoints, full_seg = _airframe(cfg)
@@ -374,10 +325,7 @@ def _resolve_scenario(cfg, no_event):
     else:
         ci_max = cm["value_Cs"]
 
-    if "ci0_fraction" in cx:
-        ci0 = cx["ci0_fraction"] * ci_max
-    else:
-        ci0 = cx["ci0_value_Cs"]
+    ci0 = _cost_index(cx, "ci0", ci_max)
 
     tau_cfg = cx["tau"]
     if tau_cfg["mode"] == "infinite":
@@ -388,24 +336,14 @@ def _resolve_scenario(cfg, no_event):
         v0 = fms_initial_speed(full_seg, ci0, params).v_star
         tau = tau_cfg["factor"] * full_seg.d / v0
 
-    events = []
-    if not no_event:
-        for ev in cx["events"]:
-            if "ci_in_fraction" in ev:
-                ci_in = ev["ci_in_fraction"] * ci_max
-            else:
-                ci_in = ev["ci_in_value_Cs"]
-            if "at_waypoint_km" in ev:
-                wp = ev["at_waypoint_km"]
-                events.append(CiEvent(
-                    ci_in=ci_in,
-                    at_waypoint=(wp[0] * 1000.0, wp[1] * 1000.0),
-                ))
-            else:
-                events.append(CiEvent(ci_in=ci_in, at_time=ev["at_time_s"]))
-
+    events = () if no_event else tuple(
+        CiEvent(ci_in=_cost_index(ev, "ci_in", ci_max),
+                at_time=ev.get("at_time_s"),
+                at_waypoint=(tuple(u * 1000.0 for u in ev["at_waypoint_km"])
+                             if "at_waypoint_km" in ev else None))
+        for ev in cx["events"])
     schedule = CostIndexSchedule(ci0=ci0, tau=tau, ci_max=ci_max,
-                                 events=tuple(events))
+                                 events=events)
     scenario = Scenario(
         waypoints=waypoints,
         aircraft=params,

@@ -29,8 +29,9 @@ from .errors import DomainError
 class CiEvent:
     """One ATC cost-index command.
 
-    Exactly one trigger must be set: an elapsed climb time in seconds, or a
-    waypoint (x, h) in meters that the aircraft will cross.
+    Exactly one trigger must be set: an elapsed climb time in seconds after
+    the start (> 0), or a waypoint (x, h) in meters that the aircraft will
+    cross.
     """
 
     ci_in: float  # [C s^-1]
@@ -42,8 +43,8 @@ class CiEvent:
             raise DomainError(
                 "event needs exactly one trigger: at_time or at_waypoint"
             )
-        if self.at_time is not None and self.at_time < 0.0:
-            raise DomainError(f"event time must be >= 0, got {self.at_time!r}")
+        if self.at_time is not None and not self.at_time > 0.0:
+            raise DomainError(f"event time must be > 0, got {self.at_time!r}")
         if self.ci_in < 0.0:
             raise DomainError(f"ci_in must be >= 0, got {self.ci_in!r}")
 

@@ -17,6 +17,10 @@ Geometry conventions used by the replay:
   waypoint.
 * Re-planned legs keep the whole climb's density band for their mean
   density quantities, matching how the departure plan was calibrated.
+* Events fire in time order, whatever their order in the schedule. A
+  waypoint-triggered event fires when x reaches the waypoint's x (the
+  moment the aircraft passes a waypoint on its straight line to cruise),
+  and the leg that follows starts from the waypoint.
 """
 
 from __future__ import annotations
@@ -49,7 +53,8 @@ class Scenario:
     Attributes:
         waypoints: ((x, h), ...) in meters, ordered by x; the first entry is
             the origin, the last the cruise entry point, and any interior
-            entries are named positions that ATC events may reference.
+            entries are named positions that ATC events may reference; their
+            altitudes lie within the climb's band [origin h, cruise h].
         aircraft: airframe and powertrain constants.
         schedule: cost-index schedule with concrete values (C/s).
         q0: battery charge at the start of the climb  [C]
@@ -82,8 +87,15 @@ class Scenario:
         xs = [x for x, _ in wps]
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise DomainError("waypoints must be strictly increasing in x")
-        if wps[-1][1] < wps[0][1]:
+        h0, hc = wps[0][1], wps[-1][1]
+        if hc < h0:
             raise DomainError("cruise altitude must not lie below the origin")
+        for x, h in wps[1:-1]:
+            if not h0 <= h <= hc:
+                raise DomainError(
+                    f"interior waypoint ({x:g}, {h:g}) lies outside the "
+                    f"climb's altitude band [{h0:g}, {hc:g}] m"
+                )
         if self.q0 < 0.0:
             raise DomainError(f"q0 must be >= 0, got {self.q0!r}")
         if not self.h_dot_bar > 0.0:
@@ -210,21 +222,27 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
     q_leg = scn.q0  # closed-form charge bookkeeping at leg starts
     seg_cur = full_seg
 
-    for ev in sched.events:
+    # Each trigger kind is already ordered by the schedule; fire whichever
+    # pending event comes first (ties in list order), so the event log runs
+    # in firing order and its applied entries line up with the legs.
+    timed = [(i, ev) for i, ev in enumerate(sched.events) if ev.at_time is not None]
+    placed = [(i, ev) for i, ev in enumerate(sched.events) if ev.at_time is None]
+    while timed or placed:
         d_leg_full = math.hypot(cruise[0] - pos_leg[0], cruise[1] - pos_leg[1])
         t_arrival = t_leg + d_leg_full / v_leg
-
-        if ev.at_waypoint is not None:
+        next_events = []
+        if placed:
+            i, ev = placed[0]
             wp = (float(ev.at_waypoint[0]), float(ev.at_waypoint[1]))
             if not pos_leg[0] < wp[0] < cruise[0]:
                 raise DomainError(
                     f"event waypoint x={wp[0]:g} m is not ahead of the "
                     f"aircraft (at x={pos_leg[0]:g} m)"
                 )
-            dist = math.hypot(wp[0] - pos_leg[0], wp[1] - pos_leg[1])
-            t_ev = t_leg + dist / v_leg
-            pos_ev = wp
-        else:
+            frac = (wp[0] - pos_leg[0]) / (cruise[0] - pos_leg[0])
+            next_events.append((t_leg + frac * d_leg_full / v_leg, i, placed, wp))
+        if timed:
+            i, ev = timed[0]
             t_ev = float(ev.at_time)
             if t_ev <= t_leg:
                 raise DomainError(
@@ -234,6 +252,9 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
             frac = (t_ev - t_leg) * v_leg / d_leg_full
             pos_ev = (pos_leg[0] + frac * (cruise[0] - pos_leg[0]),
                       pos_leg[1] + frac * (cruise[1] - pos_leg[1]))
+            next_events.append((t_ev, i, timed, pos_ev))
+        t_ev, _, queue, pos_ev = min(next_events)  # list indices are distinct
+        ev = queue.pop(0)[1]
 
         if t_ev >= t_arrival:
             event_log.append({

@@ -58,6 +58,19 @@ def test_density_domain_errors():
         TROPOSPHERE.density(np.array([100.0, -5.0]))
 
 
+def test_density_domain_error_names_the_altitude_range():
+    with pytest.raises(DomainError) as info:
+        TROPOSPHERE.density(np.linspace(0.0, 12000.0, 12001))
+    assert str(info.value) == \
+        "altitude must lie in [0, 11000] m, got 0 to 12000 m"
+    with pytest.raises(DomainError) as info:
+        ConstantAtmosphere(1.2).density(np.linspace(-100.0, 1000.0, 1101))
+    assert str(info.value) == \
+        "altitude must lie in [0, inf] m, got -100 to 1000 m"
+    with pytest.raises(DomainError, match="got -1 m$"):
+        TROPOSPHERE.density(-1.0)
+
+
 # ---------------------------------------------------------------------------
 # band means
 

@@ -105,6 +105,8 @@ def test_event_needs_exactly_one_trigger():
         CiEvent(ci_in=-1.0, at_time=10.0)
     with pytest.raises(DomainError):
         CiEvent(ci_in=100.0, at_time=-5.0)
+    with pytest.raises(DomainError, match="> 0"):
+        CiEvent(ci_in=100.0, at_time=0.0)
 
 
 def test_schedule_validation():

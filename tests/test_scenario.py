@@ -333,3 +333,71 @@ def test_closed_form_gap_shrinks_with_band(params):
     narrow = segment_between((0.0, 0.0), (30000.0, 100.0), 1.65)
     assert mvt_crosscheck(narrow, V0, params) < \
         mvt_crosscheck(wide, V0, params)
+
+
+# ---------------------------------------------------------------------------
+# one merged event timeline
+
+def test_events_fire_in_time_order_whatever_their_list_order(params):
+    wp_event = CiEvent(ci_in=CI_IN, at_waypoint=(15000.0, 500.0))
+    early = CiEvent(ci_in=0.5 * CI_MAX, at_time=100.0)
+    results = [run_scenario(_reference_scenario(
+        schedule=_reference_schedule(events=events), aircraft=params))
+        for events in ((wp_event, early), (early, wp_event))]
+    assert results[0].summary == results[1].summary
+    assert results[0].samples == results[1].samples
+    s = results[0].summary
+    assert [ev["t_s"] for ev in s["events"]] == \
+        pytest.approx([100.0, 396.617], abs=1e-3)
+    assert [ev["ci_in_Cs"] for ev in s["events"]] == \
+        [early.ci_in, wp_event.ci_in]
+    assert s["total_time_s"] == pytest.approx(747.163, abs=1e-3)
+    assert [seg["start_x_m"] for seg in s["segments"][1:]] == \
+        [ev["x_m"] for ev in s["events"]]
+
+
+def test_after_arrival_events_are_listed_last(params):
+    late = CiEvent(ci_in=0.5 * CI_MAX, at_time=2000.0)
+    wp_event = CiEvent(ci_in=CI_IN, at_waypoint=(15000.0, 500.0))
+    res = run_scenario(_reference_scenario(
+        schedule=_reference_schedule(events=(late, wp_event)),
+        aircraft=params))
+    events = res.summary["events"]
+    assert [ev["applied"] for ev in events] == [True, False]
+    assert events[0]["t_s"] == pytest.approx(T_EVENT, rel=1e-9)
+    assert events[1]["t_s"] == 2000.0
+    assert res.summary["total_time_s"] == pytest.approx(T_TOTAL, rel=1e-9)
+
+
+def test_waypoint_event_off_the_flown_line_fires_at_its_x(params):
+    # The waypoint lies well above the straight origin-cruise line; its event
+    # fires when the aircraft's x reaches 1 km, so a time event due before
+    # then comes first and one due after comes second.
+    wp = (1000.0, 1000.0)
+    for t_time, first in ((20.0, "time"), (30.0, "waypoint")):
+        events = (CiEvent(ci_in=0.5 * CI_MAX, at_time=t_time),
+                  CiEvent(ci_in=CI_IN, at_waypoint=wp))
+        res = run_scenario(_reference_scenario(
+            waypoints=((0.0, 0.0), wp, (30000.0, 1000.0)),
+            schedule=_reference_schedule(events=events), aircraft=params))
+        fired = res.summary["events"]
+        assert all(ev["applied"] for ev in fired)
+        assert fired[0]["t_s"] < fired[1]["t_s"]
+        assert (fired[0]["t_s"] == t_time) == (first == "time")
+        wp_fired = [ev for ev in fired if ev["ci_in_Cs"] == CI_IN][0]
+        assert (wp_fired["x_m"], wp_fired["h_m"]) == wp
+
+
+def test_interior_waypoints_lie_in_the_climb_band(params):
+    for h in (1500.0, -1.0):
+        with pytest.raises(DomainError, match="altitude band"):
+            _reference_scenario(
+                aircraft=params, schedule=_reference_schedule(events=()),
+                waypoints=((0.0, 0.0), (15000.0, h), (30000.0, 1000.0)))
+    for h in (0.0, 1000.0):
+        scn = _reference_scenario(
+            aircraft=params, waypoints=((0.0, 0.0), (15000.0, h),
+                                        (30000.0, 1000.0)),
+            schedule=_reference_schedule(events=(
+                CiEvent(ci_in=CI_IN, at_waypoint=(15000.0, h)),)))
+        assert run_scenario(scn).summary["events"][0]["applied"] is True
