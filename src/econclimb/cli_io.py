@@ -197,9 +197,9 @@ def validate_config(raw):
     cost_index = _either(cx, ("ci0_fraction", "ci0_value_Cs"), "cost_index")
     cost_index["ci_max"] = _moded(cx.get("ci_max"), "cost_index.ci_max")
     if (cost_index["ci_max"]["mode"] == "calibrated"
-            and "ci0_fraction" not in cost_index):
-        raise ConfigError("cost_index.ci_max: mode calibrated needs "
-                          "ci0_fraction (the anchor uses it)")
+            and not cost_index.get("ci0_fraction", 0.0) > 0.0):
+        raise ConfigError("cost_index.ci0_fraction: must be > 0 with ci_max "
+                          "mode calibrated (the anchor divides by it)")
     cost_index["tau"] = _moded(cx.get("tau"), "cost_index.tau")
     events = cx.get("events")
     if not isinstance(events, (list, tuple, type(None))):
@@ -533,7 +533,7 @@ def cmd_sweep(config_path, out_path, v_min_kmh, v_max_kmh, v_step_kmh,
 
     blocks = []
     for curve in curves:
-        v = np.asarray(curve.v)
+        v = curve.v
         is_argmin = np.zeros_like(v)
         is_argmin[curve.argmin_index] = 1.0
         blocks.append(np.column_stack([np.full_like(v, curve.tau), v, v * 3.6,

@@ -18,6 +18,7 @@ in ``ci_for_speed`` and its inverse ``economy_speed``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,7 +32,11 @@ from .errors import (
     NoInteriorOptimumError,
     SaddlePointError,
 )
-from .vehicle import final_charge, final_charge_sensitivity
+from .vehicle import (
+    _require_positive_speed,
+    final_charge,
+    final_charge_sensitivity,
+)
 
 #: Lower edge of the airspeed search bracket.  [m s^-1]
 V_LO_DEFAULT = 5.0
@@ -77,7 +82,7 @@ class ClimbSegment:
         if not self.rho_bar > 0.0 or not self.delta_rho_bar > 0.0:
             raise DomainError("mean density quantities must be positive")
 
-    @property
+    @functools.cached_property
     def d(self):
         """Slant distance between the leg endpoints.  [m]"""
         return math.hypot(self.end[0] - self.start[0], self.end[1] - self.start[1])
@@ -122,8 +127,7 @@ class ClimbPlan:
 
 
 def _check_speed_and_tau(v, tau):
-    if np.any(np.asarray(v) <= 0.0):
-        raise DomainError(f"airspeed must be positive, got {v!r}")
+    _require_positive_speed(v)
     if not tau > 0.0:
         raise DomainError(f"tau must be positive or inf, got {tau!r}")
 
@@ -175,11 +179,18 @@ def cost_curvature(v, seg, ci0, ci_in, tau, params):
 
 def climbing_time(v, seg):
     """Time to fly the whole segment at constant airspeed v.  [s]"""
-    if np.any(np.asarray(v) <= 0.0):
-        raise DomainError(f"airspeed must be positive, got {v!r}")
+    _require_positive_speed(v)
     if seg.d <= 0.0:
         raise DegenerateSegmentError("segment has zero length")
     return seg.d / v
+
+
+@functools.lru_cache(maxsize=256)
+def _scan_grid(v_lo, v_max):
+    """The read-only log-spaced grid of the gradient sign scan."""
+    grid = np.geomspace(v_lo, v_max, _SCAN_POINTS)
+    grid.flags.writeable = False
+    return grid
 
 
 def _rtsafe(slope_and_curvature, lo, hi):
@@ -246,7 +257,7 @@ def solve_optimal_speed(seg, ci0, ci_in, tau, params, q0=None,
             f"need 0 < v_lo < v_max, got v_lo={v_lo!r}, v_max={params.v_max!r}"
         )
 
-    grid = np.geomspace(v_lo, params.v_max, _SCAN_POINTS)
+    grid = _scan_grid(v_lo, params.v_max)
     grad = cost_gradient(grid, seg, ci0, ci_in, tau, params)
 
     def slope_and_curvature(v):
@@ -255,8 +266,7 @@ def solve_optimal_speed(seg, ci0, ci_in, tau, params, q0=None,
 
     candidates = [
         _rtsafe(slope_and_curvature, float(grid[i]), float(grid[i + 1]))
-        for i in range(len(grid) - 1)
-        if grad[i] <= 0.0 <= grad[i + 1]
+        for i in np.flatnonzero((grad[:-1] <= 0.0) & (grad[1:] >= 0.0))
     ]
 
     if not candidates:
@@ -392,4 +402,7 @@ def calibrate_ci_max_to_speed(params, seg, v_ref, ci0_fraction):
             f"reference calibration gave non-positive ci_max {ci:.6g}; "
             "the reference speed sits below the segment's best-economy speed"
         )
+    if math.isinf(ci):
+        raise EnvelopeError(f"reference calibration gave ci_max inf: "
+                            f"ci0_fraction {ci0_fraction!r} is too small")
     return float(ci)

@@ -34,6 +34,7 @@ import numpy as np
 from .atmosphere import TROPOSPHERE
 from .cost_index import CostIndexSchedule, ci_at
 from .climb_optimizer import (
+    ClimbSegment,
     economy_speed,
     fms_initial_speed,
     segment_between,
@@ -41,7 +42,7 @@ from .climb_optimizer import (
     total_cost,
 )
 from .errors import DomainError
-from .vehicle import charge_rate, segment_discharge
+from .vehicle import _require_positive_speed, charge_rate, segment_discharge
 
 _WAYPOINT_MATCH_RTOL = 1e-9
 
@@ -200,7 +201,6 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
     sched = scn.schedule
     origin = scn.waypoints[0]
     cruise = scn.waypoints[-1]
-    band = (origin[1], cruise[1])
 
     full_seg = segment_between(origin, cruise, scn.h_dot_bar, scn.atmo,
                                scn.atmo_step)
@@ -273,8 +273,10 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
             "ci_before_Cs": ci_ev, "ci_in_Cs": ev.ci_in, "applied": True,
         })
 
-        seg_cur = segment_between(pos_ev, cruise, scn.h_dot_bar, scn.atmo,
-                                  scn.atmo_step, density_band=band)
+        # The whole climb's density means, exactly as segment_between would
+        # take them over full_seg's band, atmosphere and grid step.
+        seg_cur = ClimbSegment(pos_ev, cruise, scn.h_dot_bar, full_seg.rho_bar,
+                               full_seg.delta_rho_bar)
         try:
             plan = solve_optimal_speed(seg_cur, ci_ev, ev.ci_in, sched.tau,
                                        params, q0=q_leg)
@@ -399,8 +401,8 @@ class SweepCurve:
 
     tau: float  # [s]; inf labels the constant-CI baseline
     label: str
-    v: tuple  # [m s^-1]
-    j: tuple  # [C]
+    v: np.ndarray  # [m s^-1], read-only float64
+    j: np.ndarray  # [C], read-only float64
     argmin_index: int
 
 
@@ -417,25 +419,17 @@ def sweep_cost(seg, schedule, params, v_grid, tau_list, q0=0.0):
         raise DomainError("v_grid is empty")
     if np.any(v_arr <= 0.0) or np.any(v_arr > params.v_max):
         raise DomainError("v_grid must lie in (0, v_max]")
+    v_arr.flags.writeable = False
     ci_in = schedule.events[0].ci_in if schedule.events else schedule.ci0
 
+    runs = [("constant-ci", schedule.ci0, math.inf)]
+    runs += [(f"tau={float(tau):g}s", ci_in, float(tau)) for tau in tau_list]
     curves = []
-    j_base = total_cost(v_arr, seg, schedule.ci0, schedule.ci0, math.inf, q0,
-                        params)
-    curves.append(SweepCurve(
-        tau=math.inf, label="constant-ci",
-        v=tuple(float(u) for u in v_arr),
-        j=tuple(float(u) for u in j_base),
-        argmin_index=int(np.argmin(j_base)),
-    ))
-    for tau in tau_list:
-        j = total_cost(v_arr, seg, schedule.ci0, ci_in, float(tau), q0, params)
-        curves.append(SweepCurve(
-            tau=float(tau), label=f"tau={float(tau):g}s",
-            v=tuple(float(u) for u in v_arr),
-            j=tuple(float(u) for u in j),
-            argmin_index=int(np.argmin(j)),
-        ))
+    for label, ci_cmd, tau in runs:
+        j = total_cost(v_arr, seg, schedule.ci0, ci_cmd, tau, q0, params)
+        j.flags.writeable = False
+        curves.append(SweepCurve(tau=tau, label=label, v=v_arr, j=j,
+                                 argmin_index=int(np.argmin(j))))
     return curves
 
 
@@ -453,8 +447,7 @@ def mvt_crosscheck(seg, v, params, step=0.1, atmo=TROPOSPHERE):
     Meaningful only when the segment's density means belong to its own
     altitude band (the default in segment_between).
     """
-    if np.any(np.asarray(v) <= 0.0):
-        raise DomainError(f"airspeed must be positive, got {v!r}")
+    _require_positive_speed(v)
     if not step > 0.0:
         raise DomainError(f"step must be positive, got {step!r}")
     t_c = seg.d / v

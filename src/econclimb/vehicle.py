@@ -111,7 +111,12 @@ class BatteryState:
 
 
 def _require_positive_speed(v):
-    if np.any(np.asarray(v) <= 0.0):
+    """Raise DomainError unless every airspeed in v is > 0 (NaN passes).
+
+    A float (np.float64 included) is compared directly, so the scalar calls
+    of the root polish pay no array reduction.
+    """
+    if (v <= 0.0) if isinstance(v, float) else np.any(np.asarray(v) <= 0.0):
         raise DomainError(f"airspeed must be positive, got {v!r}")
 
 

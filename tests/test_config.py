@@ -51,6 +51,10 @@ def _config_reading(block, key):
         cx["ci_max"] = {"mode": "value", "value_Cs": 300.0}
     elif key == "value_Cs":
         cx["ci_max"] = {"mode": "value", "value_Cs": 300.0}
+    elif key == "ci0_fraction":
+        # the row's bound 0 is a zero cost index; the calibrated mode alone
+        # divides by the fraction and rejects 0 (test_calibrated_fraction_*)
+        cx["ci_max"] = {"mode": "vmax"}
     elif key == "seconds":
         cx["tau"] = {"mode": "seconds", "seconds": 10.0}
     elif key == "ci_in_value_Cs":
@@ -361,3 +365,36 @@ def test_time_event_after_a_waypoint_event_flies(capsys, tmp_path):
     assert "event 0: t = 100 s" in listed_late.out
     assert "event 1: t = 396.617 s" in listed_late.out
     assert "total time: 747.163 s" in listed_late.out
+
+
+def test_calibrated_fraction_must_be_positive(capsys, tmp_path):
+    # the calibrated ceiling divides by ci0_fraction, so 0 is rejected
+    # before anything flies; in the other modes 0 is a zero cost index
+    raw = copy.deepcopy(REFERENCE)
+    raw["cost_index"]["ci0_fraction"] = 0.0
+    with pytest.raises(ConfigError, match="cost_index.ci0_fraction: must be > 0"):
+        validate_config(copy.deepcopy(raw))
+    code, out = _plan(raw, capsys, tmp_path)
+    assert code == 2 and "cost_index.ci0_fraction" in out.err
+    raw["cost_index"]["ci_max"] = {"mode": "vmax"}
+    assert validate_config(raw)["cost_index"]["ci0_fraction"] == 0.0
+    # one without ci0_fraction at all names the same key
+    raw = copy.deepcopy(REFERENCE)
+    del raw["cost_index"]["ci0_fraction"]
+    raw["cost_index"]["ci0_value_Cs"] = 150.0
+    with pytest.raises(ConfigError, match="cost_index.ci0_fraction"):
+        validate_config(raw)
+
+
+def test_calibrated_fraction_near_zero(capsys, tmp_path):
+    raw = copy.deepcopy(REFERENCE)
+    raw["cost_index"]["ci0_fraction"] = 5e-324
+    assert validate_config(copy.deepcopy(raw))
+    code, out = _plan(raw, capsys, tmp_path)
+    assert code == 3
+    assert "ci_max inf" in out.err and "sign change" not in out.err
+
+    raw["cost_index"]["ci0_fraction"] = 1e-300
+    code, out = _plan(raw, capsys, tmp_path)
+    assert code == 0
+    assert "ci_max: 1.96793e+302 C/s (mode: calibrated)" in out.out

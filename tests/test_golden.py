@@ -1,4 +1,4 @@
-"""Byte-for-byte golden outputs of the CLI on the bundled config.
+"""Byte-for-byte golden outputs of the CLI on the bundled configs.
 
 Each file under ``tests/golden/`` is exactly what one command prints or
 writes. Regenerate a file by running its command from the repository root
@@ -19,10 +19,10 @@ writes. Regenerate a file by running its command from the repository root
         --out plan_storm.json > plan_storm.stdout
 
 The last one pins the re-plan path: six ATC events, time and waypoint
-triggers alternating, under a finite filter time constant.
-The profile command also writes ``profile.csv.meta.json``. Any change to
-these bytes changes the program's output and must be declared with its old
-and new values.
+triggers alternating, under a finite filter time constant. The profile
+command also writes ``profile.csv.meta.json``. Any change to these bytes
+changes the program's output and must be declared with its old and new
+values.
 """
 
 import os

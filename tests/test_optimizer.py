@@ -21,6 +21,7 @@ from econclimb import (
     e430,
     final_charge_sensitivity,
     fms_initial_speed,
+    mvt_crosscheck,
     segment_between,
     solve_optimal_speed,
     total_cost,
@@ -411,3 +412,56 @@ def test_constant_density_stub_segment(params):
     assert seg.rho_bar * seg.delta_rho_bar == pytest.approx(1.0, rel=1e-14)
     plan = fms_initial_speed(seg, CI0, params)
     assert 30.0 < plan.v_star < params.v_max
+
+
+# ---------------------------------------------------------------------------
+# what the fast re-plan relies on
+
+def test_scan_grid_is_a_cached_read_only_geomspace(params, full_segment,
+                                                   replan_segment):
+    cases = [(full_segment, CI0, CI0, math.inf),
+             (replan_segment, CI0, CI_IN, TAU),
+             (replan_segment, CI_IN, 0.5 * CI0, 60.0)]
+    co._scan_grid.cache_clear()
+    cold = [solve_optimal_speed(*case, params, q0=250000.0) for case in cases]
+    assert co._scan_grid.cache_info().misses == 1
+    grid = co._scan_grid(co.V_LO_DEFAULT, params.v_max)
+    expected = np.geomspace(co.V_LO_DEFAULT, params.v_max, co._SCAN_POINTS)
+    assert grid.dtype == expected.dtype
+    assert grid.tobytes() == expected.tobytes()
+    assert not grid.flags.writeable
+    with pytest.raises(ValueError):
+        grid[0] = 1.0
+    warm = [solve_optimal_speed(*case, params, q0=250000.0) for case in cases]
+    assert co._scan_grid.cache_info().misses == 1
+    assert warm == cold
+
+
+NONPOSITIVE_SPEEDS = [0.0, -0.0, -1.0, np.float64(-0.0), np.array(0.0),
+                      np.array([30.0, -1.0])]
+
+
+@pytest.mark.parametrize("v", NONPOSITIVE_SPEEDS,
+                         ids=["0", "-0.0", "-1", "np.float64(-0.0)",
+                              "0-d array", "1-d array"])
+def test_public_kernels_reject_nonpositive_speed(v, params, full_segment):
+    calls = [
+        lambda: climbing_time(v, full_segment),
+        lambda: mvt_crosscheck(full_segment, v, params),
+        lambda: total_cost(v, full_segment, CI0, CI_IN, TAU, 0.0, params),
+        lambda: cost_gradient(v, full_segment, CI0, CI_IN, TAU, params),
+        lambda: cost_curvature(v, full_segment, CI0, CI_IN, TAU, params),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="airspeed must be positive"):
+            call()
+
+
+def test_reference_calibration_rejects_overflow(params, full_segment):
+    # ci_for_speed / 5e-324 is inf; 1e-300 still gives a finite ceiling
+    with pytest.raises(EnvelopeError, match="ci_max inf"):
+        calibrate_ci_max_to_speed(params, full_segment, V_REF_KMH / 3.6,
+                                  5e-324)
+    ci = calibrate_ci_max_to_speed(params, full_segment, V_REF_KMH / 3.6,
+                                   1e-300)
+    assert ci == pytest.approx(CI0 * 1e300, rel=1e-9)

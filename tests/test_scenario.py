@@ -1,8 +1,10 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from econclimb import (
     CiEvent,
@@ -14,8 +16,11 @@ from econclimb import (
     mvt_crosscheck,
     run_scenario,
     segment_between,
+    solve_optimal_speed,
     sweep_cost,
 )
+from econclimb import scenario_sim
+from econclimb.cli_io import build_scenario, validate_config
 from econclimb.scenario_sim import ProfileSample, _sample_times
 
 # Frozen reference scenario solution (see test_optimizer for the leg-level
@@ -401,3 +406,56 @@ def test_interior_waypoints_lie_in_the_climb_band(params):
             schedule=_reference_schedule(events=(
                 CiEvent(ci_in=CI_IN, at_waypoint=(15000.0, h)),)))
         assert run_scenario(scn).summary["events"][0]["applied"] is True
+
+
+# ---------------------------------------------------------------------------
+# re-planned legs reuse the whole climb's density means
+
+STORM_CONFIG = Path(__file__).resolve().parent.parent / "configs" \
+    / "e430_atc_storm.yaml"
+
+
+def _storm_scenario(variant):
+    raw = yaml.safe_load(STORM_CONFIG.read_text())
+    if variant == "coarse-grid":
+        raw["scenario"]["atmosphere_step_m"] = 20.0
+    elif variant == "raised-constant-ci":
+        # origin at 300 m, so the band does not start at sea level
+        for wp in raw["scenario"]["waypoints_km"]:
+            wp[1] += 0.3
+        for ev in raw["cost_index"]["events"]:
+            if "at_waypoint_km" in ev:
+                ev["at_waypoint_km"][1] += 0.3
+            if "ci_in_value_Cs" in ev:  # the ceiling moves with the band
+                del ev["ci_in_value_Cs"]
+                ev["ci_in_fraction"] = 0.95
+        raw["cost_index"]["tau"] = {"mode": "infinite"}
+    return build_scenario(validate_config(raw))[0]
+
+
+@pytest.mark.parametrize("variant", ["as-is", "coarse-grid",
+                                     "raised-constant-ci"])
+def test_replans_equal_solves_on_segment_between(variant, monkeypatch):
+    scn = _storm_scenario(variant)
+    replans = []
+    solve = scenario_sim.solve_optimal_speed
+
+    def spy(seg, *args, **kwargs):
+        replans.append((seg, args, kwargs))
+        return solve(seg, *args, **kwargs)
+
+    monkeypatch.setattr(scenario_sim, "solve_optimal_speed", spy)
+    res = run_scenario(scn)
+    origin, cruise = scn.waypoints[0], scn.waypoints[-1]
+    fired = res.summary["events"]
+    assert all(ev["applied"] for ev in fired)
+    assert len(replans) == len(fired) == len(res.plans) - 1 == 6
+    for k, ((seg, args, kwargs), ev) in enumerate(zip(replans, fired), 1):
+        reference = segment_between(
+            (ev["x_m"], ev["h_m"]), cruise, scn.h_dot_bar, scn.atmo,
+            scn.atmo_step, density_band=(origin[1], cruise[1]))
+        assert seg == reference
+        plan = solve_optimal_speed(reference, *args, **kwargs)
+        for field in dataclasses.fields(plan):
+            assert (getattr(res.plans[k], field.name)
+                    == getattr(plan, field.name)), (k, field.name)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 
 import numpy as np
@@ -17,6 +18,7 @@ from econclimb import (
     segment_discharge,
     thrust_for_climb,
 )
+from econclimb.vehicle import _require_positive_speed
 
 RHO = 1.168  # [kg m^-3] representative mid-climb density
 V = 38.94  # [m s^-1]
@@ -198,3 +200,22 @@ def test_sensitivity_sign_structure(params, full_segment):
         else:
             hi = mid
     assert 0.5 * (lo + hi) == pytest.approx(27.563481645273896, rel=1e-10)
+
+
+SPEED_FORMS = {
+    "float": float,
+    "np.float64": np.float64,
+    "0-d array": np.array,
+    "1-d array": lambda v: np.array([30.0, v]),
+}
+
+
+@pytest.mark.parametrize("form", sorted(SPEED_FORMS))
+def test_positive_speed_check_in_every_form(form):
+    make = SPEED_FORMS[form]
+    for v in (0.0, -0.0, -1.0):
+        with pytest.raises(DomainError, match="airspeed must be positive"):
+            _require_positive_speed(make(v))
+    # NaN is not <= 0, so it passes the check in every form
+    _require_positive_speed(make(math.nan))
+    _require_positive_speed(make(30.0))
