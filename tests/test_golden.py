@@ -20,11 +20,16 @@ writes. Regenerate a file by running its command from the repository root
 
 The last one pins the re-plan path: six ATC events, time and waypoint
 triggers alternating, under a finite filter time constant. The profile
-command also writes ``profile.csv.meta.json``. Any change to these bytes
-changes the program's output and must be declared with its old and new
-values.
+command also writes ``profile.csv.meta.json``.
+
+Outputs too large to keep as files (the 0.01 s profiles of both bundled
+configs and a 0.01 km/h sweep, 1-5 MB each) are pinned by the sha256 of
+their bytes in ``PINS``; print a new digest with ``sha256sum`` on the file
+the command writes. Any change to these bytes changes the program's output
+and must be declared with its old and new values.
 """
 
+import hashlib
 import os
 from pathlib import Path
 
@@ -52,18 +57,60 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_cli_output_matches_golden(case, tmp_path, monkeypatch, capsys):
+# case -> (subcommand and its flags, config file name,
+#          {file it writes: sha256 of its bytes})
+PINS = {
+    "profile_fine": (
+        ["profile", "--sim-step", "0.01", "--out", "profile.csv"],
+        "e430_atc_climb.yaml",
+        {"profile.csv": "20e50a137ca69bcb898fccc852de08fb"
+                        "cb1a80a20d5ccddb896622be5a9ae3f2",
+         "profile.csv.meta.json": "40049ce3108e9545d4dc435457e2493b"
+                                  "c614a936091e4baaca534199786ce065"}),
+    "profile_storm_fine": (
+        ["profile", "--sim-step", "0.01", "--out", "profile.csv"],
+        "e430_atc_storm.yaml",
+        {"profile.csv": "c559cde9c789137c05850399c6e6ed37"
+                        "9ce3f39dd8dfa49e62125a1f82cadfa2",
+         "profile.csv.meta.json": "bfef30932fc3b843d74ec37d2344dc73"
+                                  "a8dd98f0e7b1a3f7a2df48346fe27cd4"}),
+    "sweep_fine": (
+        ["sweep", "--v-step-kmh", "0.01", "--tau-s", "1,10,100,inf",
+         "--out", "sweep.csv"],
+        "e430_atc_climb.yaml",
+        {"sweep.csv": "0116f04ebe782ad2d75a0a61d01d8e7e"
+                      "d703941e04bb710a7b3e7d29ef5fa6af"}),
+}
+
+
+def _run(argv, config, tmp_path, monkeypatch, capsys):
+    """stdout of the CLI run on a bundled config in tmp_path, with no
+    ECONCLIMB_* variable set."""
     for name in list(os.environ):
         if name.startswith("ECONCLIMB_"):
             monkeypatch.delenv(name)
     monkeypatch.chdir(tmp_path)
+    assert main([argv[0], "--config", str(CONFIGS / config), *argv[1:]]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_output_matches_golden(case, tmp_path, monkeypatch, capsys):
     argv, stdout_file, written, *config = CASES[case]
-    config = CONFIGS / (config[0] if config else "e430_atc_climb.yaml")
-    assert main([argv[0], "--config", str(config), *argv[1:]]) == 0
-    out = capsys.readouterr().out
+    out = _run(argv, config[0] if config else "e430_atc_climb.yaml",
+               tmp_path, monkeypatch, capsys)
     if stdout_file is not None:
         assert out.encode("utf-8") == (GOLDEN / stdout_file).read_bytes()
     for name in written:
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), \
             name
+
+
+@pytest.mark.parametrize("case", sorted(PINS))
+def test_cli_output_matches_pinned_digest(case, tmp_path, monkeypatch,
+                                          capsys):
+    argv, config, digests = PINS[case]
+    _run(argv, config, tmp_path, monkeypatch, capsys)
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() \
+            == digest, name
