@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -98,6 +99,21 @@ _MODES = {
 }
 # lowercased key -> config key, for environment overrides
 _CANONICAL_KEYS = {key.lower(): key for rows in _SCHEMA.values() for key in rows}
+
+
+class _Loader(yaml.SafeLoader):
+    """PyYAML's safe loader, also reading YAML 1.2's exponent floats.
+
+    YAML 1.1 wants a dot in the mantissa and a sign in the exponent, so
+    PyYAML reads 5e-1, 1e5, 1.0e5 and 1E+3 as strings; this loader reads
+    them as floats, and every scalar PyYAML already resolves as before.
+    """
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."))
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +241,7 @@ def _apply_env_overrides(raw, env):
         if not all(path):
             raise ConfigError(f"malformed override variable {name}")
         try:
-            value = yaml.safe_load(text)
+            value = yaml.load(text, Loader=_Loader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"override {name}: unparseable value: {exc}")
         node = raw
@@ -251,7 +267,7 @@ def load_config(path, env=None, sim_step=None, atmo_step=None):
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config {path} is not valid YAML: {exc}")
     if raw is None:
@@ -377,11 +393,38 @@ def fmt(value):
     return f"{value:.6g}"
 
 
+#: Most runs of equal values a CSV column may hold and still be rendered
+#: once per run rather than once per cell.
+_BAKED_RUNS = 256
+#: Most rows rendered by one %, so that the floats it takes as arguments
+#: (24 bytes each, plus the tuple) stay small next to the text.
+_BLOCK_ROWS = 8192
+
+
 def _csv(header, table):
     """CSV text: the header line, then one line per row of a 2-D float
-    table, each cell rendered as fmt renders it (one % over the table)."""
-    row = ",".join(["%.6g"] * table.shape[1]) + "\n"
-    return f"{header}\n" + (row * len(table)) % tuple(table.ravel().tolist())
+    table, each cell rendered as fmt renders it.
+
+    A column of at most _BAKED_RUNS runs of equal values is "baked": the
+    rows are split into blocks wherever a baked column changes (and every
+    _BLOCK_ROWS rows), each block gets a row format holding its baked
+    cells as literal text, and one % per block renders the other cells.
+    Runs compare the float bits, so -0.0 and 0.0 (rendered -0 and 0) never
+    share one.
+    """
+    n = len(table)
+    bits = table.view(np.int64)
+    changed = bits[1:] != bits[:-1]
+    baked = np.count_nonzero(changed, axis=0) < _BAKED_RUNS
+    starts = np.flatnonzero(np.any(changed[:, baked], axis=1)) + 1
+    edges = sorted({*starts.tolist(), *range(0, n, _BLOCK_ROWS), n})
+    parts = [f"{header}\n"]
+    for lo, hi in zip(edges, edges[1:]):
+        row = ",".join(["%.6g" % u if is_baked else "%.6g" for u, is_baked
+                        in zip(table[lo].tolist(), baked.tolist())]) + "\n"
+        free = table[lo:hi, ~baked].ravel().tolist()
+        parts.append((row * (hi - lo)) % tuple(free))
+    return "".join(parts)
 
 
 def _jsonable(value):

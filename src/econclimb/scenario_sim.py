@@ -391,7 +391,12 @@ def _simulate_profile(scn, legs, full_seg, t_total):
 
     columns = [times, x, h, v, ci, q, q * params.voltage]
     if scn.emit_tracking:
-        columns.append(economy_speed(full_seg, ci, params))
+        # One solve per run of equal cost index, repeated over the run. The
+        # speeds are those of a solve per row: the Newton loop stops when
+        # its slowest element settles, and the distinct values are the same.
+        starts = np.flatnonzero(np.append(True, ci[1:] != ci[:-1]))
+        columns.append(np.repeat(economy_speed(full_seg, ci[starts], params),
+                                 np.diff(np.append(starts, len(ci)))))
     return np.column_stack(columns)
 
 

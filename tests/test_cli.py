@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import econclimb
 from econclimb.cli_io import (
+    _BAKED_RUNS,
+    _BLOCK_ROWS,
     ConfigError,
     _csv,
     _profile_csv,
@@ -27,6 +32,7 @@ from econclimb.cli_io import (
     serialize_config,
     validate_config,
 )
+from tests.csv_reference import csv_reference
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" \
     / "e430_atc_climb.yaml"
@@ -255,6 +261,60 @@ def test_csv_renders_cells_as_fmt():
                        for row in table.tolist())
     assert _csv("a,b,c,d,e", table) == "a,b,c,d,e\n" + expected
     assert _csv("a,b", np.empty((0, 2))) == "a,b\n"
+
+
+# Values that == gets wrong for runs: -0.0 == 0.0 although they print -0
+# and 0, and a NaN (of either sign, both printed "nan") equals nothing;
+# and the infinities.
+_SPECIAL = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def _run_tables(draw):
+    """Tables whose columns are runs of equal values: runs long and short,
+    one run or one per row, and run counts either side of _BAKED_RUNS."""
+    n = draw(st.one_of(st.integers(0, 3), st.integers(4, 60),
+                       st.integers(_BAKED_RUNS - 2, _BAKED_RUNS + 60),
+                       st.integers(_BLOCK_ROWS - 2, _BLOCK_ROWS + 2)))
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))  # where runs end
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        runs = min(n, draw(st.one_of(
+            st.sampled_from([1, 2, _BAKED_RUNS - 1, _BAKED_RUNS,
+                             _BAKED_RUNS + 1, n]),
+            st.integers(1, max(n, 1)))))
+        # cycling through values of distinct bits keeps neighbouring runs
+        # apart, so a column holds exactly `runs` runs
+        cycle = draw(st.one_of(
+            st.permutations([0.0, -0.0]),
+            st.lists(st.one_of(st.sampled_from(_SPECIAL), st.floats()),
+                     min_size=2, max_size=4,
+                     unique_by=lambda u: np.float64(u).tobytes())))
+        cuts = sorted(rnd.sample(range(1, n), runs - 1)) if runs else []
+        lengths = np.diff([0, *cuts, n])
+        columns.append(np.repeat([cycle[k % len(cycle)] for k in range(runs)],
+                                 lengths).astype(np.float64))
+    return np.column_stack(columns) if n else np.empty((0, len(columns)))
+
+
+def _alternating(n, runs, a, b):
+    """A column of n rows: `runs` runs alternating between a and b."""
+    return np.repeat([(a, b)[k % 2] for k in range(runs)],
+                     np.diff(np.linspace(0, n, runs + 1).astype(int)))
+
+
+@example(np.empty((0, 3)))
+@example(np.array([[1.0, -0.0, math.nan, math.inf]]))
+@example(np.full((500, 2), 7.25))
+@example(np.column_stack([_alternating(600, runs, 0.0, -0.0)
+                          for runs in (_BAKED_RUNS - 1, _BAKED_RUNS,
+                                       _BAKED_RUNS + 1, 600)]))
+@example(np.column_stack([_alternating(_BLOCK_ROWS + 1, 3, math.nan, -math.inf),
+                          np.arange(_BLOCK_ROWS + 1.0)]))
+@given(_run_tables())
+def test_csv_matches_cell_by_cell_reference(table):
+    header = ",".join(f"c{k}" for k in range(table.shape[1]))
+    assert _csv(header, table) == csv_reference(header, table)
 
 
 def test_profile_respects_sim_step(tmp_path):

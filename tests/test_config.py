@@ -398,3 +398,18 @@ def test_calibrated_fraction_near_zero(capsys, tmp_path):
     code, out = _plan(raw, capsys, tmp_path)
     assert code == 0
     assert "ci_max: 1.96793e+302 C/s (mode: calibrated)" in out.out
+
+
+@pytest.mark.parametrize("text,value", [("5e-1", 0.5), ("1e5", 100000.0),
+                                        ("1.0e5", 100000.0), ("1E+3", 1000.0)])
+def test_exponent_floats_are_numbers(text, value, tmp_path):
+    # YAML 1.1 reads an exponent without a dot in the mantissa or a sign
+    # as a string; the config file and the overrides read it as a number
+    want = load_config(CONFIG, env={"ECONCLIMB_AIRCRAFT__MASS_KG": repr(value)})
+    assert want["aircraft"]["mass_kg"] == value
+    plain = CONFIG.read_text()
+    assert "  mass_kg: 472.0\n" in plain
+    path = tmp_path / "exponent.yaml"
+    path.write_text(plain.replace("  mass_kg: 472.0\n", f"  mass_kg: {text}\n"))
+    assert load_config(path, env={}) == want
+    assert load_config(CONFIG, env={"ECONCLIMB_AIRCRAFT__MASS_KG": text}) == want

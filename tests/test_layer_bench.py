@@ -1,4 +1,5 @@
-"""Layer benchmarks: one re-plan solve and one twelve-event replay.
+"""Layer benchmarks: one re-plan solve, one twelve-event replay and the
+profile CSV of the bundled climb.
 
 Each benchmark runs 20 single-call rounds, so the whole file adds well under
 a second to the suite, and checks what the timed call returned, so it fails
@@ -7,6 +8,8 @@ on a wrong answer as any test does. To keep and compare timings:
     python -m pytest tests/test_layer_bench.py --benchmark-autosave
     python -m pytest tests/test_layer_bench.py --benchmark-compare
 """
+
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +21,9 @@ from econclimb import (
     run_scenario,
     solve_optimal_speed,
 )
+from econclimb.cli_io import _profile_csv, build_scenario, load_config
 from econclimb.scenario_sim import _sample_times
+from tests.csv_reference import csv_reference
 
 pytest.importorskip("pytest_benchmark")
 
@@ -70,3 +75,15 @@ def test_bench_run_scenario(benchmark, params):
     assert len(result.plans) == 13
     rows = len(_sample_times(summary["total_time_s"], scn.sim_step))
     assert len(result.samples) == rows == 154
+
+
+def test_bench_profile_csv(benchmark):
+    config = Path(__file__).resolve().parent.parent / "configs" \
+        / "e430_atc_climb.yaml"
+    scenario, _meta = build_scenario(load_config(config, env={}))
+    table = run_scenario(scenario).samples.table
+    assert table.shape == (7361, 8)  # the 0.1 s step of the config
+    text = benchmark.pedantic(_profile_csv, args=(table,), rounds=20,
+                              iterations=1)
+    assert text == csv_reference("t_s,x_m,h_m,v_ms,ci_Cs,q_C,e_J,v_track_ms",
+                                 table)

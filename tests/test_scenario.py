@@ -20,7 +20,8 @@ from econclimb import (
     sweep_cost,
 )
 from econclimb import scenario_sim
-from econclimb.cli_io import build_scenario, validate_config
+from econclimb.cli_io import _resolve_scenario, build_scenario, validate_config
+from econclimb.climb_optimizer import economy_speed
 from econclimb.scenario_sim import ProfileSample, _sample_times
 
 # Frozen reference scenario solution (see test_optimizer for the leg-level
@@ -459,3 +460,23 @@ def test_replans_equal_solves_on_segment_between(variant, monkeypatch):
         for field in dataclasses.fields(plan):
             assert (getattr(res.plans[k], field.name)
                     == getattr(plan, field.name)), (k, field.name)
+
+
+# ---------------------------------------------------------------------------
+# tracking speeds are solved once per run of equal cost index
+
+CLIMB_CONFIG = STORM_CONFIG.parent / "e430_atc_climb.yaml"
+
+
+@pytest.mark.parametrize("case", ["climb-0.01s", "storm", "climb-tau-inf"])
+def test_tracking_speed_column_is_the_economy_speed_of_each_row(case):
+    raw = yaml.safe_load((STORM_CONFIG if case == "storm"
+                          else CLIMB_CONFIG).read_text())
+    if case != "storm":
+        raw["scenario"]["sim_step_s"] = 0.01
+    if case == "climb-tau-inf":
+        raw["cost_index"]["tau"] = {"mode": "infinite"}
+    scn, _meta, full_seg = _resolve_scenario(validate_config(raw), False)
+    table = run_scenario(scn).samples.table
+    expected = economy_speed(full_seg, table[:, 4], scn.aircraft)
+    assert table[:, 7].tobytes() == expected.tobytes()
