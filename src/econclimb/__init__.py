@@ -47,7 +47,6 @@ from .scenario_sim import (
 from .vehicle import (
     STANDARD_GRAVITY,
     AircraftParams,
-    BatteryState,
     charge_rate,
     drag,
     e430,
@@ -94,7 +93,6 @@ __all__ = [
     "sweep_cost",
     "STANDARD_GRAVITY",
     "AircraftParams",
-    "BatteryState",
     "charge_rate",
     "drag",
     "e430",

@@ -508,10 +508,7 @@ def cmd_plan(config_path, out_path=None, no_event=False, sim_step=None,
 
 
 def _profile_csv(table):
-    header = "t_s,x_m,h_m,v_ms,ci_Cs,q_C,e_J"
-    if table.shape[1] == 8:
-        header += ",v_track_ms"
-    return _csv(header, table)
+    return _csv("t_s,x_m,h_m,v_ms,ci_Cs,q_C,e_J,v_track_ms", table)
 
 
 def cmd_profile(config_path, out_path, no_event=False, sim_step=None,
@@ -541,6 +538,11 @@ def cmd_sweep(config_path, out_path, v_min_kmh, v_max_kmh, v_step_kmh,
     scenario, meta, full_seg = _resolve_scenario(cfg, no_event)
     if v_max_kmh is None:
         v_max_kmh = cfg["aircraft"]["vmax_kmh"]
+    if not all(map(math.isfinite, (v_min_kmh, v_max_kmh, v_step_kmh))):
+        raise ConfigError(
+            f"sweep grid must be finite: v from {v_min_kmh:g} to "
+            f"{v_max_kmh:g} km/h step {v_step_kmh:g}"
+        )
     if not v_step_kmh > 0.0 or v_min_kmh >= v_max_kmh:
         raise ConfigError(
             f"empty sweep grid: v from {v_min_kmh:g} to {v_max_kmh:g} km/h "

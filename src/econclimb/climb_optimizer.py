@@ -10,10 +10,12 @@ airspeed v, chosen to minimize direct operating cost
 where the cost index relaxes from ci0 toward the commanded ci_in with time
 constant tau (``math.inf`` = constant-CI mode, collapsing the first two terms
 to ci0 d / v). Q_f comes from the closed-form segment discharge in
-``vehicle``. J is scalar in v, so the optimum is found by bracketed
-root-finding on dJ/dv with a positivity check on the second derivative. The
-constant-CI condition ci = v^2 (-dQf/dv) / d is stated once each way round,
-in ``ci_for_speed`` and its inverse ``economy_speed``.
+``vehicle``. The constant-CI condition ci = v^2 (-dQf/dv) / d is stated once
+each way round, in ``ci_for_speed`` and its inverse ``economy_speed``, and
+every constant-CI airspeed comes from the latter's Newton iteration. Only
+the filtered cost (finite tau) needs a search: bracketed root-finding on
+dJ/dv over a gradient sign scan, with a positivity check on the second
+derivative.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ from .vehicle import (
     final_charge_sensitivity,
 )
 
-#: Lower edge of the airspeed search bracket.  [m s^-1]
-V_LO_DEFAULT = 5.0
+#: Lowest airspeed an optimum may take.  [m s^-1]
+_V_LO = 5.0
 
 #: Points in the gradient sign scan used for bracket discovery.
 _SCAN_POINTS = 50
@@ -121,7 +123,7 @@ class ClimbPlan:
     t_c_star: float  # [s]
     j_star: float  # [C]
     q_f: float | None  # [C]; None when no initial charge was given
-    iterations: int  # steps of the root polish; 0 when clipped to v_max
+    iterations: int  # Newton steps taken for v*; 0 when clipped to v_max
     at_envelope_limit: bool = False
     battery_depleted: bool = False
 
@@ -186,9 +188,9 @@ def climbing_time(v, seg):
 
 
 @functools.lru_cache(maxsize=256)
-def _scan_grid(v_lo, v_max):
+def _scan_grid(v_max):
     """The read-only log-spaced grid of the gradient sign scan."""
-    grid = np.geomspace(v_lo, v_max, _SCAN_POINTS)
+    grid = np.geomspace(_V_LO, v_max, _SCAN_POINTS)
     grid.flags.writeable = False
     return grid
 
@@ -222,16 +224,17 @@ def _rtsafe(slope_and_curvature, lo, hi):
     return x, iteration
 
 
-def solve_optimal_speed(seg, ci0, ci_in, tau, params, q0=None,
-                        v_lo=V_LO_DEFAULT):
+def solve_optimal_speed(seg, ci0, ci_in, tau, params, q0=None):
     """Find the cost-minimizing constant airspeed for one segment.
 
-    Scans gradient signs on a log-spaced grid over (v_lo, v_max], polishes
-    each descending-to-ascending crossing with a safeguarded Newton iteration
-    on dJ/dv (using the analytic curvature), and keeps the candidate with the
-    lowest cost. A gradient still negative at v_max means the unconstrained
-    optimum sits outside the envelope; the plan then clips to v_max and flags
-    it.
+    At constant CI (tau = inf) dJ/dv has the sign of the quartic that
+    economy_speed solves, so v* is its Newton root. Otherwise the search
+    scans gradient signs on a log-spaced grid over (5, v_max] m/s, polishes
+    each descending-to-ascending crossing with a safeguarded Newton
+    iteration on dJ/dv (using the analytic curvature), and keeps the
+    candidate with the lowest cost. A gradient still negative at v_max means
+    the unconstrained optimum sits outside the envelope; the plan then clips
+    to v_max and flags it.
 
     Args:
         seg: ClimbSegment to fly.
@@ -241,57 +244,69 @@ def solve_optimal_speed(seg, ci0, ci_in, tau, params, q0=None,
         params: AircraftParams.
         q0: optional charge at segment start [C]; enables q_f and the
             depletion flag on the returned plan.
-        v_lo: lower search bound  [m s^-1]
 
     Raises:
-        NoInteriorOptimumError: gradient has no usable sign change and is not
-            negative at v_max.
+        NoInteriorOptimumError: the optimum lies below 5 m/s, or the
+            gradient has no usable sign change and is not negative at v_max.
         SaddlePointError: a stationary point fails the curvature check.
     """
     if seg.d <= 0.0:
         raise DegenerateSegmentError("segment has zero length")
     if ci0 < 0.0 or ci_in < 0.0:
         raise DomainError("cost-index values must be >= 0")
-    if not 0.0 < v_lo < params.v_max:
+    if not _V_LO < params.v_max:
         raise DomainError(
-            f"need 0 < v_lo < v_max, got v_lo={v_lo!r}, v_max={params.v_max!r}"
+            f"need v_max > {_V_LO:g} m/s, got v_max={params.v_max!r}"
         )
 
-    grid = _scan_grid(v_lo, params.v_max)
-    grad = cost_gradient(grid, seg, ci0, ci_in, tau, params)
+    if math.isinf(tau):
+        # J = ci0 d / v + Q0 - Qf: convex, so the quartic's root is the
+        # optimum whenever it lies in the envelope.
+        v, steps, q_max = _economy_newton(seg, ci0, params)
+        if q_max >= 0.0 and v >= _V_LO:
+            return _assemble_plan(float(v), seg, ci0, ci_in, tau, params, q0,
+                                  iterations=steps, at_envelope_limit=False)
+        clipped = q_max < 0.0
+        grad = cost_gradient(np.array([_V_LO, params.v_max]), seg, ci0, ci_in,
+                             tau, params)
+    else:
+        grid = _scan_grid(params.v_max)
+        grad = cost_gradient(grid, seg, ci0, ci_in, tau, params)
 
-    def slope_and_curvature(v):
-        return (float(cost_gradient(v, seg, ci0, ci_in, tau, params)),
-                float(cost_curvature(v, seg, ci0, ci_in, tau, params)))
+        def slope_and_curvature(v):
+            return (float(cost_gradient(v, seg, ci0, ci_in, tau, params)),
+                    float(cost_curvature(v, seg, ci0, ci_in, tau, params)))
 
-    candidates = [
-        _rtsafe(slope_and_curvature, float(grid[i]), float(grid[i + 1]))
-        for i in np.flatnonzero((grad[:-1] <= 0.0) & (grad[1:] >= 0.0))
-    ]
+        candidates = [
+            _rtsafe(slope_and_curvature, float(grid[i]), float(grid[i + 1]))
+            for i in np.flatnonzero((grad[:-1] <= 0.0) & (grad[1:] >= 0.0))
+        ]
+        if candidates:
+            best_v, best_iters = min(
+                candidates,
+                key=lambda c: total_cost(c[0], seg, ci0, ci_in, tau, 0.0,
+                                         params),
+            )
+            curvature = cost_curvature(best_v, seg, ci0, ci_in, tau, params)
+            if not curvature > 0.0:
+                raise SaddlePointError(
+                    f"stationary point at v={best_v:.6g} m/s has non-positive "
+                    f"curvature {curvature:.6g}"
+                )
+            return _assemble_plan(best_v, seg, ci0, ci_in, tau, params, q0,
+                                  iterations=best_iters,
+                                  at_envelope_limit=False)
+        clipped = grad[-1] < 0.0
 
-    if not candidates:
-        if grad[-1] < 0.0:
-            # Cost still falling at the envelope edge: clipped optimum.
-            return _assemble_plan(params.v_max, seg, ci0, ci_in, tau, params,
-                                  q0, iterations=0, at_envelope_limit=True)
-        raise NoInteriorOptimumError(
-            "cost gradient has no descending-to-ascending sign change in "
-            f"({v_lo:g}, {params.v_max:g}] m/s",
-            grad_lo=float(grad[0]), grad_hi=float(grad[-1]),
-        )
-
-    best_v, best_iters = min(
-        candidates,
-        key=lambda c: total_cost(c[0], seg, ci0, ci_in, tau, 0.0, params),
+    if clipped:
+        # Cost still falling at the envelope edge: clipped optimum.
+        return _assemble_plan(params.v_max, seg, ci0, ci_in, tau, params, q0,
+                              iterations=0, at_envelope_limit=True)
+    raise NoInteriorOptimumError(
+        "cost gradient has no descending-to-ascending sign change in "
+        f"({_V_LO:g}, {params.v_max:g}] m/s",
+        grad_lo=float(grad[0]), grad_hi=float(grad[-1]),
     )
-    curvature = cost_curvature(best_v, seg, ci0, ci_in, tau, params)
-    if not curvature > 0.0:
-        raise SaddlePointError(
-            f"stationary point at v={best_v:.6g} m/s has non-positive "
-            f"curvature {curvature:.6g}"
-        )
-    return _assemble_plan(best_v, seg, ci0, ci_in, tau, params, q0,
-                          iterations=best_iters, at_envelope_limit=False)
 
 
 def _assemble_plan(v_star, seg, ci0, ci_in, tau, params, q0, iterations,
@@ -310,13 +325,13 @@ def _assemble_plan(v_star, seg, ci0, ci_in, tau, params, q0, iterations,
     )
 
 
-def fms_initial_speed(seg, ci0, params, q0=None, **kwargs):
+def fms_initial_speed(seg, ci0, params, q0=None):
     """Pre-departure speed choice: the constant-CI special case.
 
     Solves -ci0 d / v^2 - dQf/dv = 0, which is solve_optimal_speed with the
     infinite-tau cost (the commanded value never deviates from ci0).
     """
-    return solve_optimal_speed(seg, ci0, ci0, math.inf, params, q0=q0, **kwargs)
+    return solve_optimal_speed(seg, ci0, ci0, math.inf, params, q0=q0)
 
 
 def ci_for_speed(seg, v, params):
@@ -338,6 +353,12 @@ def economy_speed(seg, ci, params):
     quartic is >= 0 at v_max; elsewhere the optimum lies beyond the envelope
     and the speed is exactly v_max.
     """
+    return _economy_newton(seg, ci, params)[0]
+
+
+def _economy_newton(seg, ci, params):
+    """economy_speed's Newton iteration: (speeds, steps taken, quartic at
+    v_max). The quartic, times d / (eta U v^3), is the constant-CI dJ/dv."""
     w = params.weight
     s = params.wing_area
     a = seg.rho_bar * s * params.cd0
@@ -345,14 +366,15 @@ def economy_speed(seg, ci, params):
     r = np.asarray(ci, dtype=float) * params.efficiency * params.voltage \
         + w * seg.h_dot_bar
     v = np.full_like(r, params.v_max)
-    inside = a * v**4 - r * v - b >= 0.0
-    for _ in range(_MAXITER):
+    q_max = a * v**4 - r * v - b
+    inside = q_max >= 0.0
+    for steps in range(1, _MAXITER + 1):
         step = np.divide(a * v**4 - r * v - b, 4.0 * a * v**3 - r,
                          out=np.zeros_like(v), where=inside)
         v = v - step
         if np.all(np.abs(step) <= _RTOL * v):
             break
-    return v
+    return v, steps, q_max
 
 
 def calibrate_ci_max(params, seg):

@@ -65,8 +65,6 @@ class Scenario:
         atmo_step: altitude grid spacing for the density means  [m]
         ci_max_mode: provenance label for schedule.ci_max, carried into the
             summary ("vmax", "calibrated", or "value").
-        emit_tracking: also solve the instantaneous constant-CI speed for
-            each profile row (the smooth transition view of the speed).
     """
 
     waypoints: tuple[tuple[float, float], ...]
@@ -78,7 +76,6 @@ class Scenario:
     atmo: object = TROPOSPHERE
     atmo_step: float = 1.0
     ci_max_mode: str = "value"
-    emit_tracking: bool = True
 
     def __post_init__(self):
         wps = tuple((float(x), float(h)) for x, h in self.waypoints)
@@ -130,15 +127,14 @@ class ProfileSample:
     ci: float  # [C s^-1]
     q: float  # [C]
     e: float  # [J]
-    v_track: float | None = None  # [m s^-1]
+    v_track: float  # [m s^-1]; constant-CI optimal speed at this row's CI
 
 
 class Profile(Sequence):
     """Read-only sequence of ProfileSample over one float table.
 
-    ``table`` is the (n, 7) or (n, 8) float64 array of the columns
-    t, x, h, v, ci, q, e and, when tracking speeds are emitted, v_track;
-    samples are built from its rows on access.
+    ``table`` is the (n, 8) float64 array of the columns t, x, h, v, ci, q,
+    e and v_track; samples are built from its rows on access.
     """
 
     __slots__ = ("table",)
@@ -347,7 +343,7 @@ def _sample_times(t_total, dt):
 
 
 def _simulate_profile(scn, legs, full_seg, t_total):
-    """The replayed profile as one (n, 7|8) table, columns as in Profile."""
+    """The replayed profile as one (n, 8) table, columns as in Profile."""
     params = scn.aircraft
     cruise_h = scn.waypoints[-1][1]
     origin_h = scn.waypoints[0][1]
@@ -389,15 +385,15 @@ def _simulate_profile(scn, legs, full_seg, t_total):
     q_edges = scn.q0 + np.concatenate([[0.0], np.cumsum(rates[:-1] * widths)])
     q = q_edges[np.searchsorted(edges, times)]
 
-    columns = [times, x, h, v, ci, q, q * params.voltage]
-    if scn.emit_tracking:
-        # One solve per run of equal cost index, repeated over the run. The
-        # speeds are those of a solve per row: the Newton loop stops when
-        # its slowest element settles, and the distinct values are the same.
-        starts = np.flatnonzero(np.append(True, ci[1:] != ci[:-1]))
-        columns.append(np.repeat(economy_speed(full_seg, ci[starts], params),
-                                 np.diff(np.append(starts, len(ci)))))
-    return np.column_stack(columns)
+    # One tracking-speed solve per run of equal cost index, repeated over
+    # the run. The speeds are those of a solve per row: the Newton loop
+    # stops when its slowest element settles, and the distinct values are
+    # the same.
+    starts = np.flatnonzero(np.append(True, ci[1:] != ci[:-1]))
+    v_track = np.repeat(economy_speed(full_seg, ci[starts], params),
+                        np.diff(np.append(starts, len(ci))))
+    return np.column_stack([times, x, h, v, ci, q, q * params.voltage,
+                            v_track])
 
 
 @dataclass(frozen=True)

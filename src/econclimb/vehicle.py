@@ -91,25 +91,6 @@ def e430():
     )
 
 
-@dataclass(frozen=True)
-class BatteryState:
-    """Battery snapshot at constant voltage."""
-
-    charge: float  # [C]
-    voltage: float  # [V]
-
-    def __post_init__(self):
-        if self.charge < 0.0:
-            raise DomainError(f"charge must be >= 0, got {self.charge!r}")
-        if not self.voltage > 0.0:
-            raise DomainError(f"voltage must be positive, got {self.voltage!r}")
-
-    @property
-    def energy(self):
-        """Stored energy E = Q * U.  [J]"""
-        return self.charge * self.voltage
-
-
 def _require_positive_speed(v):
     """Raise DomainError unless every airspeed in v is > 0 (NaN passes).
 

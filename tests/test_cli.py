@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 import math
@@ -20,7 +19,6 @@ from econclimb.cli_io import (
     _BLOCK_ROWS,
     ConfigError,
     _csv,
-    _profile_csv,
     build_scenario,
     cmd_calibrate,
     cmd_plan,
@@ -241,16 +239,6 @@ def test_profile_csv(tmp_path):
     assert rows[-1][2] == pytest.approx(1000.0, rel=1e-9)
 
 
-def test_profile_csv_without_tracking_column():
-    scenario, _ = build_scenario(load_config(CONFIG, env={}, sim_step=5.0))
-    result = econclimb.run_scenario(
-        dataclasses.replace(scenario, emit_tracking=False))
-    lines = _profile_csv(result.samples.table).splitlines()
-    assert lines[0] == "t_s,x_m,h_m,v_ms,ci_Cs,q_C,e_J"
-    assert len(lines) == len(result.samples) + 1
-    assert all(ln.count(",") == 6 for ln in lines)
-
-
 def test_csv_renders_cells_as_fmt():
     table = np.array([
         [math.inf, -math.inf, math.nan, -0.0, 0.0],
@@ -355,6 +343,17 @@ def test_sweep_rejects_empty_grid(tmp_path):
                   stream=io.StringIO())
 
 
+@pytest.mark.parametrize("flag", ["--v-min-kmh=nan", "--v-max-kmh=nan",
+                                  "--v-max-kmh=inf", "--v-step-kmh=inf",
+                                  "--v-min-kmh=-inf"])
+def test_sweep_rejects_non_finite_grid(flag, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(CONFIG), "--out", str(out),
+                 flag]) == 2
+    assert "sweep grid must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_calibrate_reports_both_modes(tmp_path):
     out = io.StringIO()
     rec = tmp_path / "cal.json"
@@ -397,6 +396,30 @@ def test_main_exit_code_solver_error(monkeypatch, capsys):
     assert main(["plan", "--config", str(CONFIG)]) == 3
     err = capsys.readouterr().err
     assert "solver error" in err
+
+
+def _light_config(tmp_path, **aircraft):
+    """The bundled config on a constant-CI 1 kg airframe with a 100 m^2
+    wing and a tiny cost-index ceiling, plus the aircraft keys given."""
+    raw = _read_config_dict()
+    raw["aircraft"].update(mass_kg=1.0, wing_area_m2=100.0, **aircraft)
+    raw["cost_index"]["ci_max"] = {"mode": "value", "value_Cs": 0.001}
+    raw["cost_index"]["tau"] = {"mode": "infinite"}
+    path = tmp_path / "light.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    return path
+
+
+def test_main_exit_code_optimum_below_speed_floor(tmp_path, capsys):
+    # the config validates, and its constant-CI optimum lies below 5 m/s
+    assert main(["plan", "--config", str(_light_config(tmp_path))]) == 3
+    err = capsys.readouterr().err
+    assert "solver error: segment 0" in err
+    assert "(5, 44.7222] m/s" in err
+    # an envelope whose v_max is the 5 m/s floor itself is a config error
+    slow = _light_config(tmp_path, vmax_kmh=18.0)
+    assert main(["plan", "--config", str(slow)]) == 2
+    assert "need v_max > 5 m/s" in capsys.readouterr().err
 
 
 def test_main_exit_code_output_error(tmp_path, capsys):

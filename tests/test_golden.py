@@ -65,15 +65,15 @@ PINS = {
         "e430_atc_climb.yaml",
         {"profile.csv": "20e50a137ca69bcb898fccc852de08fb"
                         "cb1a80a20d5ccddb896622be5a9ae3f2",
-         "profile.csv.meta.json": "40049ce3108e9545d4dc435457e2493b"
-                                  "c614a936091e4baaca534199786ce065"}),
+         "profile.csv.meta.json": "5bee6cf9bece0871e3f163164600d32e"
+                                  "15b9e23be1e4ab9097086d953fd2e666"}),
     "profile_storm_fine": (
         ["profile", "--sim-step", "0.01", "--out", "profile.csv"],
         "e430_atc_storm.yaml",
         {"profile.csv": "c559cde9c789137c05850399c6e6ed37"
                         "9ce3f39dd8dfa49e62125a1f82cadfa2",
-         "profile.csv.meta.json": "bfef30932fc3b843d74ec37d2344dc73"
-                                  "a8dd98f0e7b1a3f7a2df48346fe27cd4"}),
+         "profile.csv.meta.json": "01193ad44b6512b9898f0bf1f9894722"
+                                  "c0f3f780978cf14737dea326311faadc"}),
     "sweep_fine": (
         ["sweep", "--v-step-kmh", "0.01", "--tau-s", "1,10,100,inf",
          "--out", "sweep.csv"],

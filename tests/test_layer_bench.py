@@ -1,5 +1,6 @@
-"""Layer benchmarks: one re-plan solve, one twelve-event replay and the
-profile CSV of the bundled climb.
+"""Layer benchmarks: the departure solve (constant CI), one re-plan solve
+(filtered CI), one twelve-event replay and the profile CSV of the bundled
+climb.
 
 Each benchmark runs 20 single-call rounds, so the whole file adds well under
 a second to the suite, and checks what the timed call returned, so it fails
@@ -32,7 +33,17 @@ CI_MAX = 327.98896536571016
 CI0 = 196.7933792194261
 CI_IN = 295.19006882913914
 TAU = 7.708109233368014
+V0 = 38.94166666666666
 V1 = 42.81419315829977
+
+
+def test_bench_departure_solve(benchmark, params, full_segment):
+    plan = benchmark.pedantic(fms_initial_speed,
+                              args=(full_segment, CI0, params),
+                              kwargs={"q0": 250000.0}, rounds=20,
+                              iterations=1)
+    assert plan.v_star == pytest.approx(V0, rel=1e-9)
+    assert not plan.at_envelope_limit
 
 
 def test_bench_replan_solve(benchmark, params, replan_segment):

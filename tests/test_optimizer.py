@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -320,29 +321,58 @@ def test_calibration_rejects_uneconomic_reference(params, full_segment):
         calibrate_ci_max_to_speed(params, full_segment, 40.0, 1.5)
 
 
+def _plan_or_floor(solve):
+    """The plan's (v*, at_envelope_limit), or the floor error's gradient
+    signs."""
+    try:
+        plan = solve()
+    except NoInteriorOptimumError as exc:
+        return "floor", exc.grad_lo > 0.0, exc.grad_hi > 0.0
+    return plan.v_star, plan.at_envelope_limit
+
+
 def test_economy_speed_matches_planner(params, full_segment, replan_segment):
-    # the vectorized quartic and the planner's scan-and-polish solve the same
-    # constant-CI condition, and ci_for_speed inverts both
-    for seg in (full_segment, replan_segment):
-        ci = np.linspace(0.0, 1.05 * calibrate_ci_max(params, seg), 43)
-        v = co.economy_speed(seg, ci, params)
-        clipped = 0
+    # the constant-CI kernel against the filtered cost's scan and polish on
+    # an identical cost: with ci0 == ci_in the filtered term vanishes for
+    # any tau; ci_for_speed inverts both. A 1 kg airframe with a 100 m^2
+    # wing has its optimum below the 5 m/s floor at CI 0.
+    light = dataclasses.replace(params, mass=1.0, wing_area=100.0)
+    outcomes = []
+    for seg, craft in ((full_segment, params), (replan_segment, params),
+                       (full_segment, light)):
+        ci_max = calibrate_ci_max(craft, seg)
+        ci = np.linspace(0.0, 1.05 * ci_max, 43)
+        v = co.economy_speed(seg, ci, craft)
         for ci_k, v_k in zip(ci, v):
-            plan = fms_initial_speed(seg, ci_k, params)
-            if plan.at_envelope_limit:
-                clipped += 1
-                assert v_k == params.v_max
+            kernel = _plan_or_floor(
+                lambda: fms_initial_speed(seg, ci_k, craft))
+            scan = _plan_or_floor(
+                lambda: solve_optimal_speed(seg, ci_k, ci_k, TAU, craft))
+            outcomes.append(kernel[-1] if kernel[0] != "floor" else "floor")
+            if kernel[0] == "floor":
+                assert kernel == scan == ("floor", True, True)
+                assert v_k < 5.0
+                continue
+            assert kernel[0] == pytest.approx(scan[0], rel=1e-9)
+            if ci_k == ci_max:
+                # dJ/dv(v_max) is zero up to rounding: for the light craft
+                # the quartic rounds below zero (a clip) where the gradient
+                # gives 0.0 (a root), and both answers fly exactly v_max
+                assert kernel[0] == scan[0] == v_k == craft.v_max
+                continue
+            assert kernel[1] == scan[1]
+            assert v_k == pytest.approx(kernel[0], rel=1e-9)
+            if kernel[1]:
+                assert v_k == craft.v_max
             else:
-                assert v_k == pytest.approx(plan.v_star, rel=1e-9)
-                assert co.ci_for_speed(seg, v_k, params) == \
+                assert co.ci_for_speed(seg, v_k, craft) == \
                     pytest.approx(ci_k, rel=1e-9, abs=1e-9)
-        assert clipped > 0
+    assert {"floor", False, True} <= set(outcomes)
+    assert outcomes.count(True) >= 3
 
 
 def test_envelope_calibration_needs_room(full_segment):
-    slow = e430()
-    import dataclasses
-    slow = dataclasses.replace(slow, v_max=25.0)  # below best-economy speed
+    slow = dataclasses.replace(e430(), v_max=25.0)  # below best-economy speed
     with pytest.raises(EnvelopeError):
         calibrate_ci_max(slow, full_segment)
 
@@ -357,20 +387,51 @@ def test_boundary_clip_is_flagged(params, full_segment):
     assert plan.iterations == 0
 
 
-def test_no_interior_optimum_reports_gradient_signs(params, full_segment):
-    with pytest.raises(NoInteriorOptimumError) as exc_info:
-        fms_initial_speed(full_segment, CI0, params, v_lo=43.0)
-    err = exc_info.value
-    assert err.grad_lo > 0.0
-    assert err.grad_hi > 0.0
+def test_no_interior_optimum_reports_gradient_signs(full_segment):
+    # the light airframe's constant-CI optimum lies below the 5 m/s floor,
+    # whether the constant-CI kernel or the scan looks for it
+    light = dataclasses.replace(e430(), mass=1.0, wing_area=100.0)
+    for tau in (math.inf, TAU):
+        with pytest.raises(NoInteriorOptimumError,
+                           match=r"in \(5, 44\.7222\] m/s") as exc_info:
+            solve_optimal_speed(full_segment, 6e-4, 6e-4, tau, light)
+        err = exc_info.value
+        assert err.grad_lo > 0.0
+        assert err.grad_hi > 0.0
+        assert err.grad_lo == cost_gradient(5.0, full_segment, 6e-4, 6e-4,
+                                            tau, light)
 
 
-def test_saddle_check_guards_the_accepted_root(params, full_segment,
+def test_saddle_check_guards_the_accepted_root(params, replan_segment,
                                                monkeypatch):
     monkeypatch.setattr(co, "cost_curvature",
                         lambda *args, **kwargs: -1.0)
     with pytest.raises(SaddlePointError):
-        fms_initial_speed(full_segment, CI0, params)
+        solve_optimal_speed(replan_segment, CI0, CI_IN, TAU, params)
+
+
+def test_constant_ci_speed_skips_the_scan(params, full_segment,
+                                          monkeypatch):
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+        monkeypatch.setattr(co, name, wrapped)
+
+    spy("_rtsafe", co._rtsafe)
+    spy("_scan_grid", co._scan_grid)
+    plan = fms_initial_speed(full_segment, CI0, params, q0=250000.0)
+    assert plan.v_star == pytest.approx(V0, rel=1e-9)
+    assert plan.iterations == 5
+    clipped = solve_optimal_speed(full_segment, 1.05 * CI_MAX_VMAX, CI_IN,
+                                  math.inf, params)
+    assert clipped.at_envelope_limit and clipped.iterations == 0
+    assert calls == []
+    # the filtered cost still scans and polishes
+    solve_optimal_speed(full_segment, CI0, CI_IN, TAU, params)
+    assert calls[0] == "_scan_grid" and "_rtsafe" in calls
 
 
 def test_root_polish_safeguards():
@@ -399,8 +460,10 @@ def test_solver_input_validation(params, full_segment):
         solve_optimal_speed(zero, CI0, CI_IN, TAU, params)
     with pytest.raises(DomainError):
         solve_optimal_speed(full_segment, -1.0, CI_IN, TAU, params)
-    with pytest.raises(DomainError):
-        solve_optimal_speed(full_segment, CI0, CI_IN, TAU, params, v_lo=50.0)
+    slow = dataclasses.replace(params, v_max=5.0)  # at the search floor
+    for tau in (TAU, math.inf):
+        with pytest.raises(DomainError, match="need v_max > 5 m/s"):
+            solve_optimal_speed(full_segment, CI0, CI_IN, tau, slow)
     with pytest.raises(DomainError):
         total_cost(V0, full_segment, CI0, CI_IN, -1.0, 0.0, params)
 
@@ -425,8 +488,8 @@ def test_scan_grid_is_a_cached_read_only_geomspace(params, full_segment,
     co._scan_grid.cache_clear()
     cold = [solve_optimal_speed(*case, params, q0=250000.0) for case in cases]
     assert co._scan_grid.cache_info().misses == 1
-    grid = co._scan_grid(co.V_LO_DEFAULT, params.v_max)
-    expected = np.geomspace(co.V_LO_DEFAULT, params.v_max, co._SCAN_POINTS)
+    grid = co._scan_grid(params.v_max)
+    expected = np.geomspace(co._V_LO, params.v_max, co._SCAN_POINTS)
     assert grid.dtype == expected.dtype
     assert grid.tobytes() == expected.tobytes()
     assert not grid.flags.writeable

@@ -19,7 +19,7 @@ from econclimb import (
     solve_optimal_speed,
     sweep_cost,
 )
-from econclimb import scenario_sim
+from econclimb import climb_optimizer, scenario_sim
 from econclimb.cli_io import _resolve_scenario, build_scenario, validate_config
 from econclimb.climb_optimizer import economy_speed
 from econclimb.scenario_sim import ProfileSample, _sample_times
@@ -168,11 +168,23 @@ def test_tracking_speed_series(params, reference_result, full_segment):
     assert np.all(np.diff(track) >= -1e-9)
 
 
-def test_tracking_can_be_disabled(params):
-    res = run_scenario(_reference_scenario(aircraft=params,
-                                           emit_tracking=False))
-    assert res.samples.table.shape == (len(res.samples), 7)
-    assert all(smp.v_track is None for smp in res.samples)
+def test_constant_ci_scenario_never_scans(params, monkeypatch):
+    # every speed of an infinite-tau flight is the constant-CI kernel's: the
+    # departure, each re-plan and the tracking column
+    def forbidden(*args):
+        raise AssertionError("the scan and polish ran at constant CI")
+
+    monkeypatch.setattr(climb_optimizer, "_rtsafe", forbidden)
+    monkeypatch.setattr(climb_optimizer, "_scan_grid", forbidden)
+    schedule = CostIndexSchedule(
+        ci0=CI0, tau=math.inf, ci_max=CI_MAX,
+        events=(CiEvent(ci_in=CI_IN, at_waypoint=(15000.0, 500.0)),
+                CiEvent(ci_in=0.5 * CI0, at_time=600.0)))
+    res = run_scenario(_reference_scenario(schedule, aircraft=params,
+                                           sim_step=1.0))
+    assert [ev["applied"] for ev in res.summary["events"]] == [True, True]
+    assert [plan.iterations > 0 for plan in res.plans] == [True] * 3
+    assert res.plans[0].v_star == pytest.approx(V0, rel=1e-9)
 
 
 def _sample_times_loop(t_total, dt):

@@ -7,7 +7,6 @@ import pytest
 
 from econclimb import (
     AircraftParams,
-    BatteryState,
     ClimbSegment,
     DomainError,
     charge_rate,
@@ -49,15 +48,6 @@ def test_params_validation():
     bad["efficiency"] = 1.2
     with pytest.raises(DomainError):
         AircraftParams(**bad)
-
-
-def test_battery_state():
-    b = BatteryState(charge=250000.0, voltage=133.2)
-    assert b.energy == pytest.approx(250000.0 * 133.2, rel=1e-15)
-    with pytest.raises(DomainError):
-        BatteryState(charge=-1.0, voltage=133.2)
-    with pytest.raises(DomainError):
-        BatteryState(charge=1.0, voltage=0.0)
 
 
 # ---------------------------------------------------------------------------
