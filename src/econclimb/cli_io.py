@@ -304,18 +304,9 @@ def _airframe(cfg):
     )
     sc = cfg["scenario"]
     waypoints = tuple((x * 1000.0, h * 1000.0) for x, h in sc["waypoints_km"])
-    full_seg = segment_between(waypoints[0], waypoints[-1], sc["h_dot_bar_ms"],
-                               TROPOSPHERE, sc["atmosphere_step_m"])
-    return params, waypoints, full_seg
-
-
-def build_scenario(cfg, no_event=False):
-    """Resolve config modes into a concrete Scenario.
-
-    Returns (scenario, meta) where meta records the resolved calibration:
-    ci_max mode and value, ci0, tau mode and value.
-    """
-    return _resolve_scenario(cfg, no_event)[:2]
+    climb = segment_between(waypoints[0], waypoints[-1], sc["h_dot_bar_ms"],
+                            TROPOSPHERE, sc["atmosphere_step_m"])
+    return params, waypoints, climb
 
 
 def _cost_index(block, prefix, ci_max):
@@ -325,19 +316,24 @@ def _cost_index(block, prefix, ci_max):
     return block[f"{prefix}_value_Cs"] if fraction is None else fraction * ci_max
 
 
-def _resolve_scenario(cfg, no_event):
-    """build_scenario's (scenario, meta), plus the origin-to-cruise segment."""
-    params, waypoints, full_seg = _airframe(cfg)
+def build_scenario(cfg, no_event=False):
+    """Resolve config modes into a concrete Scenario.
+
+    Returns (scenario, climb), climb being the origin-to-cruise
+    ClimbSegment the modes are resolved on. The resolved ci_max, ci0 and
+    tau are on scenario.schedule, the ci_max mode on scenario.ci_max_mode.
+    """
+    params, waypoints, climb = _airframe(cfg)
     sc = cfg["scenario"]
 
     cx = cfg["cost_index"]
     cm = cx["ci_max"]
     mode = cm["mode"]
     if mode == "vmax":
-        ci_max = calibrate_ci_max(params, full_seg)
+        ci_max = calibrate_ci_max(params, climb)
     elif mode == "calibrated":
         ci_max = calibrate_ci_max_to_speed(
-            params, full_seg, cm["reference_v_kmh"] / 3.6, cx["ci0_fraction"])
+            params, climb, cm["reference_v_kmh"] / 3.6, cx["ci0_fraction"])
     else:
         ci_max = cm["value_Cs"]
 
@@ -349,8 +345,8 @@ def _resolve_scenario(cfg, no_event):
     elif tau_cfg["mode"] == "seconds":
         tau = tau_cfg["seconds"]
     else:
-        v0 = fms_initial_speed(full_seg, ci0, params).v_star
-        tau = tau_cfg["factor"] * full_seg.d / v0
+        v0 = fms_initial_speed(climb, ci0, params).v_star
+        tau = tau_cfg["factor"] * climb.d / v0
 
     events = () if no_event else tuple(
         CiEvent(ci_in=_cost_index(ev, "ci_in", ci_max),
@@ -371,14 +367,7 @@ def _resolve_scenario(cfg, no_event):
         atmo_step=sc["atmosphere_step_m"],
         ci_max_mode=mode,
     )
-    meta = {
-        "ci_max_mode": mode,
-        "ci_max_Cs": ci_max,
-        "ci0_Cs": ci0,
-        "tau_mode": tau_cfg["mode"],
-        "tau_s": tau,
-    }
-    return scenario, meta, full_seg
+    return scenario, climb
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +375,6 @@ def _resolve_scenario(cfg, no_event):
 
 def fmt(value):
     """Fixed 6-significant-digit rendering used for all numeric output."""
-    if value is None:
-        return "n/a"
     if isinstance(value, bool):
         return "yes" if value else "no"
     return f"{value:.6g}"
@@ -461,13 +448,8 @@ class _OutputError(Exception):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_plan(config_path, out_path=None, no_event=False, sim_step=None,
-             atmo_step=None, env=None, stream=None):
-    stream = stream if stream is not None else sys.stdout
-    cfg = load_config(config_path, env=env, sim_step=sim_step,
-                      atmo_step=atmo_step)
-    scenario, meta = build_scenario(cfg, no_event=no_event)
-    result = run_scenario(scenario)
+def cmd_plan(cfg, args):
+    result = run_scenario(build_scenario(cfg, args.no_event)[0])
     s = result.summary
 
     lines = [
@@ -498,11 +480,11 @@ def cmd_plan(config_path, out_path=None, no_event=False, sim_step=None,
         f"final energy: {fmt(s['final_e_J'])} J"
     )
     lines.append(f"battery depleted: {fmt(s['battery_depleted'])}")
-    stream.write("\n".join(lines) + "\n")
+    sys.stdout.write("\n".join(lines) + "\n")
 
-    if out_path is not None:
+    if args.out is not None:
         record = _jsonable(s)
-        _write_text(out_path, json.dumps(record, indent=2, sort_keys=True,
+        _write_text(args.out, json.dumps(record, indent=2, sort_keys=True,
                                          allow_nan=False) + "\n")
     return 0
 
@@ -511,33 +493,24 @@ def _profile_csv(table):
     return _csv("t_s,x_m,h_m,v_ms,ci_Cs,q_C,e_J,v_track_ms", table)
 
 
-def cmd_profile(config_path, out_path, no_event=False, sim_step=None,
-                atmo_step=None, env=None, stream=None):
-    stream = stream if stream is not None else sys.stdout
-    cfg = load_config(config_path, env=env, sim_step=sim_step,
-                      atmo_step=atmo_step)
-    scenario, _meta = build_scenario(cfg, no_event=no_event)
-    result = run_scenario(scenario)
-    _write_text(out_path, _profile_csv(result.samples.table))
-    meta_path = f"{out_path}.meta.json"
+def cmd_profile(cfg, args):
+    result = run_scenario(build_scenario(cfg, args.no_event)[0])
+    _write_text(args.out, _profile_csv(result.samples.table))
+    meta_path = f"{args.out}.meta.json"
     _write_text(meta_path, json.dumps(_jsonable(result.summary), indent=2,
                                       sort_keys=True, allow_nan=False) + "\n")
-    stream.write(
-        f"wrote {len(result.samples)} samples to {out_path} "
+    sys.stdout.write(
+        f"wrote {len(result.samples)} samples to {args.out} "
         f"(summary: {meta_path})\n"
     )
     return 0
 
 
-def cmd_sweep(config_path, out_path, v_min_kmh, v_max_kmh, v_step_kmh,
-              tau_list_s, no_event=False, sim_step=None, atmo_step=None,
-              env=None, stream=None):
-    stream = stream if stream is not None else sys.stdout
-    cfg = load_config(config_path, env=env, sim_step=sim_step,
-                      atmo_step=atmo_step)
-    scenario, meta, full_seg = _resolve_scenario(cfg, no_event)
-    if v_max_kmh is None:
-        v_max_kmh = cfg["aircraft"]["vmax_kmh"]
+def cmd_sweep(cfg, args):
+    scenario, climb = build_scenario(cfg, args.no_event)
+    v_min_kmh, v_step_kmh = args.v_min_kmh, args.v_step_kmh
+    v_max_kmh = (cfg["aircraft"]["vmax_kmh"] if args.v_max_kmh is None
+                 else args.v_max_kmh)
     if not all(map(math.isfinite, (v_min_kmh, v_max_kmh, v_step_kmh))):
         raise ConfigError(
             f"sweep grid must be finite: v from {v_min_kmh:g} to "
@@ -554,11 +527,12 @@ def cmd_sweep(config_path, out_path, v_min_kmh, v_max_kmh, v_step_kmh,
         raise ConfigError("empty sweep grid")
     v_grid = grid_kmh / 3.6
 
-    if tau_list_s is None:
-        taus = [] if math.isinf(meta["tau_s"]) else [meta["tau_s"]]
+    tau = scenario.schedule.tau
+    if args.tau_s is None:
+        taus = [] if math.isinf(tau) else [tau]
     else:
         taus = []
-        for item in tau_list_s.split(","):
+        for item in args.tau_s.split(","):
             item = item.strip()
             if not item:
                 continue
@@ -573,7 +547,7 @@ def cmd_sweep(config_path, out_path, v_min_kmh, v_max_kmh, v_step_kmh,
                 raise ConfigError(f"tau entries must be positive, got {item!r}")
             taus.append(value)
 
-    curves = sweep_cost(full_seg, scenario.schedule, scenario.aircraft,
+    curves = sweep_cost(climb, scenario.schedule, scenario.aircraft,
                         v_grid, taus, q0=scenario.q0)
 
     blocks = []
@@ -583,18 +557,14 @@ def cmd_sweep(config_path, out_path, v_min_kmh, v_max_kmh, v_step_kmh,
         is_argmin[curve.argmin_index] = 1.0
         blocks.append(np.column_stack([np.full_like(v, curve.tau), v, v * 3.6,
                                        curve.j, is_argmin]))
-    _write_text(out_path, _csv("tau_s,v_ms,v_kmh,j_C,is_argmin",
+    _write_text(args.out, _csv("tau_s,v_ms,v_kmh,j_C,is_argmin",
                                np.concatenate(blocks)))
-    stream.write(f"wrote {len(curves)} curves to {out_path}\n")
+    sys.stdout.write(f"wrote {len(curves)} curves to {args.out}\n")
     return 0
 
 
-def cmd_calibrate(config_path, out_path=None, sim_step=None, atmo_step=None,
-                  env=None, stream=None):
-    stream = stream if stream is not None else sys.stdout
-    cfg = load_config(config_path, env=env, sim_step=sim_step,
-                      atmo_step=atmo_step)
-    params, _waypoints, full_seg = _airframe(cfg)
+def cmd_calibrate(cfg, args):
+    params, _waypoints, climb = _airframe(cfg)
     cx = cfg["cost_index"]
     if "ci0_fraction" not in cx:
         raise ConfigError(
@@ -605,17 +575,17 @@ def cmd_calibrate(config_path, out_path=None, sim_step=None, atmo_step=None,
     chosen = cx["ci_max"]["mode"]
 
     report = {"chosen_mode": chosen, "ci0_fraction": fraction, "modes": {}}
-    ci_vmax = calibrate_ci_max(params, full_seg)
-    v0_vmax = fms_initial_speed(full_seg, fraction * ci_vmax, params).v_star
+    ci_vmax = calibrate_ci_max(params, climb)
+    v0_vmax = fms_initial_speed(climb, fraction * ci_vmax, params).v_star
     entry = {"ci_max_Cs": ci_vmax, "v0_kmh": v0_vmax * 3.6}
     if ref_v_kmh is not None:
         entry["deviation_pct"] = 100.0 * (v0_vmax * 3.6 - ref_v_kmh) / ref_v_kmh
     report["modes"]["vmax"] = entry
 
     if ref_v_kmh is not None:
-        ci_cal = calibrate_ci_max_to_speed(params, full_seg, ref_v_kmh / 3.6,
+        ci_cal = calibrate_ci_max_to_speed(params, climb, ref_v_kmh / 3.6,
                                            fraction)
-        v0_cal = fms_initial_speed(full_seg, fraction * ci_cal, params).v_star
+        v0_cal = fms_initial_speed(climb, fraction * ci_cal, params).v_star
         report["modes"]["calibrated"] = {
             "ci_max_Cs": ci_cal,
             "v0_kmh": v0_cal * 3.6,
@@ -634,10 +604,10 @@ def cmd_calibrate(config_path, out_path=None, sim_step=None, atmo_step=None,
         lines.append(
             "calibrated mode not shown: set cost_index.ci_max.reference_v_kmh"
         )
-    stream.write("\n".join(lines) + "\n")
+    sys.stdout.write("\n".join(lines) + "\n")
 
-    if out_path is not None:
-        _write_text(out_path, json.dumps(_jsonable(report), indent=2,
+    if args.out is not None:
+        _write_text(args.out, json.dumps(_jsonable(report), indent=2,
                                          sort_keys=True, allow_nan=False) + "\n")
     return 0
 
@@ -650,29 +620,31 @@ def _build_parser():
         prog="econclimb",
         description="Minimum-DOC climb planning for battery-electric aircraft",
     )
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", required=True, help="scenario config file")
+    shared.add_argument("--sim-step", type=float, default=None, metavar="S",
+                        help="override scenario.sim_step_s")
+    shared.add_argument("--atmo-step", type=float, default=None, metavar="M",
+                        help="override scenario.atmosphere_step_m")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out):
-        p.add_argument("--config", required=True, help="scenario config file")
-        if needs_out == "required":
-            p.add_argument("--out", required=True, help="output file path")
-        else:
-            p.add_argument("--out", default=None, help="optional output file path")
+    def command(name, run, help, out_required=False):
+        p = sub.add_parser(name, parents=[shared], help=help)
+        p.add_argument("--out", required=out_required,
+                       help="output file path" if out_required
+                       else "optional output file path")
+        p.set_defaults(run=run)
+        return p
+
+    p_plan = command("plan", cmd_plan, "solve the climb plan and print it")
+    p_profile = command("profile", cmd_profile,
+                        "simulate and write the profile", out_required=True)
+    p_sweep = command("sweep", cmd_sweep, "tabulate cost vs airspeed",
+                      out_required=True)
+    command("calibrate", cmd_calibrate, "report ci_max calibration modes")
+    for p in (p_plan, p_profile, p_sweep):
         p.add_argument("--no-event", action="store_true",
                        help="drop all ATC events (baseline run)")
-        p.add_argument("--sim-step", type=float, default=None, metavar="S",
-                       help="override scenario.sim_step_s")
-        p.add_argument("--atmo-step", type=float, default=None, metavar="M",
-                       help="override scenario.atmosphere_step_m")
-
-    p_plan = sub.add_parser("plan", help="solve the climb plan and print it")
-    common(p_plan, "optional")
-
-    p_profile = sub.add_parser("profile", help="simulate and write the profile")
-    common(p_profile, "required")
-
-    p_sweep = sub.add_parser("sweep", help="tabulate cost vs airspeed")
-    common(p_sweep, "required")
     p_sweep.add_argument("--v-min-kmh", type=float, default=80.0)
     p_sweep.add_argument("--v-max-kmh", type=float, default=None,
                          help="default: aircraft vmax_kmh")
@@ -680,36 +652,15 @@ def _build_parser():
     p_sweep.add_argument("--tau-s", default=None,
                          help="comma-separated time constants; 'inf' allowed; "
                               "default: the configured tau")
-
-    p_cal = sub.add_parser("calibrate", help="report ci_max calibration modes")
-    p_cal.add_argument("--config", required=True)
-    p_cal.add_argument("--out", default=None)
-    p_cal.add_argument("--sim-step", type=float, default=None)
-    p_cal.add_argument("--atmo-step", type=float, default=None)
-
     return parser
 
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "plan":
-            return cmd_plan(args.config, out_path=args.out,
-                            no_event=args.no_event, sim_step=args.sim_step,
-                            atmo_step=args.atmo_step)
-        if args.command == "profile":
-            return cmd_profile(args.config, args.out, no_event=args.no_event,
-                               sim_step=args.sim_step, atmo_step=args.atmo_step)
-        if args.command == "sweep":
-            return cmd_sweep(args.config, args.out, args.v_min_kmh,
-                             args.v_max_kmh, args.v_step_kmh, args.tau_s,
-                             no_event=args.no_event, sim_step=args.sim_step,
-                             atmo_step=args.atmo_step)
-        if args.command == "calibrate":
-            return cmd_calibrate(args.config, out_path=args.out,
-                                 sim_step=args.sim_step,
-                                 atmo_step=args.atmo_step)
-        raise AssertionError(f"unhandled command {args.command}")
+        cfg = load_config(args.config, sim_step=args.sim_step,
+                          atmo_step=args.atmo_step)
+        return args.run(cfg, args)
     except (ConfigError, DomainError, DegenerateSegmentError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -261,12 +261,14 @@ def solve_optimal_speed(seg, ci0, ci_in, tau, params, q0=None):
 
     if math.isinf(tau):
         # J = ci0 d / v + Q0 - Qf: convex, so the quartic's root is the
-        # optimum whenever it lies in the envelope.
-        v, steps, q_max = _economy_newton(seg, ci0, params)
-        if q_max >= 0.0 and v >= _V_LO:
+        # optimum whenever it lies in the envelope, i.e. whenever ci0 is at
+        # most the ceiling calibrate_ci_max computes (at ci0 equal to it the
+        # quartic at v_max is zero up to rounding, so its sign cannot tell).
+        v, steps = _economy_newton(seg, ci0, params)
+        clipped = ci0 > ci_for_speed(seg, params.v_max, params)
+        if not clipped and v >= _V_LO:
             return _assemble_plan(float(v), seg, ci0, ci_in, tau, params, q0,
                                   iterations=steps, at_envelope_limit=False)
-        clipped = q_max < 0.0
         grad = cost_gradient(np.array([_V_LO, params.v_max]), seg, ci0, ci_in,
                              tau, params)
     else:
@@ -357,8 +359,8 @@ def economy_speed(seg, ci, params):
 
 
 def _economy_newton(seg, ci, params):
-    """economy_speed's Newton iteration: (speeds, steps taken, quartic at
-    v_max). The quartic, times d / (eta U v^3), is the constant-CI dJ/dv."""
+    """economy_speed's Newton iteration: (speeds, steps taken). The
+    quartic, times d / (eta U v^3), is the constant-CI dJ/dv."""
     w = params.weight
     s = params.wing_area
     a = seg.rho_bar * s * params.cd0
@@ -366,15 +368,14 @@ def _economy_newton(seg, ci, params):
     r = np.asarray(ci, dtype=float) * params.efficiency * params.voltage \
         + w * seg.h_dot_bar
     v = np.full_like(r, params.v_max)
-    q_max = a * v**4 - r * v - b
-    inside = q_max >= 0.0
+    inside = a * v**4 - r * v - b >= 0.0
     for steps in range(1, _MAXITER + 1):
         step = np.divide(a * v**4 - r * v - b, 4.0 * a * v**3 - r,
                          out=np.zeros_like(v), where=inside)
         v = v - step
         if np.all(np.abs(step) <= _RTOL * v):
             break
-    return v, steps, q_max
+    return v, steps
 
 
 def calibrate_ci_max(params, seg):

@@ -297,7 +297,6 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
     last = samples[-1]
     final_q = last.q
     final_h = last.h
-    closed_q_f = plans[-1].q_f if plans[-1].q_f is not None else None
     summary = {
         "ci_max_Cs": sched.ci_max,
         "ci_max_mode": scn.ci_max_mode,
@@ -326,7 +325,7 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
         "final_q_C": final_q,
         "final_e_J": last.e,
         "energy_used_J": (scn.q0 - final_q) * params.voltage,
-        "closed_form_final_q_C": closed_q_f,
+        "closed_form_final_q_C": plans[-1].q_f,
         "battery_depleted": bool(final_q < 0.0
                                  or any(p.battery_depleted for p in plans)),
         "reaches_cruise_altitude": bool(

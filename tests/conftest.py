@@ -1,3 +1,5 @@
+import os
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -10,6 +12,15 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
+
+
+@pytest.fixture(autouse=True)
+def _no_env_overrides(monkeypatch):
+    """Every test reads configs as written: no ECONCLIMB_* variable of the
+    calling shell overrides a key."""
+    for name in list(os.environ):
+        if name.startswith("ECONCLIMB_"):
+            monkeypatch.delenv(name)
 
 # Reference climb used throughout: sea level to 1000 m over 30 km ground
 # distance at an average climb rate of 1.65 m/s, anchored to an initial

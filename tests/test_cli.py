@@ -1,4 +1,3 @@
-import io
 import json
 import math
 import os
@@ -14,16 +13,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import econclimb
+from econclimb import segment_between
 from econclimb.cli_io import (
     _BAKED_RUNS,
     _BLOCK_ROWS,
     ConfigError,
     _csv,
     build_scenario,
-    cmd_calibrate,
-    cmd_plan,
-    cmd_profile,
-    cmd_sweep,
     fmt,
     load_config,
     main,
@@ -41,7 +37,7 @@ def _read_config_dict():
 
 
 def test_bundled_config_loads():
-    cfg = load_config(CONFIG, env={})
+    cfg = load_config(CONFIG)
     assert cfg["aircraft"]["mass_kg"] == 472.0
     assert cfg["scenario"]["sim_step_s"] == 0.1  # default filled in
     assert cfg["cost_index"]["ci_max"]["mode"] == "calibrated"
@@ -49,7 +45,7 @@ def test_bundled_config_loads():
 
 
 def test_config_round_trip_is_idempotent():
-    cfg = load_config(CONFIG, env={})
+    cfg = load_config(CONFIG)
     text = serialize_config(cfg)
     cfg2 = validate_config(yaml.safe_load(text))
     assert cfg2 == cfg
@@ -158,16 +154,21 @@ def test_flag_overrides_beat_env():
 
 
 def test_build_scenario_resolves_modes():
-    cfg = load_config(CONFIG, env={})
-    scenario, meta = build_scenario(cfg)
-    assert meta["ci_max_mode"] == "calibrated"
-    assert meta["ci_max_Cs"] == pytest.approx(327.98896536571016, rel=1e-10)
-    assert meta["ci0_Cs"] == pytest.approx(196.7933792194261, rel=1e-10)
-    assert meta["tau_s"] == pytest.approx(7.708109233368014, rel=1e-8)
+    cfg = load_config(CONFIG)
+    scenario, climb = build_scenario(cfg)
+    sched = scenario.schedule
+    assert scenario.ci_max_mode == "calibrated"
+    assert sched.ci_max == pytest.approx(327.98896536571016, rel=1e-10)
+    assert sched.ci0 == pytest.approx(196.7933792194261, rel=1e-10)
+    assert sched.tau == pytest.approx(7.708109233368014, rel=1e-8)
     assert scenario.q0 == 250000.0
-    assert len(scenario.schedule.events) == 1
-    _, meta_quiet = build_scenario(cfg, no_event=True)
-    assert meta_quiet["ci0_Cs"] == meta["ci0_Cs"]
+    assert len(sched.events) == 1
+    assert climb == segment_between(
+        scenario.waypoints[0], scenario.waypoints[-1], scenario.h_dot_bar,
+        scenario.atmo, scenario.atmo_step)
+    quiet, _ = build_scenario(cfg, no_event=True)
+    assert quiet.schedule.ci0 == sched.ci0
+    assert quiet.schedule.events == ()
 
 
 def test_fmt_six_significant_digits():
@@ -178,22 +179,28 @@ def test_fmt_six_significant_digits():
     assert fmt(-math.inf) == "-inf"
     assert fmt(True) == "yes"
     assert fmt(False) == "no"
-    assert fmt(None) == "n/a"
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def test_plan_output_is_stable_and_correct(tmp_path):
-    out1, out2 = io.StringIO(), io.StringIO()
+def _run(capsys, command, *flags):
+    """main on the bundled config: (exit code, its captured stdout and
+    stderr)."""
+    code = main([command, "--config", str(CONFIG), *map(str, flags)])
+    return code, capsys.readouterr()
+
+
+def test_plan_output_is_stable_and_correct(tmp_path, capsys):
     rec1 = tmp_path / "plan1.json"
     rec2 = tmp_path / "plan2.json"
-    assert cmd_plan(CONFIG, out_path=rec1, env={}, stream=out1) == 0
-    assert cmd_plan(CONFIG, out_path=rec2, env={}, stream=out2) == 0
-    assert out1.getvalue() == out2.getvalue()
+    code1, out1 = _run(capsys, "plan", "--out", rec1)
+    code2, out2 = _run(capsys, "plan", "--out", rec2)
+    assert code1 == code2 == 0
+    assert out1 == out2
     assert rec1.read_bytes() == rec2.read_bytes()
 
-    text = out1.getvalue()
+    text = out1.out
     assert "v* = 140.19 km/h (38.9417 m/s)" in text
     assert "v* = 154.131 km/h" in text
     assert "total time: 735.951 s" in text
@@ -208,18 +215,17 @@ def test_plan_output_is_stable_and_correct(tmp_path):
     assert record["events"][0]["applied"] is True
 
 
-def test_plan_no_event(tmp_path):
-    out = io.StringIO()
-    assert cmd_plan(CONFIG, no_event=True, env={}, stream=out) == 0
-    text = out.getvalue()
+def test_plan_no_event(capsys):
+    code, out = _run(capsys, "plan", "--no-event")
+    assert code == 0
+    text = out.out
     assert "delta: 0 s" in text
     assert "event" not in text.splitlines()[2]
 
 
-def test_profile_csv(tmp_path):
-    out = io.StringIO()
+def test_profile_csv(tmp_path, capsys):
     csv_path = tmp_path / "profile.csv"
-    assert cmd_profile(CONFIG, csv_path, env={}, stream=out) == 0
+    assert _run(capsys, "profile", "--out", csv_path)[0] == 0
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "t_s,x_m,h_m,v_ms,ci_Cs,q_C,e_J,v_track_ms"
 
@@ -305,22 +311,18 @@ def test_csv_matches_cell_by_cell_reference(table):
     assert _csv(header, table) == csv_reference(header, table)
 
 
-def test_profile_respects_sim_step(tmp_path):
-    out = io.StringIO()
+def test_profile_respects_sim_step(tmp_path, capsys):
     csv_path = tmp_path / "coarse.csv"
-    assert cmd_profile(CONFIG, csv_path, sim_step=5.0, env={},
-                       stream=out) == 0
+    assert _run(capsys, "profile", "--out", csv_path, "--sim-step", 5)[0] == 0
     lines = csv_path.read_text().splitlines()
     meta = json.loads((tmp_path / "coarse.csv.meta.json").read_text())
     assert len(lines) - 1 == math.ceil(meta["total_time_s"] / 5.0) + 1
 
 
-def test_sweep_csv(tmp_path):
-    out = io.StringIO()
+def test_sweep_csv(tmp_path, capsys):
     csv_path = tmp_path / "sweep.csv"
-    assert cmd_sweep(CONFIG, csv_path, v_min_kmh=110.0, v_max_kmh=None,
-                     v_step_kmh=0.5, tau_list_s="30,inf", env={},
-                     stream=out) == 0
+    assert _run(capsys, "sweep", "--out", csv_path, "--v-min-kmh", 110,
+                "--tau-s", "30,inf")[0] == 0
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "tau_s,v_ms,v_kmh,j_C,is_argmin"
     body = [ln.split(",") for ln in lines[1:]]
@@ -332,15 +334,14 @@ def test_sweep_csv(tmp_path):
     assert any(abs(float(row[2]) - 140.0) < 0.51 for row in base_marks)
 
 
-def test_sweep_rejects_empty_grid(tmp_path):
-    with pytest.raises(ConfigError):
-        cmd_sweep(CONFIG, tmp_path / "x.csv", v_min_kmh=170.0,
-                  v_max_kmh=None, v_step_kmh=0.5, tau_list_s=None, env={},
-                  stream=io.StringIO())
-    with pytest.raises(ConfigError):
-        cmd_sweep(CONFIG, tmp_path / "x.csv", v_min_kmh=100.0,
-                  v_max_kmh=120.0, v_step_kmh=0.5, tau_list_s="abc", env={},
-                  stream=io.StringIO())
+def test_sweep_rejects_empty_grid(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code, printed = _run(capsys, "sweep", "--out", out, "--v-min-kmh", 170)
+    assert code == 2 and "empty sweep grid" in printed.err
+    code, printed = _run(capsys, "sweep", "--out", out, "--v-min-kmh", 100,
+                         "--v-max-kmh", 120, "--tau-s", "abc")
+    assert code == 2 and "bad tau entry 'abc'" in printed.err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--v-min-kmh=nan", "--v-max-kmh=nan",
@@ -354,11 +355,11 @@ def test_sweep_rejects_non_finite_grid(flag, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_calibrate_reports_both_modes(tmp_path):
-    out = io.StringIO()
+def test_calibrate_reports_both_modes(tmp_path, capsys):
     rec = tmp_path / "cal.json"
-    assert cmd_calibrate(CONFIG, out_path=rec, env={}, stream=out) == 0
-    text = out.getvalue()
+    code, out = _run(capsys, "calibrate", "--out", rec)
+    assert code == 0
+    text = out.out
     assert "mode vmax" in text
     assert "mode calibrated" in text
     assert "140.19" in text
@@ -427,6 +428,26 @@ def test_main_exit_code_output_error(tmp_path, capsys):
     assert main(["profile", "--config", str(CONFIG), "--out",
                  str(missing_dir)]) == 4
     assert "output error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["plan", "profile", "sweep",
+                                     "calibrate"])
+def test_every_command_maps_failures_to_exit_codes(command, tmp_path,
+                                                   capsys):
+    unwritable = tmp_path / "no" / "such" / "dir" / "out"
+    code, out = _run(capsys, command, "--out", unwritable)
+    assert code == 4 and "output error" in out.err
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("bogus: 1\n")
+    assert main([command, "--config", str(bad), "--out", str(unwritable)]) == 2
+    assert "config error" in capsys.readouterr().err
+    if command == "calibrate":  # it flies no events, so it has no --no-event
+        with pytest.raises(SystemExit) as exc_info:
+            _run(capsys, command, "--no-event")
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments: --no-event" in capsys.readouterr().err
+    else:
+        assert _run(capsys, command, "--out", unwritable, "--no-event")[0] == 4
 
 
 def test_main_env_override_applies(monkeypatch, tmp_path, capsys):

@@ -306,7 +306,7 @@ def test_validated_config_flies(raw):
         path = Path(tmp) / "cfg.yaml"
         path.write_text(yaml.safe_dump(raw))
         try:
-            scenario, _meta = build_scenario(load_config(path, env={}))
+            scenario, _climb = build_scenario(load_config(path))
         except (ConfigError, DomainError, DegenerateSegmentError,
                 *SOLVER_ERRORS):
             assume(False)
@@ -411,5 +411,5 @@ def test_exponent_floats_are_numbers(text, value, tmp_path):
     assert "  mass_kg: 472.0\n" in plain
     path = tmp_path / "exponent.yaml"
     path.write_text(plain.replace("  mass_kg: 472.0\n", f"  mass_kg: {text}\n"))
-    assert load_config(path, env={}) == want
+    assert load_config(path) == want
     assert load_config(CONFIG, env={"ECONCLIMB_AIRCRAFT__MASS_KG": text}) == want

@@ -91,7 +91,7 @@ def test_bench_run_scenario(benchmark, params):
 def test_bench_profile_csv(benchmark):
     config = Path(__file__).resolve().parent.parent / "configs" \
         / "e430_atc_climb.yaml"
-    scenario, _meta = build_scenario(load_config(config, env={}))
+    scenario, _climb = build_scenario(load_config(config))
     table = run_scenario(scenario).samples.table
     assert table.shape == (7361, 8)  # the 0.1 s step of the config
     text = benchmark.pedantic(_profile_csv, args=(table,), rounds=20,

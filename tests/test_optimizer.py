@@ -354,12 +354,6 @@ def test_economy_speed_matches_planner(params, full_segment, replan_segment):
                 assert v_k < 5.0
                 continue
             assert kernel[0] == pytest.approx(scan[0], rel=1e-9)
-            if ci_k == ci_max:
-                # dJ/dv(v_max) is zero up to rounding: for the light craft
-                # the quartic rounds below zero (a clip) where the gradient
-                # gives 0.0 (a root), and both answers fly exactly v_max
-                assert kernel[0] == scan[0] == v_k == craft.v_max
-                continue
             assert kernel[1] == scan[1]
             assert v_k == pytest.approx(kernel[0], rel=1e-9)
             if kernel[1]:
@@ -369,6 +363,24 @@ def test_economy_speed_matches_planner(params, full_segment, replan_segment):
                     pytest.approx(ci_k, rel=1e-9, abs=1e-9)
     assert {"floor", False, True} <= set(outcomes)
     assert outcomes.count(True) >= 3
+
+
+@pytest.mark.parametrize("light", [False, True])
+def test_envelope_flag_at_the_ceiling_is_exact(light, params, full_segment):
+    # at ci0 == calibrate_ci_max, dJ/dv(v_max) is zero in exact arithmetic
+    # and the quartic at v_max rounds to -2e-10 (E430) or -1.6e-9 (a 1 kg
+    # airframe with a 100 m^2 wing): the flag must not follow that rounding
+    craft = (dataclasses.replace(params, mass=1.0, wing_area=100.0) if light
+             else params)
+    ci_max = calibrate_ci_max(craft, full_segment)
+    at = fms_initial_speed(full_segment, ci_max, craft)
+    assert at.v_star == craft.v_max
+    assert not at.at_envelope_limit
+    above = fms_initial_speed(full_segment, np.nextafter(ci_max, math.inf),
+                              craft)
+    assert above.v_star == craft.v_max
+    assert above.at_envelope_limit
+    assert above.iterations == 0
 
 
 def test_envelope_calibration_needs_room(full_segment):

@@ -20,7 +20,7 @@ from econclimb import (
     sweep_cost,
 )
 from econclimb import climb_optimizer, scenario_sim
-from econclimb.cli_io import _resolve_scenario, build_scenario, validate_config
+from econclimb.cli_io import build_scenario, validate_config
 from econclimb.climb_optimizer import economy_speed
 from econclimb.scenario_sim import ProfileSample, _sample_times
 
@@ -488,7 +488,7 @@ def test_tracking_speed_column_is_the_economy_speed_of_each_row(case):
         raw["scenario"]["sim_step_s"] = 0.01
     if case == "climb-tau-inf":
         raw["cost_index"]["tau"] = {"mode": "infinite"}
-    scn, _meta, full_seg = _resolve_scenario(validate_config(raw), False)
+    scn, full_seg = build_scenario(validate_config(raw))
     table = run_scenario(scn).samples.table
     expected = economy_speed(full_seg, table[:, 4], scn.aircraft)
     assert table[:, 7].tobytes() == expected.tobytes()
