@@ -27,19 +27,31 @@ configs and a 0.01 km/h sweep, 1-5 MB each) are pinned by the sha256 of
 their bytes in ``PINS``; print a new digest with ``sha256sum`` on the file
 the command writes. Any change to these bytes changes the program's output
 and must be declared with its old and new values.
+
+The replan-storm traffic of the benchmark (the 200 scenarios
+``bench/inputs.py`` generates for seed 1001) is pinned the same way: one
+sha256 over each scenario's profile CSV followed by its summary JSON, as
+``profile`` and ``plan --out`` render them.
 """
 
 import hashlib
+import importlib.util
+import json
 import os
 from pathlib import Path
 
 import pytest
 
-from econclimb.cli_io import main
+from econclimb import run_scenario
+from econclimb.cli_io import _jsonable, _profile_csv, main
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+#: sha256 of the 200 replan-storm scenarios of seed 1001, rendered in order.
+STORM_PIN = ("8bcc40cd9187968396d1ec4bf68e1b6c"
+             "18d36f42274b20a47c85f1bfeae5cc46")
 
 # case -> (subcommand and its flags, golden file of its stdout or None,
 #          files it writes[, config file name, default e430_atc_climb.yaml])
@@ -114,3 +126,24 @@ def test_cli_output_matches_pinned_digest(case, tmp_path, monkeypatch,
     for name, digest in digests.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() \
             == digest, name
+
+
+def _bench_inputs():
+    """bench/inputs.py, loaded by path so that nothing in bench/ is
+    imported as a package or changed."""
+    spec = importlib.util.spec_from_file_location(
+        "_bench_inputs", ROOT / "bench" / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_replan_storm_matches_pinned_digest():
+    digest = hashlib.sha256()
+    for scn in _bench_inputs().replan_storm_scenarios(1001):
+        result = run_scenario(scn)
+        text = _profile_csv(result.samples.table) + json.dumps(
+            _jsonable(result.summary), indent=2, sort_keys=True,
+            allow_nan=False) + "\n"
+        digest.update(text.encode("utf-8"))
+    assert digest.hexdigest() == STORM_PIN
