@@ -82,6 +82,17 @@ class ConstantAtmosphere:
 #: Default troposphere model used throughout the package.
 TROPOSPHERE = AtmosphereModel()
 
+#: Most points a sampling grid may take, 136 times the rows of the bundled
+#: climb's 0.01 s profile; a finer step is a domain error, not an allocation.
+_MAX_GRID_POINTS = 10**7
+
+
+def _check_grid(span, step, name, unit):
+    """DomainError unless a grid of this step over span fits the cap."""
+    if not span / step <= _MAX_GRID_POINTS:
+        raise DomainError(f"{name} {step:g} {unit} needs {span / step:.4g} grid"
+                          f" points, more than the {_MAX_GRID_POINTS:.0e} allowed")
+
 
 def _altitude_grid(h0, hc, step):
     """Uniform inclusive grid from h0 to hc.
@@ -95,6 +106,7 @@ def _altitude_grid(h0, hc, step):
         )
     if step <= 0.0:
         raise DomainError(f"grid step must be positive, got {step!r}")
+    _check_grid(hc - h0, step, "atmosphere step", "m")
     n = int(np.ceil((hc - h0) / step - 1e-12))
     grid = h0 + step * np.arange(n + 1)
     grid[-1] = hc

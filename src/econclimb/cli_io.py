@@ -14,6 +14,7 @@ it is reported in the summary.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -433,6 +434,12 @@ def _jsonable(value):
     return value
 
 
+def _json_text(record):
+    """A summary or report as the JSON text the commands write."""
+    return json.dumps(_jsonable(record), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
+
+
 def _write_text(path, text):
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -446,7 +453,8 @@ class _OutputError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands (each returns its stdout text and the (path, text) files it
+# writes; main writes them)
 
 def cmd_plan(cfg, args):
     result = run_scenario(build_scenario(cfg, args.no_event)[0])
@@ -480,13 +488,8 @@ def cmd_plan(cfg, args):
         f"final energy: {fmt(s['final_e_J'])} J"
     )
     lines.append(f"battery depleted: {fmt(s['battery_depleted'])}")
-    sys.stdout.write("\n".join(lines) + "\n")
-
-    if args.out is not None:
-        record = _jsonable(s)
-        _write_text(args.out, json.dumps(record, indent=2, sort_keys=True,
-                                         allow_nan=False) + "\n")
-    return 0
+    files = [] if args.out is None else [(args.out, _json_text(s))]
+    return "\n".join(lines) + "\n", files
 
 
 def _profile_csv(table):
@@ -495,15 +498,11 @@ def _profile_csv(table):
 
 def cmd_profile(cfg, args):
     result = run_scenario(build_scenario(cfg, args.no_event)[0])
-    _write_text(args.out, _profile_csv(result.samples.table))
     meta_path = f"{args.out}.meta.json"
-    _write_text(meta_path, json.dumps(_jsonable(result.summary), indent=2,
-                                      sort_keys=True, allow_nan=False) + "\n")
-    sys.stdout.write(
-        f"wrote {len(result.samples)} samples to {args.out} "
-        f"(summary: {meta_path})\n"
-    )
-    return 0
+    return (f"wrote {len(result.samples)} samples to {args.out} "
+            f"(summary: {meta_path})\n",
+            [(args.out, _profile_csv(result.samples.table)),
+             (meta_path, _json_text(result.summary))])
 
 
 def cmd_sweep(cfg, args):
@@ -557,10 +556,9 @@ def cmd_sweep(cfg, args):
         is_argmin[curve.argmin_index] = 1.0
         blocks.append(np.column_stack([np.full_like(v, curve.tau), v, v * 3.6,
                                        curve.j, is_argmin]))
-    _write_text(args.out, _csv("tau_s,v_ms,v_kmh,j_C,is_argmin",
-                               np.concatenate(blocks)))
-    sys.stdout.write(f"wrote {len(curves)} curves to {args.out}\n")
-    return 0
+    return (f"wrote {len(curves)} curves to {args.out}\n",
+            [(args.out, _csv("tau_s,v_ms,v_kmh,j_C,is_argmin",
+                             np.concatenate(blocks)))])
 
 
 def cmd_calibrate(cfg, args):
@@ -604,12 +602,8 @@ def cmd_calibrate(cfg, args):
         lines.append(
             "calibrated mode not shown: set cost_index.ci_max.reference_v_kmh"
         )
-    sys.stdout.write("\n".join(lines) + "\n")
-
-    if args.out is not None:
-        _write_text(args.out, json.dumps(_jsonable(report), indent=2,
-                                         sort_keys=True, allow_nan=False) + "\n")
-    return 0
+    files = [] if args.out is None else [(args.out, _json_text(report))]
+    return "\n".join(lines) + "\n", files
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +654,18 @@ def main(argv=None):
     try:
         cfg = load_config(args.config, sim_step=args.sim_step,
                           atmo_step=args.atmo_step)
-        return args.run(cfg, args)
+        text, files = args.run(cfg, args)
+        # All files or none: a failed write removes those written before it.
+        for k, (path, body) in enumerate(files):
+            try:
+                _write_text(path, body)
+            except _OutputError:
+                for done, _ in files[:k]:
+                    with contextlib.suppress(OSError):
+                        os.remove(done)
+                raise
+        sys.stdout.write(text)
+        return 0
     except (ConfigError, DomainError, DegenerateSegmentError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -227,14 +227,14 @@ def _rtsafe(slope_and_curvature, lo, hi):
 def solve_optimal_speed(seg, ci0, ci_in, tau, params, q0=None):
     """Find the cost-minimizing constant airspeed for one segment.
 
-    At constant CI (tau = inf) dJ/dv has the sign of the quartic that
-    economy_speed solves, so v* is its Newton root. Otherwise the search
-    scans gradient signs on a log-spaced grid over (5, v_max] m/s, polishes
-    each descending-to-ascending crossing with a safeguarded Newton
-    iteration on dJ/dv (using the analytic curvature), and keeps the
-    candidate with the lowest cost. A gradient still negative at v_max means
-    the unconstrained optimum sits outside the envelope; the plan then clips
-    to v_max and flags it.
+    At constant CI (tau = inf, or ci0 == ci_in for any tau) dJ/dv has the
+    sign of the quartic that economy_speed solves, so v* is its Newton
+    root. Otherwise the search scans gradient signs on a log-spaced grid
+    over (5, v_max] m/s, polishes each descending-to-ascending crossing
+    with a safeguarded Newton iteration on dJ/dv (using the analytic
+    curvature), and keeps the candidate with the lowest cost. A gradient
+    still negative at v_max means the unconstrained optimum sits outside
+    the envelope; the plan then clips to v_max and flags it.
 
     Args:
         seg: ClimbSegment to fly.
@@ -259,11 +259,12 @@ def solve_optimal_speed(seg, ci0, ci_in, tau, params, q0=None):
             f"need v_max > {_V_LO:g} m/s, got v_max={params.v_max!r}"
         )
 
-    if math.isinf(tau):
-        # J = ci0 d / v + Q0 - Qf: convex, so the quartic's root is the
-        # optimum whenever it lies in the envelope, i.e. whenever ci0 is at
-        # most the ceiling calibrate_ci_max computes (at ci0 equal to it the
-        # quartic at v_max is zero up to rounding, so its sign cannot tell).
+    if math.isinf(tau) or ci0 == ci_in:
+        # The CI cannot move, so J = ci0 d / v + Q0 - Qf for any tau: convex,
+        # so the quartic's root is the optimum whenever it lies in the
+        # envelope, i.e. whenever ci0 is at most the ceiling calibrate_ci_max
+        # computes (at ci0 equal to it the quartic at v_max is zero up to
+        # rounding, so its sign cannot tell).
         v, steps = _economy_newton(seg, ci0, params)
         clipped = ci0 > ci_for_speed(seg, params.v_max, params)
         if not clipped and v >= _V_LO:

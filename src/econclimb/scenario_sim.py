@@ -1,11 +1,11 @@
 """Deterministic replay of a multi-segment climb with ATC cost-index events.
 
-A scenario is planned first and then simulated. Planning picks one constant
-airspeed per leg: the departure leg with the constant-CI initialization, and
-a re-planned speed for the remaining geometry every time an ATC event fires.
-Simulation then replays the flight on a fixed time step, integrating the
-battery charge with the instantaneous charge rate at the local air density,
-and emits one profile row per step.
+A scenario is planned leg by leg, then replayed. Every leg, the departure
+included, flies the rest of the climb at the constant airspeed optimal for
+its starting and commanded cost index (at departure, the current one), and
+ends at the next ATC event before arrival, or at arrival. The replay
+integrates the charge rate at the local air density on the sample times
+merged with the leg starts, and emits one profile row per sample time.
 
 Geometry conventions used by the replay:
 
@@ -15,8 +15,8 @@ Geometry conventions used by the replay:
   altitude, then holds; the rate and the straight-line geometry are
   independent inputs, so the ceiling can be reached before the cruise
   waypoint.
-* Re-planned legs keep the whole climb's density band for their mean
-  density quantities, matching how the departure plan was calibrated.
+* Every leg keeps the whole climb's density band for its mean density
+  quantities, the band the departure plan was calibrated on.
 * Events fire in time order, whatever their order in the schedule. A
   waypoint-triggered event fires when x reaches the waypoint's x (the
   moment the aircraft passes a waypoint on its straight line to cruise),
@@ -31,12 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atmosphere import TROPOSPHERE
+from .atmosphere import TROPOSPHERE, _check_grid
 from .cost_index import CostIndexSchedule, ci_at
 from .climb_optimizer import (
     ClimbSegment,
     economy_speed,
-    fms_initial_speed,
     segment_between,
     solve_optimal_speed,
     total_cost,
@@ -180,10 +179,30 @@ class ScenarioResult:
     summary: dict
 
 
-def _tag_segment(exc, index):
-    """Prefix a solver exception's message with the failing segment index."""
-    head = exc.args[0] if exc.args else repr(exc)
-    exc.args = (f"segment {index}: {head}",) + tuple(exc.args[1:])
+def _pop_next_event(timed, placed, seg, t_leg, v_leg):
+    """Remove and return (t, (x, h), event) of the pending event that fires
+    first on a leg flying seg from t_leg at v_leg (ties in list order)."""
+    (x0, h0), (xc, hc) = seg.start, seg.end
+    next_events = []
+    if placed:
+        i, ev = placed[0]
+        wp = (float(ev.at_waypoint[0]), float(ev.at_waypoint[1]))
+        if not x0 < wp[0] < xc:
+            raise DomainError(f"event waypoint x={wp[0]:g} m is not ahead of "
+                              f"the aircraft (at x={x0:g} m)")
+        frac = (wp[0] - x0) / (xc - x0)
+        next_events.append((t_leg + frac * seg.d / v_leg, i, placed, wp))
+    if timed:
+        i, ev = timed[0]
+        t_ev = float(ev.at_time)
+        if t_ev <= t_leg:
+            raise DomainError(f"event at t={t_ev:g} s does not come after the "
+                              f"previous leg start t={t_leg:g} s")
+        frac = (t_ev - t_leg) * v_leg / seg.d
+        next_events.append((t_ev, i, timed,
+                            (x0 + frac * (xc - x0), h0 + frac * (hc - h0))))
+    t_ev, _, queue, pos_ev = min(next_events)  # list indices are distinct
+    return t_ev, pos_ev, queue.pop(0)[1]
 
 
 def run_scenario(scn: Scenario) -> ScenarioResult:
@@ -200,98 +219,59 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
 
     full_seg = segment_between(origin, cruise, scn.h_dot_bar, scn.atmo,
                                scn.atmo_step)
-    try:
-        plan0 = fms_initial_speed(full_seg, sched.ci0, params, q0=scn.q0)
-    except Exception as exc:
-        _tag_segment(exc, 0)
-        raise
-
-    plans = [plan0]
-    legs = []
-    event_log = []
-
-    t_leg = 0.0
-    pos_leg = origin
-    v_leg = plan0.v_star
-    ci_start_leg = sched.ci0
-    ci_in_leg = sched.ci0
+    plans, legs, event_log = [], [], []
+    t_leg, pos_leg = 0.0, origin
+    ci_start_leg = ci_in_leg = sched.ci0
     q_leg = scn.q0  # closed-form charge bookkeeping at leg starts
-    seg_cur = full_seg
 
-    # Each trigger kind is already ordered by the schedule; fire whichever
-    # pending event comes first (ties in list order), so the event log runs
-    # in firing order and its applied entries line up with the legs.
+    # Each trigger kind is already ordered by the schedule, and the event
+    # log runs in firing order, so its applied entries line up with the legs.
     timed = [(i, ev) for i, ev in enumerate(sched.events) if ev.at_time is not None]
     placed = [(i, ev) for i, ev in enumerate(sched.events) if ev.at_time is None]
-    while timed or placed:
-        d_leg_full = math.hypot(cruise[0] - pos_leg[0], cruise[1] - pos_leg[1])
-        t_arrival = t_leg + d_leg_full / v_leg
-        next_events = []
-        if placed:
-            i, ev = placed[0]
-            wp = (float(ev.at_waypoint[0]), float(ev.at_waypoint[1]))
-            if not pos_leg[0] < wp[0] < cruise[0]:
-                raise DomainError(
-                    f"event waypoint x={wp[0]:g} m is not ahead of the "
-                    f"aircraft (at x={pos_leg[0]:g} m)"
-                )
-            frac = (wp[0] - pos_leg[0]) / (cruise[0] - pos_leg[0])
-            next_events.append((t_leg + frac * d_leg_full / v_leg, i, placed, wp))
-        if timed:
-            i, ev = timed[0]
-            t_ev = float(ev.at_time)
-            if t_ev <= t_leg:
-                raise DomainError(
-                    f"event at t={t_ev:g} s does not come after the previous "
-                    f"leg start t={t_leg:g} s"
-                )
-            frac = (t_ev - t_leg) * v_leg / d_leg_full
-            pos_ev = (pos_leg[0] + frac * (cruise[0] - pos_leg[0]),
-                      pos_leg[1] + frac * (cruise[1] - pos_leg[1]))
-            next_events.append((t_ev, i, timed, pos_ev))
-        t_ev, _, queue, pos_ev = min(next_events)  # list indices are distinct
-        ev = queue.pop(0)[1]
-
-        if t_ev >= t_arrival:
-            event_log.append({
-                "t_s": t_ev, "x_m": None, "h_m": None,
-                "ci_before_Cs": None, "ci_in_Cs": ev.ci_in, "applied": False,
-            })
-            continue
-
-        ci_ev = ci_at(t_ev - t_leg, ci_start_leg, ci_in_leg, sched.tau)
-        legs.append(_Leg(t0=t_leg, t1=t_ev, pos0=pos_leg, pos1=pos_ev,
-                         v=v_leg, ci_start=ci_start_leg, ci_in=ci_in_leg))
-        flown = (t_ev - t_leg) * v_leg
-        q_leg = q_leg - segment_discharge(v_leg, seg_cur, params) * (flown / seg_cur.d)
-        event_log.append({
-            "t_s": t_ev, "x_m": pos_ev[0], "h_m": pos_ev[1],
-            "ci_before_Cs": ci_ev, "ci_in_Cs": ev.ci_in, "applied": True,
-        })
-
-        # The whole climb's density means, exactly as segment_between would
-        # take them over full_seg's band, atmosphere and grid step.
-        seg_cur = ClimbSegment(pos_ev, cruise, scn.h_dot_bar, full_seg.rho_bar,
-                               full_seg.delta_rho_bar)
+    while True:
+        # Every leg, the departure included, flies the rest of the climb
+        # with the whole climb's density means, exactly as segment_between
+        # would take them over full_seg's band, atmosphere and grid step.
+        seg = ClimbSegment(pos_leg, cruise, scn.h_dot_bar, full_seg.rho_bar,
+                           full_seg.delta_rho_bar)
         try:
-            plan = solve_optimal_speed(seg_cur, ci_ev, ev.ci_in, sched.tau,
+            plan = solve_optimal_speed(seg, ci_start_leg, ci_in_leg, sched.tau,
                                        params, q0=q_leg)
-        except Exception as exc:
-            _tag_segment(exc, len(plans))
+        except Exception as exc:  # prefix the failing segment's index
+            head = exc.args[0] if exc.args else repr(exc)
+            exc.args = (f"segment {len(plans)}: {head}",) + exc.args[1:]
             raise
         plans.append(plan)
-
-        t_leg = t_ev
-        pos_leg = pos_ev
         v_leg = plan.v_star
-        ci_start_leg = ci_ev
-        ci_in_leg = ev.ci_in
 
-    d_last = math.hypot(cruise[0] - pos_leg[0], cruise[1] - pos_leg[1])
-    t_total = t_leg + d_last / v_leg
-    legs.append(_Leg(t0=t_leg, t1=t_total, pos0=pos_leg, pos1=cruise,
-                     v=v_leg, ci_start=ci_start_leg, ci_in=ci_in_leg))
+        # The leg ends at the first event before arrival, else at arrival;
+        # events at or after arrival are logged as skipped.
+        t_end, pos_end, ev = t_leg + seg.d / v_leg, cruise, None
+        while ev is None and (timed or placed):
+            t_ev, pos_ev, ev = _pop_next_event(timed, placed, seg, t_leg, v_leg)
+            if t_ev < t_end:
+                t_end, pos_end = t_ev, pos_ev
+            else:
+                event_log.append({"t_s": t_ev, "x_m": None, "h_m": None,
+                                  "ci_before_Cs": None, "ci_in_Cs": ev.ci_in,
+                                  "applied": False})
+                ev = None
+        legs.append(_Leg(t0=t_leg, t1=t_end, pos0=pos_leg, pos1=pos_end,
+                         v=v_leg, ci_start=ci_start_leg, ci_in=ci_in_leg))
+        if ev is None:
+            break
 
+        ci_ev = ci_at(t_end - t_leg, ci_start_leg, ci_in_leg, sched.tau)
+        flown = (t_end - t_leg) * v_leg
+        q_leg = q_leg - segment_discharge(v_leg, seg, params) * (flown / seg.d)
+        event_log.append({
+            "t_s": t_end, "x_m": pos_end[0], "h_m": pos_end[1],
+            "ci_before_Cs": ci_ev, "ci_in_Cs": ev.ci_in, "applied": True,
+        })
+        t_leg, pos_leg = t_end, pos_end
+        ci_start_leg, ci_in_leg = ci_ev, ev.ci_in
+
+    t_total = t_end
     samples = Profile(_simulate_profile(scn, legs, full_seg, t_total))
 
     last = samples[-1]
@@ -319,9 +299,9 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
             for leg, plan in zip(legs, plans)
         ],
         "events": event_log,
-        "baseline_time_s": plan0.t_c_star,
+        "baseline_time_s": plans[0].t_c_star,
         "total_time_s": t_total,
-        "time_delta_s": t_total - plan0.t_c_star,
+        "time_delta_s": t_total - plans[0].t_c_star,
         "final_q_C": final_q,
         "final_e_J": last.e,
         "energy_used_J": (scn.q0 - final_q) * params.voltage,
@@ -336,6 +316,7 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
 
 def _sample_times(t_total, dt):
     """Fixed-step grid from 0, with a final sample snapped to t_total."""
+    _check_grid(t_total, dt, "sim step", "s")
     eps = 1e-9 * max(1.0, t_total)
     grid = dt * np.arange(math.ceil(t_total / dt))
     return np.append(grid[grid < t_total - eps], t_total)
@@ -346,43 +327,35 @@ def _simulate_profile(scn, legs, full_seg, t_total):
     params = scn.aircraft
     cruise_h = scn.waypoints[-1][1]
     origin_h = scn.waypoints[0][1]
-    dt = scn.sim_step
 
-    times = _sample_times(t_total, dt)
+    # The charge is integrated on the sample times merged with the interior
+    # leg starts, so each left-endpoint rate uses the airspeed actually
+    # flown there; the sample rows are then read off that grid.
+    times = _sample_times(t_total, scn.sim_step)
     leg_starts = np.asarray([leg.t0 for leg in legs])
-    idx = np.clip(np.searchsorted(leg_starts, times, side="right") - 1,
+    edges = np.unique(np.concatenate([times, leg_starts[1:]]))
+    idx = np.clip(np.searchsorted(leg_starts, edges, side="right") - 1,
                   0, len(legs) - 1)
 
-    v = np.empty_like(times)
-    ci = np.empty_like(times)
-    x = np.empty_like(times)
+    v = np.empty_like(edges)
+    ci = np.empty_like(edges)
+    x = np.empty_like(edges)
     for k, leg in enumerate(legs):
         m = idx == k
-        if not np.any(m):
-            continue
-        tl = times[m] - leg.t0
+        tl = edges[m] - leg.t0
         v[m] = leg.v
         ci[m] = ci_at(tl, leg.ci_start, leg.ci_in, scn.schedule.tau)
         span = leg.t1 - leg.t0
         frac = tl / span if span > 0.0 else np.zeros_like(tl)
         x[m] = leg.pos0[0] + frac * (leg.pos1[0] - leg.pos0[0])
 
-    h = np.minimum(origin_h + scn.h_dot_bar * times, cruise_h)
+    h = np.minimum(origin_h + scn.h_dot_bar * edges, cruise_h)
+    hdot = np.where(h < cruise_h, scn.h_dot_bar, 0.0)
+    rates = charge_rate(v, hdot, scn.atmo.density(h), params)
+    q = scn.q0 + np.concatenate([[0.0], np.cumsum(rates[:-1] * np.diff(edges))])
 
-    # Charge integration on sub-intervals split at leg boundaries, so each
-    # left-endpoint rate uses the airspeed actually flown there.
-    interior_starts = [leg.t0 for leg in legs[1:] if 0.0 < leg.t0 < t_total]
-    edges = np.unique(np.concatenate([times, np.asarray(interior_starts)]))
-    e_idx = np.clip(np.searchsorted(leg_starts, edges, side="right") - 1,
-                    0, len(legs) - 1)
-    e_v = np.asarray([leg.v for leg in legs])[e_idx]
-    e_h = np.minimum(origin_h + scn.h_dot_bar * edges, cruise_h)
-    e_hdot = np.where(e_h < cruise_h, scn.h_dot_bar, 0.0)
-    e_rho = scn.atmo.density(e_h)
-    rates = charge_rate(e_v, e_hdot, e_rho, params)
-    widths = np.diff(edges)
-    q_edges = scn.q0 + np.concatenate([[0.0], np.cumsum(rates[:-1] * widths)])
-    q = q_edges[np.searchsorted(edges, times)]
+    rows = np.searchsorted(edges, times)
+    x, h, v, ci, q = x[rows], h[rows], v[rows], ci[rows], q[rows]
 
     # One tracking-speed solve per run of equal cost index, repeated over
     # the run. The speeds are those of a solve per row: the Newton loop
@@ -451,6 +424,7 @@ def mvt_crosscheck(seg, v, params, step=0.1, atmo=TROPOSPHERE):
     if not step > 0.0:
         raise DomainError(f"step must be positive, got {step!r}")
     t_c = seg.d / v
+    _check_grid(t_c, step, "step", "s")
     n = int(math.floor(t_c / step))
     edges = step * np.arange(n + 1)
     if edges[-1] < t_c:

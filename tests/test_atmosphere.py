@@ -145,6 +145,8 @@ def test_mean_density_validation():
         mean_density(TROPOSPHERE, 0.0, 1000.0, step=0.0)
     with pytest.raises(DomainError):
         mean_density(TROPOSPHERE, 0.0, 12000.0)
+    with pytest.raises(DomainError, match="atmosphere step 1e-12 m needs 1e"):
+        mean_inverse_density(TROPOSPHERE, 0.0, 1000.0, step=1e-12)
 
 
 def test_custom_model_parameters():

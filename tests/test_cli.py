@@ -437,6 +437,7 @@ def test_every_command_maps_failures_to_exit_codes(command, tmp_path,
     unwritable = tmp_path / "no" / "such" / "dir" / "out"
     code, out = _run(capsys, command, "--out", unwritable)
     assert code == 4 and "output error" in out.err
+    assert out.out == ""  # nothing is printed unless every file is written
     bad = tmp_path / "bad.yaml"
     bad.write_text("bogus: 1\n")
     assert main([command, "--config", str(bad), "--out", str(unwritable)]) == 2
@@ -447,7 +448,32 @@ def test_every_command_maps_failures_to_exit_codes(command, tmp_path,
         assert exc_info.value.code == 2
         assert "unrecognized arguments: --no-event" in capsys.readouterr().err
     else:
-        assert _run(capsys, command, "--out", unwritable, "--no-event")[0] == 4
+        code, out = _run(capsys, command, "--out", unwritable, "--no-event")
+        assert code == 4 and out.out == ""
+
+
+def test_failed_meta_write_leaves_no_profile(tmp_path, capsys):
+    csv_path = tmp_path / "p.csv"
+    (tmp_path / "p.csv.meta.json").mkdir()  # the summary cannot go there
+    code, out = _run(capsys, "profile", "--sim-step", "5", "--out", csv_path)
+    assert code == 4 and "output error" in out.err and out.out == ""
+    assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("plan", "--sim-step"), ("profile", "--sim-step"),
+    ("plan", "--atmo-step"), ("sweep", "--atmo-step"),
+    ("calibrate", "--atmo-step"),
+])
+def test_grid_step_too_fine_is_a_config_error(command, flag, tmp_path,
+                                              capsys):
+    # 1e-12 fails the point-count check before anything is allocated
+    code, out = _run(capsys, command, flag, "1e-12", "--out",
+                     tmp_path / "out")
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("config error: ")
+    assert "step 1e-12" in out.err and "grid points" in out.err
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_env_override_applies(monkeypatch, tmp_path, capsys):

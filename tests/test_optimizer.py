@@ -400,17 +400,18 @@ def test_boundary_clip_is_flagged(params, full_segment):
 
 
 def test_no_interior_optimum_reports_gradient_signs(full_segment):
-    # the light airframe's constant-CI optimum lies below the 5 m/s floor,
-    # whether the constant-CI kernel or the scan looks for it
+    # the light airframe's optimum lies below the 5 m/s floor, whether the
+    # constant-CI kernel (tau = inf, or a CI that cannot move) or the scan
+    # (a CI that moves) looks for it
     light = dataclasses.replace(e430(), mass=1.0, wing_area=100.0)
-    for tau in (math.inf, TAU):
+    for tau, ci_in in ((math.inf, 6e-4), (TAU, 6e-4), (TAU, 7e-4)):
         with pytest.raises(NoInteriorOptimumError,
                            match=r"in \(5, 44\.7222\] m/s") as exc_info:
-            solve_optimal_speed(full_segment, 6e-4, 6e-4, tau, light)
+            solve_optimal_speed(full_segment, 6e-4, ci_in, tau, light)
         err = exc_info.value
         assert err.grad_lo > 0.0
         assert err.grad_hi > 0.0
-        assert err.grad_lo == cost_gradient(5.0, full_segment, 6e-4, 6e-4,
+        assert err.grad_lo == cost_gradient(5.0, full_segment, 6e-4, ci_in,
                                             tau, light)
 
 
@@ -444,6 +445,22 @@ def test_constant_ci_speed_skips_the_scan(params, full_segment,
     # the filtered cost still scans and polishes
     solve_optimal_speed(full_segment, CI0, CI_IN, TAU, params)
     assert calls[0] == "_scan_grid" and "_rtsafe" in calls
+
+
+@pytest.mark.parametrize("share", [0.6, 1.0, 1.1])
+def test_a_ci_that_cannot_move_is_the_constant_ci_plan(share, params,
+                                                       full_segment):
+    # with ci0 == ci_in the filter term of J is zero for any tau, so a
+    # finite tau must give the infinite-tau plan, field by field
+    ci = share * calibrate_ci_max(params, full_segment)
+    plan = fms_initial_speed(full_segment, ci, params, q0=250000.0)
+    for tau in (TAU, 600.0):
+        same = solve_optimal_speed(full_segment, ci, ci, tau, params,
+                                   q0=250000.0)
+        for field in dataclasses.fields(plan):
+            assert getattr(same, field.name) == getattr(plan, field.name), \
+                (tau, field.name)
+    assert plan.at_envelope_limit == (share > 1.0)
 
 
 def test_root_polish_safeguards():

@@ -213,6 +213,14 @@ def test_sample_times_match_stepwise_grid():
     assert _sample_times(736.0, 0.01).size == 73601
 
 
+def test_grids_past_the_point_cap_are_domain_errors(full_segment, params):
+    # 1e-12 fails the point-count check before anything is allocated
+    with pytest.raises(DomainError, match="sim step 1e-12 s needs 7.36e"):
+        _sample_times(736.0, 1e-12)
+    with pytest.raises(DomainError, match="step 1e-12 s needs"):
+        mvt_crosscheck(full_segment, V0, params, step=1e-12)
+
+
 def test_profile_is_a_sequence_of_samples(reference_result):
     samples = reference_result.samples
     table = samples.table
@@ -462,6 +470,16 @@ def test_replans_equal_solves_on_segment_between(variant, monkeypatch):
     origin, cruise = scn.waypoints[0], scn.waypoints[-1]
     fired = res.summary["events"]
     assert all(ev["applied"] for ev in fired)
+    # The departure is solved like every re-plan, on the whole climb.
+    (seg, _args, _kwargs), replans = replans[0], replans[1:]
+    full_seg = segment_between(origin, cruise, scn.h_dot_bar, scn.atmo,
+                               scn.atmo_step)
+    assert seg == full_seg
+    departure = fms_initial_speed(full_seg, scn.schedule.ci0, scn.aircraft,
+                                  q0=scn.q0)
+    for field in dataclasses.fields(departure):
+        assert (getattr(res.plans[0], field.name)
+                == getattr(departure, field.name)), field.name
     assert len(replans) == len(fired) == len(res.plans) - 1 == 6
     for k, ((seg, args, kwargs), ev) in enumerate(zip(replans, fired), 1):
         reference = segment_between(
