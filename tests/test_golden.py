@@ -29,9 +29,9 @@ the command writes. Any change to these bytes changes the program's output
 and must be declared with its old and new values.
 
 The replan-storm traffic of the benchmark (the 200 scenarios
-``bench/inputs.py`` generates for seed 1001) is pinned the same way: one
-sha256 over each scenario's profile CSV followed by its summary JSON, as
-``profile`` and ``plan --out`` render them.
+``bench/inputs.py`` generates for seeds 1001 and 2001) is pinned the same
+way: one sha256 per seed over each scenario's profile CSV followed by its
+summary JSON, as ``profile`` and ``plan --out`` render them.
 """
 
 import hashlib
@@ -52,6 +52,10 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 #: sha256 of the 200 replan-storm scenarios of seed 1001, rendered in order.
 STORM_PIN = ("8bcc40cd9187968396d1ec4bf68e1b6c"
              "18d36f42274b20a47c85f1bfeae5cc46")
+
+#: The same for the 200 replan-storm scenarios of seed 2001.
+STORM_PIN_2001 = ("dacdb17fb87463af531803fdb164be38"
+                  "e5aad61ea6a947dd0ac0d2be69083761")
 
 # case -> (subcommand and its flags, golden file of its stdout or None,
 #          files it writes[, config file name, default e430_atc_climb.yaml])
@@ -138,12 +142,21 @@ def _bench_inputs():
     return module
 
 
-def test_replan_storm_matches_pinned_digest():
+def _storm_digest(seed):
+    """sha256 of the replan-storm scenarios of seed, rendered in order."""
     digest = hashlib.sha256()
-    for scn in _bench_inputs().replan_storm_scenarios(1001):
+    for scn in _bench_inputs().replan_storm_scenarios(seed):
         result = run_scenario(scn)
         text = _profile_csv(result.samples.table) + json.dumps(
             _jsonable(result.summary), indent=2, sort_keys=True,
             allow_nan=False) + "\n"
         digest.update(text.encode("utf-8"))
-    assert digest.hexdigest() == STORM_PIN
+    return digest.hexdigest()
+
+
+def test_replan_storm_matches_pinned_digest():
+    assert _storm_digest(1001) == STORM_PIN
+
+
+def test_replan_storm_2001_matches_pinned_digest():
+    assert _storm_digest(2001) == STORM_PIN_2001
