@@ -23,7 +23,7 @@ def _checked_altitude(h, h_max):
     """h as a float array; raises DomainError naming the altitude range
     (not the array) when any entry lies outside [0, h_max]."""
     h_arr = np.asarray(h, dtype=float)
-    if np.any(h_arr < 0.0) or np.any(h_arr > h_max):
+    if (h_arr < 0.0).any() or (h_arr > h_max).any():
         lo, hi = float(np.min(h_arr)), float(np.max(h_arr))
         got = f"{lo:g} m" if lo == hi else f"{lo:g} to {hi:g} m"
         raise DomainError(f"altitude must lie in [0, {h_max:g}] m, got {got}")

@@ -416,21 +416,29 @@ def _csv(header, table):
 
 
 def _jsonable(value):
-    """Round floats to output precision; keep JSON strictly standard."""
+    """Round floats to output precision; keep JSON strictly standard.
+
+    Non-finite floats become the strings "nan", "inf" and "-inf", and NumPy
+    scalars their Python counterparts.
+    """
+    if isinstance(value, float):  # np.float64 included; the commonest case
+        if math.isinf(value):
+            return "-inf" if value < 0.0 else "inf"
+        if math.isnan(value):
+            return "nan"
+        return float(f"{float(value):.6g}")
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, bool) or value is None:
-        return value
+    if value is None:
+        return None
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
     if isinstance(value, (int, np.integer)):
         return int(value)
-    if isinstance(value, (float, np.floating)):
-        if math.isinf(value):
-            return "inf"
-        if math.isnan(value):
-            return "nan"
-        return float(f"{float(value):.6g}")
+    if isinstance(value, np.floating):
+        return _jsonable(float(value))
     return value
 
 

@@ -149,8 +149,9 @@ def cost_gradient(v, seg, ci0, ci_in, tau, params):
     """dJ/dv; the root in v is the optimal climb airspeed."""
     _check_speed_and_tau(v, tau)
     d = seg.d
-    return (-(ci0 - ci_in) * d * np.exp(-d / (tau * v)) / v**2
-            - ci_in * d / v**2
+    v2 = v**2
+    return (-(ci0 - ci_in) * d * np.exp(-d / (tau * v)) / v2
+            - ci_in * d / v2
             - final_charge_sensitivity(v, seg, params))
 
 
@@ -370,11 +371,12 @@ def _economy_newton(seg, ci, params):
         + w * seg.h_dot_bar
     v = np.full_like(r, params.v_max)
     inside = a * v**4 - r * v - b >= 0.0
+    step = np.zeros_like(v)  # stays zero where ~inside: those keep v_max
     for steps in range(1, _MAXITER + 1):
-        step = np.divide(a * v**4 - r * v - b, 4.0 * a * v**3 - r,
-                         out=np.zeros_like(v), where=inside)
+        np.divide(a * v**4 - r * v - b, 4.0 * a * v**3 - r, out=step,
+                  where=inside)
         v = v - step
-        if np.all(np.abs(step) <= _RTOL * v):
+        if (np.abs(step) <= _RTOL * v).all():
             break
     return v, steps
 

@@ -87,9 +87,10 @@ def ci_at(t, ci_start, ci_in, tau):
     """Filtered cost index t seconds after the forcing switched to ci_in.
 
     Returns exp(-t/tau) * (ci_start - ci_in) + ci_in; for infinite tau the
-    start value is returned unchanged. Accepts scalar or array t.
+    start value is returned unchanged. Accepts scalar or array t, and for
+    array t also ci_start and ci_in of its shape (one per point).
     """
-    if np.any(np.asarray(t) < 0.0):
+    if (t < 0.0) if isinstance(t, float) else (np.asarray(t) < 0.0).any():
         raise DomainError(f"time must be >= 0, got {t!r}")
     if not tau > 0.0:
         raise DomainError(f"tau must be positive or inf, got {tau!r}")

@@ -159,19 +159,6 @@ class Profile(Sequence):
         return list(self) == list(other)
 
 
-@dataclass(frozen=True)
-class _Leg:
-    """One flown stretch at constant airspeed (internal)."""
-
-    t0: float
-    t1: float
-    pos0: tuple[float, float]
-    pos1: tuple[float, float]
-    v: float
-    ci_start: float
-    ci_in: float
-
-
 @dataclass
 class ScenarioResult:
     plans: list
@@ -256,8 +243,8 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
                                   "ci_before_Cs": None, "ci_in_Cs": ev.ci_in,
                                   "applied": False})
                 ev = None
-        legs.append(_Leg(t0=t_leg, t1=t_end, pos0=pos_leg, pos1=pos_end,
-                         v=v_leg, ci_start=ci_start_leg, ci_in=ci_in_leg))
+        legs.append((t_leg, t_end, *pos_leg, pos_end[0], v_leg,
+                     ci_start_leg, ci_in_leg))
         if ev is None:
             break
 
@@ -272,6 +259,7 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
         ci_start_leg, ci_in_leg = ci_ev, ev.ci_in
 
     t_total = t_end
+    legs = np.array(legs)
     samples = Profile(_simulate_profile(scn, legs, full_seg, t_total))
 
     last = samples[-1]
@@ -285,18 +273,18 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
         "q0_C": scn.q0,
         "segments": [
             {
-                "start_x_m": leg.pos0[0],
-                "start_h_m": leg.pos0[1],
+                "start_x_m": x0,
+                "start_h_m": h0,
                 "v_star_ms": plan.v_star,
                 "v_star_kmh": plan.v_star * 3.6,
                 "planned_time_s": plan.t_c_star,
-                "flown_time_s": leg.t1 - leg.t0,
+                "flown_time_s": t1 - t0,
                 "j_star_C": plan.j_star,
                 "q_f_C": plan.q_f,
                 "at_envelope_limit": plan.at_envelope_limit,
                 "iterations": plan.iterations,
             }
-            for leg, plan in zip(legs, plans)
+            for (t0, t1, x0, h0, *_), plan in zip(legs.tolist(), plans)
         ],
         "events": event_log,
         "baseline_time_s": plans[0].t_c_star,
@@ -323,7 +311,11 @@ def _sample_times(t_total, dt):
 
 
 def _simulate_profile(scn, legs, full_seg, t_total):
-    """The replayed profile as one (n, 8) table, columns as in Profile."""
+    """The replayed profile as one (n, 8) table, columns as in Profile.
+
+    ``legs`` holds one row per flown leg: t0, t1, x0, h0, x1, v, ci_start
+    and ci_in.
+    """
     params = scn.aircraft
     cruise_h = scn.waypoints[-1][1]
     origin_h = scn.waypoints[0][1]
@@ -332,22 +324,21 @@ def _simulate_profile(scn, legs, full_seg, t_total):
     # leg starts, so each left-endpoint rate uses the airspeed actually
     # flown there; the sample rows are then read off that grid.
     times = _sample_times(t_total, scn.sim_step)
-    leg_starts = np.asarray([leg.t0 for leg in legs])
+    leg_starts = legs[:, 0]
     edges = np.unique(np.concatenate([times, leg_starts[1:]]))
     idx = np.clip(np.searchsorted(leg_starts, edges, side="right") - 1,
                   0, len(legs) - 1)
 
-    v = np.empty_like(edges)
-    ci = np.empty_like(edges)
-    x = np.empty_like(edges)
-    for k, leg in enumerate(legs):
-        m = idx == k
-        tl = edges[m] - leg.t0
-        v[m] = leg.v
-        ci[m] = ci_at(tl, leg.ci_start, leg.ci_in, scn.schedule.tau)
-        span = leg.t1 - leg.t0
-        frac = tl / span if span > 0.0 else np.zeros_like(tl)
-        x[m] = leg.pos0[0] + frac * (leg.pos1[0] - leg.pos0[0])
+    # Each point gathers its leg's values column by column (no (n, 8)
+    # copy of the table), and each column is one expression over the grid.
+    t0, t1, x0, _, x1, v, ci_start, ci_in = legs.T
+    tl = edges - t0[idx]
+    ci = ci_at(tl, ci_start[idx], ci_in[idx], scn.schedule.tau)
+    span = (t1 - t0)[idx]
+    frac = np.divide(tl, span, out=np.zeros_like(tl), where=span > 0.0)
+    x = x0[idx] + frac * (x1 - x0)[idx]
+    v = v[idx]
+    del tl, span, frac  # grid-sized; the final table is the memory peak
 
     h = np.minimum(origin_h + scn.h_dot_bar * edges, cruise_h)
     hdot = np.where(h < cruise_h, scn.h_dot_bar, 0.0)

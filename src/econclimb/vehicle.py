@@ -95,9 +95,11 @@ def _require_positive_speed(v):
     """Raise DomainError unless every airspeed in v is > 0 (NaN passes).
 
     A float (np.float64 included) is compared directly, so the scalar calls
-    of the root polish pay no array reduction.
+    of the root polish pay no array reduction, and an array is reduced by
+    its own method, without np.any's Python-level dispatch; the density
+    checks below do the same.
     """
-    if (v <= 0.0) if isinstance(v, float) else np.any(np.asarray(v) <= 0.0):
+    if (v <= 0.0) if isinstance(v, float) else (np.asarray(v) <= 0.0).any():
         raise DomainError(f"airspeed must be positive, got {v!r}")
 
 
@@ -107,7 +109,8 @@ def drag(v, rho, params):
     D = 1/2 rho S cd0 v^2 + 2 cd2 W^2 / (rho S v^2)
     """
     _require_positive_speed(v)
-    if np.any(np.asarray(rho) <= 0.0):
+    if (rho <= 0.0) if isinstance(rho, float) \
+            else (np.asarray(rho) <= 0.0).any():
         raise DomainError(f"density must be positive, got {rho!r}")
     w = params.weight
     s = params.wing_area
@@ -130,7 +133,8 @@ def charge_rate(v, h_dot, rho, params):
     Expanded form of -T v / (eta U); negative while discharging.  [C s^-1]
     """
     _require_positive_speed(v)
-    if np.any(np.asarray(rho) <= 0.0):
+    if (rho <= 0.0) if isinstance(rho, float) \
+            else (np.asarray(rho) <= 0.0).any():
         raise DomainError(f"density must be positive, got {rho!r}")
     w = params.weight
     s = params.wing_area

@@ -19,6 +19,8 @@ from econclimb.cli_io import (
     _BLOCK_ROWS,
     ConfigError,
     _csv,
+    _json_text,
+    _jsonable,
     build_scenario,
     fmt,
     load_config,
@@ -500,3 +502,19 @@ def test_cli_import_does_not_load_scipy():
                           env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_jsonable_renders_every_scalar_kind():
+    record = {"nan": math.nan, "inf": math.inf, "neg_inf": -math.inf,
+              "f32": np.float32(0.1), "i64": np.int64(7),
+              "on": np.bool_(True), "off": np.bool_(False), "none": None,
+              "nested": (1.23456789, (np.float64(-math.inf),
+                                      [np.bool_(False), np.int64(-3)]))}
+    out = _jsonable(record)
+    assert out == {"nan": "nan", "inf": "inf", "neg_inf": "-inf",
+                   "f32": 0.1, "i64": 7, "on": True, "off": False,
+                   "none": None,
+                   "nested": [1.23457, ["-inf", [False, -3]]]}
+    assert [type(out[k]) for k in ("f32", "i64", "on", "off")] \
+        == [float, int, bool, bool]
+    assert json.loads(_json_text(record)) == out

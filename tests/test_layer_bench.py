@@ -1,6 +1,6 @@
 """Layer benchmarks: the departure solve (constant CI), one re-plan solve
-(filtered CI), one twelve-event replay and the profile CSV of the bundled
-climb.
+(filtered CI), one twelve-event replay, the profile CSV of the bundled
+climb and the summary JSON of the six-event storm config.
 
 Each benchmark runs 20 single-call rounds, so the whole file adds well under
 a second to the suite, and checks what the timed call returned, so it fails
@@ -22,11 +22,18 @@ from econclimb import (
     run_scenario,
     solve_optimal_speed,
 )
-from econclimb.cli_io import _profile_csv, build_scenario, load_config
+from econclimb.cli_io import (
+    _json_text,
+    _profile_csv,
+    build_scenario,
+    load_config,
+)
 from econclimb.scenario_sim import _sample_times
 from tests.csv_reference import csv_reference
 
 pytest.importorskip("pytest_benchmark")
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # the reference climb's re-plan at the mid waypoint (see test_optimizer)
 CI_MAX = 327.98896536571016
@@ -89,8 +96,7 @@ def test_bench_run_scenario(benchmark, params):
 
 
 def test_bench_profile_csv(benchmark):
-    config = Path(__file__).resolve().parent.parent / "configs" \
-        / "e430_atc_climb.yaml"
+    config = ROOT / "configs" / "e430_atc_climb.yaml"
     scenario, _climb = build_scenario(load_config(config))
     table = run_scenario(scenario).samples.table
     assert table.shape == (7361, 8)  # the 0.1 s step of the config
@@ -98,3 +104,12 @@ def test_bench_profile_csv(benchmark):
                               iterations=1)
     assert text == csv_reference("t_s,x_m,h_m,v_ms,ci_Cs,q_C,e_J,v_track_ms",
                                  table)
+
+
+def test_bench_storm_summary_json(benchmark):
+    config = ROOT / "configs" / "e430_atc_storm.yaml"
+    summary = run_scenario(build_scenario(load_config(config))[0]).summary
+    text = benchmark.pedantic(_json_text, args=(summary,), rounds=20,
+                              iterations=1)
+    assert text.encode("utf-8") \
+        == (ROOT / "tests" / "golden" / "plan_storm.json").read_bytes()

@@ -383,6 +383,26 @@ def test_envelope_flag_at_the_ceiling_is_exact(light, params, full_segment):
     assert above.iterations == 0
 
 
+def test_economy_speed_mixes_inside_and_beyond_the_envelope(params,
+                                                            full_segment):
+    # one array of CIs below, at and above the ceiling, interleaved: those
+    # beyond it stay at v_max while the others iterate, and every other
+    # entry is the scalar solve's speed bit for bit
+    ci_max = calibrate_ci_max(params, full_segment)
+    ci = np.array([0.0, 1.2 * ci_max, 0.3 * ci_max, ci_max,
+                   np.nextafter(ci_max, math.inf), 0.9 * ci_max,
+                   2.0 * ci_max, 0.6 * ci_max])
+    v = co.economy_speed(full_segment, ci, params)
+    beyond = ci > ci_max
+    assert beyond.sum() == 3
+    for ci_k, v_k in zip(ci, v):
+        if ci_k > ci_max:
+            assert v_k == params.v_max
+        else:
+            assert v_k == fms_initial_speed(full_segment, ci_k, params).v_star
+    assert len(set(v[~beyond].tolist())) == 5  # five distinct speeds
+
+
 def test_envelope_calibration_needs_room(full_segment):
     slow = dataclasses.replace(e430(), v_max=25.0)  # below best-economy speed
     with pytest.raises(EnvelopeError):

@@ -23,6 +23,8 @@ from econclimb import climb_optimizer, scenario_sim
 from econclimb.cli_io import build_scenario, validate_config
 from econclimb.climb_optimizer import economy_speed
 from econclimb.scenario_sim import ProfileSample, _sample_times
+from tests.replay_reference import replay_reference
+from tests.test_golden import _bench_inputs
 
 # Frozen reference scenario solution (see test_optimizer for the leg-level
 # values): 30 km / 1000 m climb, command to 0.9 ci_max at the mid waypoint.
@@ -510,3 +512,34 @@ def test_tracking_speed_column_is_the_economy_speed_of_each_row(case):
     table = run_scenario(scn).samples.table
     expected = economy_speed(full_seg, table[:, 4], scn.aircraft)
     assert table[:, 7].tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the replay gathers every point's leg at once; the leg-by-leg loop it
+# replaced is the reference
+
+def _replay_cases():
+    climb = build_scenario(validate_config(
+        yaml.safe_load(CLIMB_CONFIG.read_text())))[0]
+    cases = {
+        "climb-0.1s": climb,
+        "climb-0.01s": dataclasses.replace(climb, sim_step=0.01),
+        "storm": _storm_scenario("as-is"),
+        "climb-tau-inf": dataclasses.replace(
+            climb, schedule=dataclasses.replace(climb.schedule,
+                                                tau=math.inf)),
+    }
+    for k, scn in enumerate(_bench_inputs().replan_storm_scenarios(1001)[:20]):
+        cases[f"replan-storm-1001-{k}"] = scn
+    return cases
+
+
+REPLAY_CASES = _replay_cases()
+
+
+@pytest.mark.parametrize("case", list(REPLAY_CASES))
+def test_replay_matches_the_leg_by_leg_reference(case):
+    scn = REPLAY_CASES[case]
+    result = run_scenario(scn)
+    expected = replay_reference(scn, result.summary)
+    assert result.samples.table.tobytes() == expected.tobytes()
