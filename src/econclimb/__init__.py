@@ -18,7 +18,6 @@ from .climb_optimizer import (
     ClimbSegment,
     calibrate_ci_max,
     calibrate_ci_max_to_speed,
-    climbing_time,
     cost_curvature,
     cost_gradient,
     fms_initial_speed,
@@ -48,12 +47,10 @@ from .vehicle import (
     STANDARD_GRAVITY,
     AircraftParams,
     charge_rate,
-    drag,
     e430,
     final_charge,
     final_charge_sensitivity,
     segment_discharge,
-    thrust_for_climb,
 )
 
 __version__ = "0.1.0"
@@ -68,7 +65,6 @@ __all__ = [
     "ClimbSegment",
     "calibrate_ci_max",
     "calibrate_ci_max_to_speed",
-    "climbing_time",
     "cost_curvature",
     "cost_gradient",
     "fms_initial_speed",
@@ -94,11 +90,9 @@ __all__ = [
     "STANDARD_GRAVITY",
     "AircraftParams",
     "charge_rate",
-    "drag",
     "e430",
     "final_charge",
     "final_charge_sensitivity",
     "segment_discharge",
-    "thrust_for_climb",
     "__version__",
 ]

@@ -4,10 +4,11 @@ Air density follows a single power law in altitude,
 
     rho(h) = c0 * (t0 - lapse * h) ** exponent
 
-which is valid through the troposphere. Climb energy bookkeeping needs two
-aggregates of the density along the climbed altitude band: the arithmetic
-mean of rho and the arithmetic mean of 1/rho, both taken over a uniform
-altitude grid that includes the band endpoints.
+which is valid through the troposphere. A model gives ``density(h)`` and
+``band_integral(h0, h, power)``, the altitude integral of rho or 1/rho that
+the replay's exact charge is built from. The climb plan needs the arithmetic
+means of rho and of 1/rho over a uniform altitude grid that includes the
+band endpoints.
 """
 
 from __future__ import annotations
@@ -64,6 +65,22 @@ class AtmosphereModel:
             return float(rho)
         return rho
 
+    def band_integral(self, h0, h, power=1):
+        """Integral of density**power over altitude from h0 to h  [m],
+        scalars or arrays, for power 1 (rho)  [kg m^-2] or -1 (1/rho)
+        [m^4 kg^-1]. With T = t0 - lapse h and k = power * exponent + 1 it
+        is -c0^power T0^k / (lapse k) expm1(k ln(T/T0)), a form that does
+        not cancel two powers of order 1e13."""
+        k = power * self.exponent + 1.0
+        if self.lapse * k == 0.0:
+            raise DomainError("band_integral needs a nonzero lapse and "
+                              "power * exponent != -1")
+        t_lo = self.t0 - self.lapse * _checked_altitude(h0, self.h_max)
+        t_hi = self.t0 - self.lapse * _checked_altitude(h, self.h_max)
+        out = (-self.c0**power * t_lo**k / (self.lapse * k)
+               * np.expm1(k * np.log(t_hi / t_lo)))
+        return float(out) if out.ndim == 0 else out
+
 
 @dataclass(frozen=True)
 class ConstantAtmosphere:
@@ -77,6 +94,11 @@ class ConstantAtmosphere:
         if h_arr.ndim == 0:
             return self.value
         return np.full_like(h_arr, self.value)
+
+    def band_integral(self, h0, h, power=1):
+        span = (_checked_altitude(h, self.h_max)
+                - _checked_altitude(h0, self.h_max))
+        return self.value**power * (float(span) if span.ndim == 0 else span)
 
 
 #: Default troposphere model used throughout the package.

@@ -180,14 +180,6 @@ def cost_curvature(v, seg, ci0, ci_in, tau, params):
     return filtered + steady + discharge
 
 
-def climbing_time(v, seg):
-    """Time to fly the whole segment at constant airspeed v.  [s]"""
-    _require_positive_speed(v)
-    if seg.d <= 0.0:
-        raise DegenerateSegmentError("segment has zero length")
-    return seg.d / v
-
-
 @functools.lru_cache(maxsize=256)
 def _scan_grid(v_max):
     """The read-only log-spaced grid of the gradient sign scan."""

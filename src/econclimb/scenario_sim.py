@@ -4,8 +4,9 @@ A scenario is planned leg by leg, then replayed. Every leg, the departure
 included, flies the rest of the climb at the constant airspeed optimal for
 its starting and commanded cost index (at departure, the current one), and
 ends at the next ATC event before arrival, or at arrival. The replay
-integrates the charge rate at the local air density on the sample times
-merged with the leg starts, and emits one profile row per sample time.
+evaluates every column directly at the sample times. The charge drawn has
+a closed form, since within a leg the airspeed is constant and the density
+a power law of altitude, so the sample spacing does not affect accuracy.
 
 Geometry conventions used by the replay:
 
@@ -27,13 +28,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .atmosphere import TROPOSPHERE, _check_grid
 from .cost_index import CostIndexSchedule, ci_at
 from .climb_optimizer import (
+    _V_LO,
     ClimbSegment,
     economy_speed,
     segment_between,
@@ -41,7 +43,7 @@ from .climb_optimizer import (
     total_cost,
 )
 from .errors import DomainError
-from .vehicle import _require_positive_speed, charge_rate, segment_discharge
+from .vehicle import segment_discharge
 
 _WAYPOINT_MATCH_RTOL = 1e-9
 
@@ -59,8 +61,9 @@ class Scenario:
         schedule: cost-index schedule with concrete values (C/s).
         q0: battery charge at the start of the climb  [C]
         h_dot_bar: mean climb rate  [m s^-1]
-        sim_step: profile integration step  [s]
-        atmo: density model used for segment means and local density.
+        sim_step: profile sample spacing; does not affect accuracy  [s]
+        atmo: density model: ``density(h)`` for the segment means and
+            ``band_integral(h0, h, power)`` for the replayed charge.
         atmo_step: altitude grid spacing for the density means  [m]
         ci_max_mode: provenance label for schedule.ci_max, carried into the
             summary ("vmax", "calibrated", or "value").
@@ -99,6 +102,11 @@ class Scenario:
             raise DomainError(f"h_dot_bar must be positive, got {self.h_dot_bar!r}")
         if not self.sim_step > 0.0:
             raise DomainError(f"sim_step must be positive, got {self.sim_step!r}")
+        # The longest flight the legs can make: x only advances, each leg
+        # climbs at most the band, and every leg flies at v* >= _V_LO.
+        longest = ((xs[-1] - xs[0]) + (len(self.schedule.events) + 1)
+                   * (hc - h0)) / _V_LO
+        _check_grid(longest, self.sim_step, "sim step", "s")
         for ev in self.schedule.events:
             if ev.at_waypoint is not None and not self._is_interior_waypoint(ev.at_waypoint):
                 raise DomainError(
@@ -117,7 +125,7 @@ class Scenario:
 
 @dataclass(frozen=True)
 class ProfileSample:
-    """One integration step of the simulated climb."""
+    """One sample of the simulated climb."""
 
     t: float  # [s]
     x: float  # [m]
@@ -264,7 +272,6 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
 
     last = samples[-1]
     final_q = last.q
-    final_h = last.h
     summary = {
         "ci_max_Cs": sched.ci_max,
         "ci_max_mode": scn.ci_max_mode,
@@ -296,8 +303,7 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
         "closed_form_final_q_C": plans[-1].q_f,
         "battery_depleted": bool(final_q < 0.0
                                  or any(p.battery_depleted for p in plans)),
-        "reaches_cruise_altitude": bool(
-            final_h >= cruise[1] - scn.h_dot_bar * scn.sim_step),
+        "reaches_cruise_altitude": bool(last.h >= cruise[1]),
     }
     return ScenarioResult(plans=plans, samples=samples, summary=summary)
 
@@ -310,6 +316,28 @@ def _sample_times(t_total, dt):
     return np.append(grid[grid < t_total - eps], t_total)
 
 
+def _climb_integrals(scn, t):
+    """(h, and the time integrals of rho and 1/rho from 0) at flight times t:
+    the band integral from the origin over the climb rate, plus rho(hc) or
+    1/rho(hc) for each second held at the cruise altitude."""
+    origin_h, cruise_h = scn.waypoints[0][1], scn.waypoints[-1][1]
+    rate = scn.h_dot_bar
+    h = np.minimum(origin_h + rate * t, cruise_h)
+    held = np.maximum(t - (cruise_h - origin_h) / rate, 0.0)
+    rho_c = scn.atmo.density(cruise_h)
+    return (h, scn.atmo.band_integral(origin_h, h, 1) / rate + rho_c * held,
+            scn.atmo.band_integral(origin_h, h, -1) / rate + held / rho_c)
+
+
+def _charge_drawn(params, v, dh, d_rho, d_inv):
+    """The integral of -charge_rate at airspeed v over a climb of dh with
+    time integrals d_rho of rho and d_inv of 1/rho.  [C]"""
+    w, s = params.weight, params.wing_area
+    return (w * dh + 0.5 * s * params.cd0 * v**3 * d_rho
+            + 2.0 * params.cd2 * w**2 / (s * v) * d_inv) / (
+                params.efficiency * params.voltage)
+
+
 def _simulate_profile(scn, legs, full_seg, t_total):
     """The replayed profile as one (n, 8) table, columns as in Profile.
 
@@ -317,36 +345,32 @@ def _simulate_profile(scn, legs, full_seg, t_total):
     and ci_in.
     """
     params = scn.aircraft
-    cruise_h = scn.waypoints[-1][1]
-    origin_h = scn.waypoints[0][1]
-
-    # The charge is integrated on the sample times merged with the interior
-    # leg starts, so each left-endpoint rate uses the airspeed actually
-    # flown there; the sample rows are then read off that grid.
     times = _sample_times(t_total, scn.sim_step)
-    leg_starts = legs[:, 0]
-    edges = np.unique(np.concatenate([times, leg_starts[1:]]))
-    idx = np.clip(np.searchsorted(leg_starts, edges, side="right") - 1,
-                  0, len(legs) - 1)
+    t0, t1, x0, _, x1, v_leg, ci_start, ci_in = legs.T
+    idx = np.searchsorted(t0, times, side="right") - 1
 
     # Each point gathers its leg's values column by column (no (n, 8)
-    # copy of the table), and each column is one expression over the grid.
-    t0, t1, x0, _, x1, v, ci_start, ci_in = legs.T
-    tl = edges - t0[idx]
+    # copy of the table), and each column is one expression over the
+    # sample times.
+    tl = times - t0[idx]
     ci = ci_at(tl, ci_start[idx], ci_in[idx], scn.schedule.tau)
     span = (t1 - t0)[idx]
     frac = np.divide(tl, span, out=np.zeros_like(tl), where=span > 0.0)
     x = x0[idx] + frac * (x1 - x0)[idx]
-    v = v[idx]
+    v = v_leg[idx]
     del tl, span, frac  # grid-sized; the final table is the memory peak
 
-    h = np.minimum(origin_h + scn.h_dot_bar * edges, cruise_h)
-    hdot = np.where(h < cruise_h, scn.h_dot_bar, 0.0)
-    rates = charge_rate(v, hdot, scn.atmo.density(h), params)
-    q = scn.q0 + np.concatenate([[0.0], np.cumsum(rates[:-1] * np.diff(edges))])
-
-    rows = np.searchsorted(edges, times)
-    x, h, v, ci, q = x[rows], h[rows], v[rows], ci[rows], q[rows]
+    # The charge drawn by each sample: its leg's start value (one cumsum
+    # over the legs) plus the closed form from the leg start at the leg's
+    # speed. Both are the same monotone expression, so q never rises.
+    h_b, rho_b, inv_b = _climb_integrals(scn, np.append(t0, t_total))
+    per_leg = _charge_drawn(params, v_leg, np.diff(h_b), np.diff(rho_b),
+                            np.diff(inv_b))
+    at_start = np.append(0.0, np.cumsum(per_leg[:-1]))
+    h, rho_t, inv_t = _climb_integrals(scn, times)
+    q = scn.q0 - (at_start[idx] + _charge_drawn(
+        params, v, h - h_b[idx], rho_t - rho_b[idx], inv_t - inv_b[idx]))
+    del rho_t, inv_t
 
     # One tracking-speed solve per run of equal cost index, repeated over
     # the run. The speeds are those of a solve per row: the Newton loop
@@ -397,34 +421,23 @@ def sweep_cost(seg, schedule, params, v_grid, tau_list, q0=0.0):
     return curves
 
 
-def mvt_crosscheck(seg, v, params, step=0.1, atmo=TROPOSPHERE):
+def mvt_crosscheck(seg, v, params, atmo=TROPOSPHERE):
     """Relative gap between closed-form and integrated segment discharge.
 
     The closed form replaces the time integrals of density (and inverse
-    density) along the climb with altitude-band means. This check replays
-    the same climb numerically: altitude sweeps the segment's band linearly
-    over the flight time d/v while the climb-power term keeps the segment's
-    mean climb rate, and the charge rate is integrated left-endpoint on the
-    fixed step with an exact final partial step. Returns
-    |closed - integrated| / |integrated|.
+    density) along the climb with altitude-band means. This check flies the
+    same climb exactly: altitude sweeps the segment's band linearly over the
+    flight time d/v while the climb-power term keeps the segment's mean
+    climb rate, so the time means of rho and 1/rho are the band integrals
+    over the band's height. Returns |closed - integrated| / |integrated|.
 
     Meaningful only when the segment's density means belong to its own
     altitude band (the default in segment_between).
     """
-    _require_positive_speed(v)
-    if not step > 0.0:
-        raise DomainError(f"step must be positive, got {step!r}")
-    t_c = seg.d / v
-    _check_grid(t_c, step, "step", "s")
-    n = int(math.floor(t_c / step))
-    edges = step * np.arange(n + 1)
-    if edges[-1] < t_c:
-        edges = np.append(edges, t_c)
     h0, hc = seg.start[1], seg.end[1]
-    left = edges[:-1]
-    h_left = h0 + (hc - h0) * (left / t_c)
-    rho_left = atmo.density(h_left)
-    rates = charge_rate(v, seg.h_dot_bar, rho_left, params)
-    discharge_num = -float(np.sum(rates * np.diff(edges)))
+    rho_mean, inv_mean = (atmo.band_integral(h0, hc, p) / (hc - h0) if hc > h0
+                          else atmo.density(h0) ** p for p in (1, -1))
+    flown = replace(seg, rho_bar=rho_mean, delta_rho_bar=inv_mean)
+    discharge_num = segment_discharge(v, flown, params)
     discharge_closed = segment_discharge(v, seg, params)
     return abs(discharge_closed - discharge_num) / abs(discharge_num)

@@ -97,34 +97,10 @@ def _require_positive_speed(v):
     A float (np.float64 included) is compared directly, so the scalar calls
     of the root polish pay no array reduction, and an array is reduced by
     its own method, without np.any's Python-level dispatch; the density
-    checks below do the same.
+    check of charge_rate does the same.
     """
     if (v <= 0.0) if isinstance(v, float) else (np.asarray(v) <= 0.0).any():
         raise DomainError(f"airspeed must be positive, got {v!r}")
-
-
-def drag(v, rho, params):
-    """Drag force from the polar: parasitic + induced term.
-
-    D = 1/2 rho S cd0 v^2 + 2 cd2 W^2 / (rho S v^2)
-    """
-    _require_positive_speed(v)
-    if (rho <= 0.0) if isinstance(rho, float) \
-            else (np.asarray(rho) <= 0.0).any():
-        raise DomainError(f"density must be positive, got {rho!r}")
-    w = params.weight
-    s = params.wing_area
-    return (0.5 * rho * s * params.cd0 * v**2
-            + 2.0 * params.cd2 * w**2 / (rho * s * v**2))
-
-
-def thrust_for_climb(v, h_dot, rho, params):
-    """Thrust needed to hold airspeed v at climb rate h_dot.
-
-    T = W h_dot / v + D(v, rho); level flight (h_dot = 0) reduces to drag.
-    """
-    _require_positive_speed(v)
-    return params.weight * h_dot / v + drag(v, rho, params)
 
 
 def charge_rate(v, h_dot, rho, params):

@@ -2,8 +2,14 @@
 
 ``replay_reference`` rebuilds each flown leg from a run's summary and
 replays it with one boolean mask per leg, the loop ``_simulate_profile``
-ran before it gathered every point's leg at once. The table it returns is
-the one ``run_scenario`` must produce, bit for bit.
+once ran. Its t, x, h, v, ci and v_track columns are the ones
+``run_scenario`` must produce, bit for bit.
+
+Its q and e columns are a numerical oracle for the closed-form charge: the
+trapezoid rule on charge_rate over a fine grid (``ORACLE_STEP``) merged
+with the sample times, the leg starts and the moment the cruise altitude is
+reached. Each grid interval then lies inside one leg and one flight phase,
+so the integrand is smooth on it and the rule converges as the step squared.
 """
 
 import numpy as np
@@ -12,6 +18,9 @@ from econclimb import ci_at, segment_between
 from econclimb.climb_optimizer import economy_speed
 from econclimb.scenario_sim import _sample_times
 from econclimb.vehicle import charge_rate
+
+#: Spacing of the oracle's trapezoid grid.  [s]
+ORACLE_STEP = 0.05
 
 
 def _legs(scn, summary):
@@ -37,9 +46,13 @@ def replay_reference(scn, summary):
     full_seg = segment_between(origin, cruise, scn.h_dot_bar, scn.atmo,
                                scn.atmo_step)
     legs = _legs(scn, summary)
-    times = _sample_times(summary["total_time_s"], scn.sim_step)
+    t_total = summary["total_time_s"]
+    times = _sample_times(t_total, scn.sim_step)
     leg_starts = np.asarray([leg[0] for leg in legs])
-    edges = np.unique(np.concatenate([times, leg_starts[1:]]))
+    t_reach = (cruise[1] - origin[1]) / scn.h_dot_bar
+    edges = np.unique(np.concatenate([
+        times, leg_starts[1:], [t_reach] if t_reach < t_total else [],
+        np.arange(0.0, t_total, ORACLE_STEP)]))
     idx = np.clip(np.searchsorted(leg_starts, edges, side="right") - 1,
                   0, len(legs) - 1)
 
@@ -55,10 +68,16 @@ def replay_reference(scn, summary):
         frac = tl / span if span > 0.0 else np.zeros_like(tl)
         x[m] = pos0[0] + frac * (pos1[0] - pos0[0])
 
+    # Each interval flies its left end's leg, and climbs while its
+    # midpoint lies before the cruise altitude is reached.
     h = np.minimum(origin[1] + scn.h_dot_bar * edges, cruise[1])
-    hdot = np.where(h < cruise[1], scn.h_dot_bar, 0.0)
-    rates = charge_rate(v, hdot, scn.atmo.density(h), params)
-    q = scn.q0 + np.concatenate([[0.0], np.cumsum(rates[:-1] * np.diff(edges))])
+    rho = scn.atmo.density(h)
+    hdot = np.where(0.5 * (edges[:-1] + edges[1:]) < t_reach,
+                    scn.h_dot_bar, 0.0)
+    rates = (charge_rate(v[:-1], hdot, rho[:-1], params)
+             + charge_rate(v[:-1], hdot, rho[1:], params))
+    q = scn.q0 + np.concatenate([[0.0],
+                                 np.cumsum(0.5 * rates * np.diff(edges))])
 
     rows = np.searchsorted(edges, times)
     x, h, v, ci, q = x[rows], h[rows], v[rows], ci[rows], q[rows]

@@ -149,6 +149,46 @@ def test_mean_density_validation():
         mean_inverse_density(TROPOSPHERE, 0.0, 1000.0, step=1e-12)
 
 
+@pytest.mark.parametrize("power", [1, -1])
+@pytest.mark.parametrize("h0,hc", [(0.0, 1000.0), (250.0, 750.0),
+                                   (3000.0, 11000.0), (1000.0, 0.0)])
+def test_band_integral_matches_simpson(power, h0, hc):
+    h = np.linspace(h0, hc, 20001)
+    f = TROPOSPHERE.density(h) ** power
+    simpson = (h[1] - h[0]) / 3.0 * (f[0] + 4.0 * f[1:-1:2].sum()
+                                     + 2.0 * f[2:-1:2].sum() + f[-1])
+    assert TROPOSPHERE.band_integral(h0, hc, power) == \
+        pytest.approx(simpson, rel=1e-12)
+
+
+def test_band_integral_frozen_values_and_grid_means():
+    # the exact band means the 1 m grid means approach (+6e-7, +9.7e-7)
+    rho = TROPOSPHERE.band_integral(0.0, 1000.0, 1)
+    inv = TROPOSPHERE.band_integral(0.0, 1000.0, -1)
+    assert rho == pytest.approx(1169.2420160370964, rel=1e-14)
+    assert inv == pytest.approx(855.925123930723, rel=1e-14)
+    assert mean_density(TROPOSPHERE, 0.0, 1000.0) / (rho / 1000.0) - 1.0 == \
+        pytest.approx(6.0e-7, rel=0.05)
+    assert mean_inverse_density(TROPOSPHERE, 0.0, 1000.0) / (inv / 1000.0) \
+        - 1.0 == pytest.approx(9.7e-7, rel=0.05)
+
+
+def test_band_integral_vectorized_and_validated():
+    hs = np.array([0.0, 1e-9, 250.0, 1000.0, 11000.0])
+    for power in (1, -1):
+        out = TROPOSPHERE.band_integral(0.0, hs, power)
+        assert out.shape == hs.shape and out[0] == 0.0
+        assert np.all(np.diff(out) > 0.0)
+        assert out.tolist() == pytest.approx(
+            [TROPOSPHERE.band_integral(0.0, h, power) for h in hs],
+            rel=1e-15)
+    with pytest.raises(DomainError, match="altitude must lie in"):
+        TROPOSPHERE.band_integral(0.0, 11001.0)
+    uniform = AtmosphereModel(c0=1.0, t0=2.0, lapse=0.0, exponent=3.0)
+    with pytest.raises(DomainError, match="nonzero lapse"):
+        uniform.band_integral(0.0, 10.0)
+
+
 def test_custom_model_parameters():
     model = AtmosphereModel(c0=1.0, t0=2.0, lapse=0.0, exponent=3.0,
                             h_max=100.0)
@@ -162,6 +202,11 @@ def test_constant_atmosphere_stub():
     assert mean_density(atmo, 0.0, 5000.0) == pytest.approx(1.1, rel=1e-15)
     assert mean_inverse_density(atmo, 0.0, 5000.0) == \
         pytest.approx(1.0 / 1.1, rel=1e-15)
+    assert atmo.band_integral(0.0, 5000.0) == pytest.approx(5500.0, rel=1e-15)
+    assert atmo.band_integral(0.0, np.array([0.0, 11.0]), -1).tolist() == \
+        pytest.approx([0.0, 10.0], rel=1e-15)
     bounded = ConstantAtmosphere(1.1, h_max=100.0)
     with pytest.raises(DomainError):
         bounded.density(101.0)
+    with pytest.raises(DomainError):
+        bounded.band_integral(0.0, 101.0)

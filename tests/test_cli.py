@@ -13,7 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import econclimb
-from econclimb import segment_between
+from econclimb import scenario_sim, segment_between
 from econclimb.cli_io import (
     _BAKED_RUNS,
     _BLOCK_ROWS,
@@ -476,6 +476,17 @@ def test_grid_step_too_fine_is_a_config_error(command, flag, tmp_path,
     assert out.err.startswith("config error: ")
     assert "step 1e-12" in out.err and "grid points" in out.err
     assert not (tmp_path / "out").exists()
+
+
+def test_too_fine_sim_step_exits_before_any_leg_is_planned(monkeypatch,
+                                                           capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a leg was planned")
+
+    monkeypatch.setattr(scenario_sim, "solve_optimal_speed", forbidden)
+    code, out = _run(capsys, "plan", "--sim-step", "6e-4")
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("config error: sim step 0.0006 s needs")
 
 
 def test_main_env_override_applies(monkeypatch, tmp_path, capsys):

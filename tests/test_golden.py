@@ -22,6 +22,10 @@ The last one pins the re-plan path: six ATC events, time and waypoint
 triggers alternating, under a finite filter time constant. The profile
 command also writes ``profile.csv.meta.json``.
 
+The replayed charge is exact, so the final charge and energy in these
+files are the same at any ``--sim-step``; the step only sets how many
+profile rows there are.
+
 Outputs too large to keep as files (the 0.01 s profiles of both bundled
 configs and a 0.01 km/h sweep, 1-5 MB each) are pinned by the sha256 of
 their bytes in ``PINS``; print a new digest with ``sha256sum`` on the file
@@ -50,12 +54,12 @@ CONFIGS = ROOT / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 #: sha256 of the 200 replan-storm scenarios of seed 1001, rendered in order.
-STORM_PIN = ("8bcc40cd9187968396d1ec4bf68e1b6c"
-             "18d36f42274b20a47c85f1bfeae5cc46")
+STORM_PIN = ("839e2005a677e59e0d66a722fe4a8150"
+             "da2960476a766fbc45d38421ecfbc089")
 
 #: The same for the 200 replan-storm scenarios of seed 2001.
-STORM_PIN_2001 = ("dacdb17fb87463af531803fdb164be38"
-                  "e5aad61ea6a947dd0ac0d2be69083761")
+STORM_PIN_2001 = ("1b4ad6e79fccbc31d7abda0ecb038392"
+                  "0daaf61395d8233b9e4ae38c555c43e8")
 
 # case -> (subcommand and its flags, golden file of its stdout or None,
 #          files it writes[, config file name, default e430_atc_climb.yaml])
@@ -79,17 +83,17 @@ PINS = {
     "profile_fine": (
         ["profile", "--sim-step", "0.01", "--out", "profile.csv"],
         "e430_atc_climb.yaml",
-        {"profile.csv": "20e50a137ca69bcb898fccc852de08fb"
-                        "cb1a80a20d5ccddb896622be5a9ae3f2",
-         "profile.csv.meta.json": "5bee6cf9bece0871e3f163164600d32e"
-                                  "15b9e23be1e4ab9097086d953fd2e666"}),
+        {"profile.csv": "5bea98eec3c22488b42db545b575c24c"
+                        "94a877a3100bf49d13e23300f3835f1a",
+         "profile.csv.meta.json": "0023be80c5bcff4e134e103e194bad89"
+                                  "169f7ccbb43d9d30c606c13a000d627d"}),
     "profile_storm_fine": (
         ["profile", "--sim-step", "0.01", "--out", "profile.csv"],
         "e430_atc_storm.yaml",
-        {"profile.csv": "c559cde9c789137c05850399c6e6ed37"
-                        "9ce3f39dd8dfa49e62125a1f82cadfa2",
-         "profile.csv.meta.json": "01193ad44b6512b9898f0bf1f9894722"
-                                  "c0f3f780978cf14737dea326311faadc"}),
+        {"profile.csv": "4a9975744a284c72d3d6095e8d8df6d8"
+                        "44126dac7173edc232779423bf17a12c",
+         "profile.csv.meta.json": "a8476c7aef7ab6f4e086d800103774a3"
+                                  "54fe897154b1a5a6040562219ab557dc"}),
     "sweep_fine": (
         ["sweep", "--v-step-kmh", "0.01", "--tau-s", "1,10,100,inf",
          "--out", "sweep.csv"],

@@ -16,7 +16,6 @@ from econclimb import (
     SaddlePointError,
     calibrate_ci_max,
     calibrate_ci_max_to_speed,
-    climbing_time,
     cost_curvature,
     cost_gradient,
     e430,
@@ -27,6 +26,7 @@ from econclimb import (
     solve_optimal_speed,
     total_cost,
 )
+from tests.force_reference import climbing_time
 # Frozen reference-climb solution (30 km / 1000 m climb at 1.65 m/s average
 # climb rate, ci0 = 0.6 ci_max anchored to 140.19 km/h):
 V_REF_KMH = 140.19

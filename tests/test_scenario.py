@@ -215,12 +215,18 @@ def test_sample_times_match_stepwise_grid():
     assert _sample_times(736.0, 0.01).size == 73601
 
 
-def test_grids_past_the_point_cap_are_domain_errors(full_segment, params):
+def test_grids_past_the_point_cap_are_domain_errors():
     # 1e-12 fails the point-count check before anything is allocated
     with pytest.raises(DomainError, match="sim step 1e-12 s needs 7.36e"):
         _sample_times(736.0, 1e-12)
-    with pytest.raises(DomainError, match="step 1e-12 s needs"):
-        mvt_crosscheck(full_segment, V0, params, step=1e-12)
+
+
+def test_scenario_bounds_its_sample_grid_before_flying(params):
+    # the longest flight two legs can make on the reference climb is
+    # (30 km + 2 x 1 km) / 5 m/s = 6400 s, so 10^7 samples allow 6.4e-4 s
+    _reference_scenario(aircraft=params, sim_step=6.5e-4)
+    with pytest.raises(DomainError, match="sim step 0.0006 s needs 1.067e"):
+        _reference_scenario(aircraft=params, sim_step=6e-4)
 
 
 def test_profile_is_a_sequence_of_samples(reference_result):
@@ -515,8 +521,9 @@ def test_tracking_speed_column_is_the_economy_speed_of_each_row(case):
 
 
 # ---------------------------------------------------------------------------
-# the replay gathers every point's leg at once; the leg-by-leg loop it
-# replaced is the reference
+# the replay gathers every point's leg at once and draws the charge in
+# closed form; the leg-by-leg loop it replaced is the reference for the
+# other columns, and a fine trapezoid of the charge rate for q and e
 
 def _replay_cases():
     climb = build_scenario(validate_config(
@@ -541,5 +548,32 @@ REPLAY_CASES = _replay_cases()
 def test_replay_matches_the_leg_by_leg_reference(case):
     scn = REPLAY_CASES[case]
     result = run_scenario(scn)
+    table = result.samples.table
     expected = replay_reference(scn, result.summary)
-    assert result.samples.table.tobytes() == expected.tobytes()
+    exact = [0, 1, 2, 3, 4, 7]  # t, x, h, v, ci and v_track
+    assert table[:, exact].tobytes() == expected[:, exact].tobytes()
+    for col in (5, 6):  # q and e
+        gap = np.abs(table[:, col] - expected[:, col])
+        assert (gap <= 1e-6 * np.abs(expected[:, col])).all()
+
+
+def test_final_charge_does_not_depend_on_the_sample_step():
+    climb = REPLAY_CASES["climb-0.1s"]
+    finals = set()
+    for dt in (0.01, 0.1, 1.0, 100.0, 1000.0):
+        result = run_scenario(dataclasses.replace(climb, sim_step=dt))
+        finals.add(result.summary["final_q_C"].hex())
+        if dt == 0.01:
+            assert (np.diff(result.samples.table[:, 5]) < 0.0).all()
+    assert len(finals) == 1
+    assert float.fromhex(finals.pop()) == pytest.approx(70796.527, abs=1e-3)
+
+
+def test_reaches_cruise_altitude_does_not_depend_on_the_sample_step():
+    # at 1 m/s the climb ends at 760.9 m, short of the 1000 m cruise
+    # altitude, whatever the step
+    slow = dataclasses.replace(REPLAY_CASES["climb-0.1s"], h_dot_bar=1.0)
+    for dt in (0.1, 100.0, 1000.0):
+        result = run_scenario(dataclasses.replace(slow, sim_step=dt))
+        assert result.samples[-1].h == pytest.approx(760.9, abs=0.1)
+        assert result.summary["reaches_cruise_altitude"] is False

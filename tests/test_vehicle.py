@@ -10,14 +10,13 @@ from econclimb import (
     ClimbSegment,
     DomainError,
     charge_rate,
-    drag,
     e430,
     final_charge,
     final_charge_sensitivity,
     segment_discharge,
-    thrust_for_climb,
 )
 from econclimb.vehicle import _require_positive_speed
+from tests.force_reference import drag, thrust_for_climb
 
 RHO = 1.168  # [kg m^-3] representative mid-climb density
 V = 38.94  # [m s^-1]
