@@ -46,9 +46,7 @@ from .scenario_sim import (
 from .vehicle import (
     STANDARD_GRAVITY,
     AircraftParams,
-    charge_rate,
     e430,
-    final_charge,
     final_charge_sensitivity,
     segment_discharge,
 )
@@ -89,9 +87,7 @@ __all__ = [
     "sweep_cost",
     "STANDARD_GRAVITY",
     "AircraftParams",
-    "charge_rate",
     "e430",
-    "final_charge",
     "final_charge_sensitivity",
     "segment_discharge",
     "__version__",

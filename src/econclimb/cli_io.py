@@ -20,6 +20,7 @@ import math
 import os
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 import yaml
@@ -260,7 +261,7 @@ def _apply_env_overrides(raw, env):
     return raw
 
 
-def load_config(path, env=None, sim_step=None, atmo_step=None):
+def load_config(path, env=None, sim_step=None):
     """Read, override, and validate a scenario config file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -277,8 +278,6 @@ def load_config(path, env=None, sim_step=None, atmo_step=None):
     raw = _apply_env_overrides(raw, env if env is not None else os.environ)
     if sim_step is not None:
         raw.setdefault("scenario", {})["sim_step_s"] = sim_step
-    if atmo_step is not None:
-        raw.setdefault("scenario", {})["atmosphere_step_m"] = atmo_step
     return validate_config(raw)
 
 
@@ -340,15 +339,10 @@ def build_scenario(cfg, no_event=False):
 
     ci0 = _cost_index(cx, "ci0", ci_max)
 
+    # A tau in mode fraction_of_tc0 takes a departure solve, so it is sized
+    # only once the Scenario has passed its checks.
     tau_cfg = cx["tau"]
-    if tau_cfg["mode"] == "infinite":
-        tau = math.inf
-    elif tau_cfg["mode"] == "seconds":
-        tau = tau_cfg["seconds"]
-    else:
-        v0 = fms_initial_speed(climb, ci0, params).v_star
-        tau = tau_cfg["factor"] * climb.d / v0
-
+    tau = tau_cfg["seconds"] if tau_cfg["mode"] == "seconds" else math.inf
     events = () if no_event else tuple(
         CiEvent(ci_in=_cost_index(ev, "ci_in", ci_max),
                 at_time=ev.get("at_time_s"),
@@ -368,6 +362,10 @@ def build_scenario(cfg, no_event=False):
         atmo_step=sc["atmosphere_step_m"],
         ci_max_mode=mode,
     )
+    if tau_cfg["mode"] == "fraction_of_tc0":
+        v0 = fms_initial_speed(climb, ci0, params).v_star
+        schedule = replace(schedule, tau=tau_cfg["factor"] * climb.d / v0)
+        scenario = replace(scenario, schedule=schedule)
     return scenario, climb
 
 
@@ -626,8 +624,6 @@ def _build_parser():
     shared.add_argument("--config", required=True, help="scenario config file")
     shared.add_argument("--sim-step", type=float, default=None, metavar="S",
                         help="override scenario.sim_step_s")
-    shared.add_argument("--atmo-step", type=float, default=None, metavar="M",
-                        help="override scenario.atmosphere_step_m")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, run, help, out_required=False):
@@ -660,8 +656,7 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, sim_step=args.sim_step,
-                          atmo_step=args.atmo_step)
+        cfg = load_config(args.config, sim_step=args.sim_step)
         text, files = args.run(cfg, args)
         # All files or none: a failed write removes those written before it.
         for k, (path, body) in enumerate(files):

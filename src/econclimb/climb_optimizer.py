@@ -36,8 +36,8 @@ from .errors import (
 )
 from .vehicle import (
     _require_positive_speed,
-    final_charge,
     final_charge_sensitivity,
+    segment_discharge,
 )
 
 #: Lowest airspeed an optimum may take.  [m s^-1]
@@ -138,7 +138,7 @@ def total_cost(v, seg, ci0, ci_in, tau, q0, params):
     """Total cost J of flying the segment at constant airspeed v.  [C]"""
     _check_speed_and_tau(v, tau)
     d = seg.d
-    q_f = final_charge(q0, v, seg, params)
+    q_f = q0 - segment_discharge(v, seg, params)
     if math.isinf(tau):
         return ci0 * d / v + q0 - q_f
     time_cost = tau * (ci0 - ci_in) * (-np.expm1(-d / (tau * v)))
@@ -309,7 +309,7 @@ def _assemble_plan(v_star, seg, ci0, ci_in, tau, params, q0, iterations,
                    at_envelope_limit):
     j_star = total_cost(v_star, seg, ci0, ci_in, tau, q0 if q0 is not None else 0.0,
                         params)
-    q_f = None if q0 is None else final_charge(q0, v_star, seg, params)
+    q_f = None if q0 is None else q0 - segment_discharge(v_star, seg, params)
     return ClimbPlan(
         v_star=v_star,
         t_c_star=seg.d / v_star,

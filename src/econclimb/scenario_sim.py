@@ -43,7 +43,7 @@ from .climb_optimizer import (
     total_cost,
 )
 from .errors import DomainError
-from .vehicle import segment_discharge
+from .vehicle import _charge_drawn, segment_discharge
 
 _WAYPOINT_MATCH_RTOL = 1e-9
 
@@ -329,15 +329,6 @@ def _climb_integrals(scn, t):
             scn.atmo.band_integral(origin_h, h, -1) / rate + held / rho_c)
 
 
-def _charge_drawn(params, v, dh, d_rho, d_inv):
-    """The integral of -charge_rate at airspeed v over a climb of dh with
-    time integrals d_rho of rho and d_inv of 1/rho.  [C]"""
-    w, s = params.weight, params.wing_area
-    return (w * dh + 0.5 * s * params.cd0 * v**3 * d_rho
-            + 2.0 * params.cd2 * w**2 / (s * v) * d_inv) / (
-                params.efficiency * params.voltage)
-
-
 def _simulate_profile(scn, legs, full_seg, t_total):
     """The replayed profile as one (n, 8) table, columns as in Profile.
 
@@ -364,12 +355,12 @@ def _simulate_profile(scn, legs, full_seg, t_total):
     # over the legs) plus the closed form from the leg start at the leg's
     # speed. Both are the same monotone expression, so q never rises.
     h_b, rho_b, inv_b = _climb_integrals(scn, np.append(t0, t_total))
-    per_leg = _charge_drawn(params, v_leg, np.diff(h_b), np.diff(rho_b),
-                            np.diff(inv_b))
+    per_leg = _charge_drawn(v_leg, np.diff(h_b), np.diff(rho_b),
+                            np.diff(inv_b), params)
     at_start = np.append(0.0, np.cumsum(per_leg[:-1]))
     h, rho_t, inv_t = _climb_integrals(scn, times)
     q = scn.q0 - (at_start[idx] + _charge_drawn(
-        params, v, h - h_b[idx], rho_t - rho_b[idx], inv_t - inv_b[idx]))
+        v, h - h_b[idx], rho_t - rho_b[idx], inv_t - inv_b[idx], params))
     del rho_t, inv_t
 
     # One tracking-speed solve per run of equal cost index, repeated over

@@ -6,9 +6,14 @@ With a constant-voltage battery, charge drains at
 
     Qdot = -T * v / (eta * U)
 
-and, over a whole climb segment flown at constant airspeed v and mean climb
-rate h_dot_bar, the end-of-climb charge has a closed form in the segment's
-mean density quantities:
+At constant airspeed v the thrust power integrates in closed form: a climb
+of dh over which the time integrals of rho and 1/rho are I and J draws
+
+    (W dh + S cd0 v^3 I / 2 + 2 cd2 W^2 J / (S v)) / (eta U)
+
+of charge. A whole segment flown at v for t = d / v at mean climb rate
+h_dot_bar takes dh = h_dot_bar t, I = rho_bar t and J = delta_rho_bar t,
+so its end-of-climb charge is
 
     Q_f = Q0 - (d / (eta U)) * (W h_dot_bar / v
                                 + rho_bar S cd0 v^2 / 2
@@ -96,54 +101,40 @@ def _require_positive_speed(v):
 
     A float (np.float64 included) is compared directly, so the scalar calls
     of the root polish pay no array reduction, and an array is reduced by
-    its own method, without np.any's Python-level dispatch; the density
-    check of charge_rate does the same.
+    its own method, without np.any's Python-level dispatch.
     """
     if (v <= 0.0) if isinstance(v, float) else (np.asarray(v) <= 0.0).any():
         raise DomainError(f"airspeed must be positive, got {v!r}")
 
 
-def charge_rate(v, h_dot, rho, params):
-    """Battery charge rate while flying (v, h_dot) at density rho.
+def _charge_drawn(v, dh, int_rho, int_inv, params):
+    """Charge drawn at constant airspeed v over a climb of dh whose time
+    integrals of rho and 1/rho are int_rho and int_inv.  [C]
 
-    Expanded form of -T v / (eta U); negative while discharging.  [C s^-1]
+    The time integral of T v / (eta U), the package's one closed form of
+    the charge drawn; every argument but params may be an array.
     """
-    _require_positive_speed(v)
-    if (rho <= 0.0) if isinstance(rho, float) \
-            else (np.asarray(rho) <= 0.0).any():
-        raise DomainError(f"density must be positive, got {rho!r}")
-    w = params.weight
-    s = params.wing_area
-    power_terms = (w * h_dot
-                   + 0.5 * rho * s * params.cd0 * v**3
-                   + 2.0 * params.cd2 * w**2 / (rho * s * v))
-    return -power_terms / (params.efficiency * params.voltage)
+    w, s = params.weight, params.wing_area
+    return (w * dh + 0.5 * s * params.cd0 * v**3 * int_rho
+            + 2.0 * params.cd2 * w**2 / (s * v) * int_inv) / (
+                params.efficiency * params.voltage)
 
 
 def segment_discharge(v, seg, params):
     """Charge drawn over a whole segment flown at constant airspeed v.  [C]
 
-    This is the closed-form segment integral of -charge_rate using the
-    segment's mean climb rate and mean density quantities.
+    The closed form at the flight time t = d / v, with the segment's mean
+    climb rate and mean density quantities held for all of it.
     """
     _require_positive_speed(v)
-    w = params.weight
-    s = params.wing_area
-    return (seg.d / (params.efficiency * params.voltage)) * (
-        w * seg.h_dot_bar / v
-        + seg.rho_bar * s * params.cd0 * v**2 / 2.0
-        + 2.0 * params.cd2 * w**2 * seg.delta_rho_bar / (s * v**2)
-    )
-
-
-def final_charge(q0, v, seg, params):
-    """End-of-segment battery charge. May go negative; the planner flags that
-    as battery depletion rather than raising here."""
-    return q0 - segment_discharge(v, seg, params)
+    t = seg.d / v
+    return _charge_drawn(v, seg.h_dot_bar * t, seg.rho_bar * t,
+                         seg.delta_rho_bar * t, params)
 
 
 def final_charge_sensitivity(v, seg, params):
-    """Analytic derivative of final_charge with respect to airspeed.
+    """Analytic derivative of the final charge Q0 - segment_discharge with
+    respect to airspeed.
 
     dQf/dv = -(d / (eta U)) * (-W h_dot_bar / v^2
                                + rho_bar S cd0 v

@@ -17,7 +17,7 @@ import numpy as np
 from econclimb import ci_at, segment_between
 from econclimb.climb_optimizer import economy_speed
 from econclimb.scenario_sim import _sample_times
-from econclimb.vehicle import charge_rate
+from tests.force_reference import charge_rate
 
 #: Spacing of the oracle's trapezoid grid.  [s]
 ORACLE_STEP = 0.05

@@ -13,7 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import econclimb
-from econclimb import scenario_sim, segment_between
+from econclimb import climb_optimizer, scenario_sim, segment_between
 from econclimb.cli_io import (
     _BAKED_RUNS,
     _BLOCK_ROWS,
@@ -149,8 +149,9 @@ def test_env_overrides_reach_mixed_case_keys(tmp_path):
 
 
 def test_flag_overrides_beat_env():
-    env = {"ECONCLIMB_SCENARIO__SIM_STEP_S": "0.5"}
-    cfg = load_config(CONFIG, env=env, sim_step=0.25, atmo_step=2.0)
+    env = {"ECONCLIMB_SCENARIO__SIM_STEP_S": "0.5",
+           "ECONCLIMB_SCENARIO__ATMOSPHERE_STEP_M": "2"}
+    cfg = load_config(CONFIG, env=env, sim_step=0.25)
     assert cfg["scenario"]["sim_step_s"] == 0.25
     assert cfg["scenario"]["atmosphere_step_m"] == 2.0
 
@@ -462,16 +463,23 @@ def test_failed_meta_write_leaves_no_profile(tmp_path, capsys):
     assert not csv_path.exists()
 
 
-@pytest.mark.parametrize("command,flag", [
+ATMO_STEP_VAR = "ECONCLIMB_SCENARIO__ATMOSPHERE_STEP_M"
+
+
+@pytest.mark.parametrize("command,override", [
     ("plan", "--sim-step"), ("profile", "--sim-step"),
-    ("plan", "--atmo-step"), ("sweep", "--atmo-step"),
-    ("calibrate", "--atmo-step"),
+    ("plan", ATMO_STEP_VAR), ("sweep", ATMO_STEP_VAR),
+    ("calibrate", ATMO_STEP_VAR),
 ])
-def test_grid_step_too_fine_is_a_config_error(command, flag, tmp_path,
-                                              capsys):
+def test_grid_step_too_fine_is_a_config_error(command, override, tmp_path,
+                                              monkeypatch, capsys):
     # 1e-12 fails the point-count check before anything is allocated
-    code, out = _run(capsys, command, flag, "1e-12", "--out",
-                     tmp_path / "out")
+    if override.startswith("--"):
+        flags = [override, "1e-12"]
+    else:
+        flags = []
+        monkeypatch.setenv(override, "1e-12")
+    code, out = _run(capsys, command, *flags, "--out", tmp_path / "out")
     assert code == 2 and out.out == ""
     assert out.err.startswith("config error: ")
     assert "step 1e-12" in out.err and "grid points" in out.err
@@ -483,6 +491,9 @@ def test_too_fine_sim_step_exits_before_any_leg_is_planned(monkeypatch,
     def forbidden(*args, **kwargs):
         raise AssertionError("a leg was planned")
 
+    # the bundled config sizes tau from a departure solve (climb_optimizer)
+    # before run_scenario plans the legs (scenario_sim)
+    monkeypatch.setattr(climb_optimizer, "solve_optimal_speed", forbidden)
     monkeypatch.setattr(scenario_sim, "solve_optimal_speed", forbidden)
     code, out = _run(capsys, "plan", "--sim-step", "6e-4")
     assert code == 2 and out.out == ""

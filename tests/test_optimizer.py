@@ -23,6 +23,7 @@ from econclimb import (
     fms_initial_speed,
     mvt_crosscheck,
     segment_between,
+    segment_discharge,
     solve_optimal_speed,
     total_cost,
 )
@@ -101,7 +102,7 @@ def test_constant_ci_cost_reduces_to_simple_form(params, full_segment):
     q0 = 250000.0
     for v in (25.0, 35.0, 44.0):
         expected = CI0 * full_segment.d / v \
-            + q0 - co.final_charge(q0, v, full_segment, params)
+            + segment_discharge(v, full_segment, params)
         assert total_cost(v, full_segment, CI0, CI_IN, math.inf, q0, params) \
             == pytest.approx(expected, rel=1e-14)
 

@@ -4,19 +4,25 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from econclimb import (
     AircraftParams,
     ClimbSegment,
     DomainError,
-    charge_rate,
     e430,
-    final_charge,
     final_charge_sensitivity,
+    fms_initial_speed,
     segment_discharge,
 )
 from econclimb.vehicle import _require_positive_speed
-from tests.force_reference import drag, thrust_for_climb
+from tests.force_reference import (
+    charge_rate,
+    drag,
+    segment_discharge_terms,
+    thrust_for_climb,
+)
 
 RHO = 1.168  # [kg m^-3] representative mid-climb density
 V = 38.94  # [m s^-1]
@@ -138,7 +144,7 @@ def test_segment_discharge_frozen_value(params, full_segment):
     v0 = 140.19 / 3.6
     assert segment_discharge(v0, full_segment, params) == \
         pytest.approx(182878.90111650949, rel=1e-12)
-    assert final_charge(250000.0, v0, full_segment, params) == \
+    assert 250000.0 - segment_discharge(v0, full_segment, params) == \
         pytest.approx(67121.09888349051, rel=1e-12)
 
 
@@ -147,7 +153,27 @@ def test_zero_length_segment_discharges_nothing(params):
                        rho_bar=1.16, delta_rho_bar=0.86)
     assert seg.d == 0.0
     assert segment_discharge(30.0, seg, params) == 0.0
-    assert final_charge(1234.5, 30.0, seg, params) == 1234.5
+    assert 1234.5 - segment_discharge(30.0, seg, params) == 1234.5
+
+
+_LENGTHS = st.just(0.0) | st.floats(1e-3, 1e5)
+
+
+@example(v=30.0, dx=0.0, dh=0.0, h_dot=1.65, rho=1.16, inv=0.86)
+@given(v=st.floats(1.0, 60.0), dx=_LENGTHS, dh=_LENGTHS, h_dot=st.floats(0.0, 20.0),
+       rho=st.floats(0.3, 1.3), inv=st.floats(0.7, 3.5))
+def test_segment_discharge_matches_the_three_term_form(params, v, dx, dh,
+                                                       h_dot, rho, inv):
+    # the one closed form, taken at t = d / v with the segment's means, is
+    # the per-segment form d / (eta U) (W h_dot / v + ...) up to rounding
+    seg = ClimbSegment(start=(0.0, 0.0), end=(dx, dh), h_dot_bar=h_dot,
+                       rho_bar=rho, delta_rho_bar=inv)
+    expected = segment_discharge_terms(v, seg, params)
+    got = segment_discharge(v, seg, params)
+    if seg.d == 0.0:
+        assert got == 0.0
+    else:
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_discharge_monotone_in_climb_rate(params):
@@ -160,9 +186,12 @@ def test_discharge_monotone_in_climb_rate(params):
             segment_discharge(v, slow, params)
 
 
-def test_final_charge_may_go_negative(params, full_segment):
+def test_final_charge_may_go_negative(params, full_segment, ci_max_cal):
     # a small pack is simply reported as depleted, not clamped
-    assert final_charge(1000.0, 140.19 / 3.6, full_segment, params) < 0.0
+    plan = fms_initial_speed(full_segment, 0.6 * ci_max_cal, params, q0=1000.0)
+    assert plan.q_f == 1000.0 - segment_discharge(plan.v_star, full_segment,
+                                                  params)
+    assert plan.q_f < 0.0 and plan.battery_depleted
 
 
 def test_sensitivity_matches_finite_differences(params, full_segment,
@@ -170,8 +199,8 @@ def test_sensitivity_matches_finite_differences(params, full_segment,
     for seg in (full_segment, replan_segment):
         for v in (30.0, 40.0, 44.0):
             h = 1e-4 * v
-            fd = (final_charge(0.0, v + h, seg, params)
-                  - final_charge(0.0, v - h, seg, params)) / (2.0 * h)
+            fd = (segment_discharge(v - h, seg, params)
+                  - segment_discharge(v + h, seg, params)) / (2.0 * h)
             assert final_charge_sensitivity(v, seg, params) == \
                 pytest.approx(fd, rel=1e-6)
 
