@@ -25,7 +25,7 @@ from dataclasses import replace
 import numpy as np
 import yaml
 
-from .atmosphere import TROPOSPHERE
+from .atmosphere import TROPOSPHERE, _check_grid
 from .climb_optimizer import (
     calibrate_ci_max,
     calibrate_ci_max_to_speed,
@@ -281,11 +281,6 @@ def load_config(path, env=None, sim_step=None):
     return validate_config(raw)
 
 
-def serialize_config(cfg):
-    """Canonical YAML text for a validated config mapping."""
-    return yaml.safe_dump(cfg, sort_keys=True, default_flow_style=None)
-
-
 # ---------------------------------------------------------------------------
 # scenario assembly
 
@@ -316,6 +311,18 @@ def _cost_index(block, prefix, ci_max):
     return block[f"{prefix}_value_Cs"] if fraction is None else fraction * ci_max
 
 
+def _ci_max(mode, cx, params, climb):
+    """The cost-index ceiling [C/s] that ci_max mode ``mode`` picks on
+    climb, with the cost_index block cx holding the keys the mode reads."""
+    if mode == "vmax":
+        return calibrate_ci_max(params, climb)
+    if mode == "calibrated":
+        return calibrate_ci_max_to_speed(
+            params, climb, cx["ci_max"]["reference_v_kmh"] / 3.6,
+            cx["ci0_fraction"])
+    return cx["ci_max"]["value_Cs"]
+
+
 def build_scenario(cfg, no_event=False):
     """Resolve config modes into a concrete Scenario.
 
@@ -327,16 +334,8 @@ def build_scenario(cfg, no_event=False):
     sc = cfg["scenario"]
 
     cx = cfg["cost_index"]
-    cm = cx["ci_max"]
-    mode = cm["mode"]
-    if mode == "vmax":
-        ci_max = calibrate_ci_max(params, climb)
-    elif mode == "calibrated":
-        ci_max = calibrate_ci_max_to_speed(
-            params, climb, cm["reference_v_kmh"] / 3.6, cx["ci0_fraction"])
-    else:
-        ci_max = cm["value_Cs"]
-
+    mode = cx["ci_max"]["mode"]
+    ci_max = _ci_max(mode, cx, params, climb)
     ci0 = _cost_index(cx, "ci0", ci_max)
 
     # A tau in mode fraction_of_tc0 takes a departure solve, so it is sized
@@ -526,10 +525,9 @@ def cmd_sweep(cfg, args):
             f"empty sweep grid: v from {v_min_kmh:g} to {v_max_kmh:g} km/h "
             f"step {v_step_kmh:g}"
         )
+    _check_grid(v_max_kmh - v_min_kmh, v_step_kmh, "sweep step", "km/h")
     grid_kmh = np.arange(v_min_kmh, v_max_kmh + 0.5 * v_step_kmh, v_step_kmh)
     grid_kmh = grid_kmh[grid_kmh <= v_max_kmh + 1e-12]
-    if grid_kmh.size == 0:
-        raise ConfigError("empty sweep grid")
     v_grid = grid_kmh / 3.6
 
     tau = scenario.schedule.tau
@@ -579,23 +577,15 @@ def cmd_calibrate(cfg, args):
     chosen = cx["ci_max"]["mode"]
 
     report = {"chosen_mode": chosen, "ci0_fraction": fraction, "modes": {}}
-    ci_vmax = calibrate_ci_max(params, climb)
-    v0_vmax = fms_initial_speed(climb, fraction * ci_vmax, params).v_star
-    entry = {"ci_max_Cs": ci_vmax, "v0_kmh": v0_vmax * 3.6}
-    if ref_v_kmh is not None:
-        entry["deviation_pct"] = 100.0 * (v0_vmax * 3.6 - ref_v_kmh) / ref_v_kmh
-    report["modes"]["vmax"] = entry
-
-    if ref_v_kmh is not None:
-        ci_cal = calibrate_ci_max_to_speed(params, climb, ref_v_kmh / 3.6,
-                                           fraction)
-        v0_cal = fms_initial_speed(climb, fraction * ci_cal, params).v_star
-        report["modes"]["calibrated"] = {
-            "ci_max_Cs": ci_cal,
-            "v0_kmh": v0_cal * 3.6,
-            "reference_v_kmh": ref_v_kmh,
-            "deviation_pct": 100.0 * (v0_cal * 3.6 - ref_v_kmh) / ref_v_kmh,
-        }
+    for mode in ("vmax",) if ref_v_kmh is None else ("vmax", "calibrated"):
+        ci_max = _ci_max(mode, cx, params, climb)
+        v0_kmh = 3.6 * fms_initial_speed(climb, fraction * ci_max,
+                                         params).v_star
+        entry = report["modes"][mode] = {"ci_max_Cs": ci_max, "v0_kmh": v0_kmh}
+        if ref_v_kmh is not None:
+            entry["deviation_pct"] = 100.0 * (v0_kmh - ref_v_kmh) / ref_v_kmh
+        if mode == "calibrated":
+            entry["reference_v_kmh"] = ref_v_kmh
 
     lines = [f"chosen mode: {chosen}  (ci0 fraction: {fmt(fraction)})"]
     for mode_name, data in report["modes"].items():

@@ -376,18 +376,10 @@ def _economy_newton(seg, ci, params):
 def calibrate_ci_max(params, seg):
     """Cost-index ceiling implied by the airspeed envelope.
 
-    Returns the constant CI whose optimal airspeed is exactly v_max,
-    ci_for_speed at v_max.
+    Returns the constant CI whose optimal airspeed is exactly v_max: the
+    ceiling anchored to v_max at fraction 1.
     """
-    if seg.d <= 0.0:
-        raise DegenerateSegmentError("segment has zero length")
-    ci = ci_for_speed(seg, params.v_max, params)
-    if not ci > 0.0:
-        raise EnvelopeError(
-            f"envelope calibration gave non-positive ci_max {ci:.6g}; "
-            "v_max sits below the segment's best-economy speed"
-        )
-    return float(ci)
+    return calibrate_ci_max_to_speed(params, seg, params.v_max, 1.0)
 
 
 def calibrate_ci_max_to_speed(params, seg, v_ref, ci0_fraction):
@@ -417,10 +409,10 @@ def calibrate_ci_max_to_speed(params, seg, v_ref, ci0_fraction):
     ci = ci_for_speed(seg, v_ref, params) / ci0_fraction
     if not ci > 0.0:
         raise EnvelopeError(
-            f"reference calibration gave non-positive ci_max {ci:.6g}; "
-            "the reference speed sits below the segment's best-economy speed"
+            f"calibration gave non-positive ci_max {ci:.6g}; {v_ref:g} m/s "
+            "sits below the segment's best-economy speed"
         )
     if math.isinf(ci):
-        raise EnvelopeError(f"reference calibration gave ci_max inf: "
+        raise EnvelopeError(f"calibration gave ci_max inf: "
                             f"ci0_fraction {ci0_fraction!r} is too small")
     return float(ci)

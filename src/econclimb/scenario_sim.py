@@ -379,7 +379,6 @@ class SweepCurve:
     """Cost-versus-speed curve for one filter time constant."""
 
     tau: float  # [s]; inf labels the constant-CI baseline
-    label: str
     v: np.ndarray  # [m s^-1], read-only float64
     j: np.ndarray  # [C], read-only float64
     argmin_index: int
@@ -401,13 +400,12 @@ def sweep_cost(seg, schedule, params, v_grid, tau_list, q0=0.0):
     v_arr.flags.writeable = False
     ci_in = schedule.events[0].ci_in if schedule.events else schedule.ci0
 
-    runs = [("constant-ci", schedule.ci0, math.inf)]
-    runs += [(f"tau={float(tau):g}s", ci_in, float(tau)) for tau in tau_list]
     curves = []
-    for label, ci_cmd, tau in runs:
+    for ci_cmd, tau in [(schedule.ci0, math.inf),
+                        *((ci_in, float(tau)) for tau in tau_list)]:
         j = total_cost(v_arr, seg, schedule.ci0, ci_cmd, tau, q0, params)
         j.flags.writeable = False
-        curves.append(SweepCurve(tau=tau, label=label, v=v_arr, j=j,
+        curves.append(SweepCurve(tau=tau, v=v_arr, j=j,
                                  argmin_index=int(np.argmin(j))))
     return curves
 

@@ -25,7 +25,6 @@ from econclimb.cli_io import (
     fmt,
     load_config,
     main,
-    serialize_config,
     validate_config,
 )
 from tests.csv_reference import csv_reference
@@ -48,10 +47,11 @@ def test_bundled_config_loads():
 
 def test_config_round_trip_is_idempotent():
     cfg = load_config(CONFIG)
-    text = serialize_config(cfg)
+    text = yaml.safe_dump(cfg, sort_keys=True, default_flow_style=None)
     cfg2 = validate_config(yaml.safe_load(text))
     assert cfg2 == cfg
-    assert serialize_config(cfg2) == text
+    assert yaml.safe_dump(cfg2, sort_keys=True,
+                          default_flow_style=None) == text
 
 
 def test_unknown_keys_rejected(tmp_path):
@@ -127,9 +127,23 @@ def test_env_overrides(tmp_path):
     cfg = load_config(CONFIG, env=env)
     assert cfg["scenario"]["sim_step_s"] == 0.5
     assert cfg["cost_index"]["ci0_fraction"] == 0.7
-    bad = {"ECONCLIMB_AIRCRAFT__NO_SUCH_KEY": "1"}
-    with pytest.raises(ConfigError):
-        load_config(CONFIG, env=bad)
+    for name, value, message in (
+            ("ECONCLIMB_AIRCRAFT__NO_SUCH_KEY", "1", "unknown key"),
+            ("ECONCLIMB_AIRCRAFT____MASS_KG", "1",
+             "malformed override variable"),
+            ("ECONCLIMB_AIRCRAFT__MASS_KG", "[1", "unparseable value"),
+            ("ECONCLIMB_SCENARIO__Q0_COULOMBS__X", "1",
+             "q0_coulombs is not a mapping")):
+        with pytest.raises(ConfigError, match=message):
+            load_config(CONFIG, env={name: value})
+    # an override may create a block the file leaves out
+    raw = _read_config_dict()
+    del raw["cost_index"]["tau"]
+    path = tmp_path / "no_tau.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    env = {"ECONCLIMB_COST_INDEX__TAU__MODE": "infinite"}
+    assert load_config(path, env=env)["cost_index"]["tau"] == \
+        {"mode": "infinite"}
 
 
 def test_env_overrides_reach_mixed_case_keys(tmp_path):
@@ -325,7 +339,7 @@ def test_profile_respects_sim_step(tmp_path, capsys):
 def test_sweep_csv(tmp_path, capsys):
     csv_path = tmp_path / "sweep.csv"
     assert _run(capsys, "sweep", "--out", csv_path, "--v-min-kmh", 110,
-                "--tau-s", "30,inf")[0] == 0
+                "--tau-s", "30,,inf")[0] == 0  # empty entries are skipped
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "tau_s,v_ms,v_kmh,j_C,is_argmin"
     body = [ln.split(",") for ln in lines[1:]]
@@ -344,6 +358,21 @@ def test_sweep_rejects_empty_grid(tmp_path, capsys):
     code, printed = _run(capsys, "sweep", "--out", out, "--v-min-kmh", 100,
                          "--v-max-kmh", 120, "--tau-s", "abc")
     assert code == 2 and "bad tau entry 'abc'" in printed.err
+    code, printed = _run(capsys, "sweep", "--out", out, "--tau-s", "5,-5")
+    assert code == 2
+    assert "tau entries must be positive, got '-5'" in printed.err
+    assert not out.exists()
+
+
+def test_sweep_rejects_a_grid_over_the_point_cap(tmp_path, capsys):
+    # 1e300 km/h at 1e-300 km/h a point: rejected before anything is
+    # allocated, as any step whose grid would pass 10^7 points is
+    out = tmp_path / "sweep.csv"
+    code, printed = _run(capsys, "sweep", "--out", out, "--v-min-kmh=-1e300",
+                         "--v-step-kmh=1e-300")
+    assert code == 2 and printed.out == ""
+    assert printed.err.startswith("config error: sweep step 1e-300 km/h "
+                                  "needs inf grid points")
     assert not out.exists()
 
 
@@ -391,7 +420,11 @@ def test_main_exit_code_config_error(tmp_path, capsys):
     notyaml = tmp_path / "notyaml.yaml"
     notyaml.write_text("{unbalanced\n")
     assert main(["plan", "--config", str(notyaml)]) == 2
+    empty = tmp_path / "empty.yaml"
+    empty.write_text("")
     capsys.readouterr()
+    assert main(["plan", "--config", str(empty)]) == 2
+    assert f"config {empty} is empty" in capsys.readouterr().err
 
 
 def test_main_exit_code_solver_error(monkeypatch, capsys):

@@ -378,12 +378,18 @@ def test_calibrated_fraction_must_be_positive(capsys, tmp_path):
     assert code == 2 and "cost_index.ci0_fraction" in out.err
     raw["cost_index"]["ci_max"] = {"mode": "vmax"}
     assert validate_config(raw)["cost_index"]["ci0_fraction"] == 0.0
-    # one without ci0_fraction at all names the same key
+    # one without ci0_fraction at all names the same key, and so does
+    # calibrate in any mode, since it compares the modes at that fraction
     raw = copy.deepcopy(REFERENCE)
     del raw["cost_index"]["ci0_fraction"]
     raw["cost_index"]["ci0_value_Cs"] = 150.0
     with pytest.raises(ConfigError, match="cost_index.ci0_fraction"):
-        validate_config(raw)
+        validate_config(copy.deepcopy(raw))
+    raw["cost_index"]["ci_max"] = {"mode": "vmax"}
+    path = tmp_path / "value.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    assert main(["calibrate", "--config", str(path)]) == 2
+    assert "cost_index.ci0_fraction is required" in capsys.readouterr().err
 
 
 def test_calibrated_fraction_near_zero(capsys, tmp_path):

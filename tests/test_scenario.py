@@ -312,7 +312,6 @@ def test_sweep_baseline_and_filtered_curves(params, full_segment):
     v_grid = np.arange(100.0, 161.0 + 1e-9, 0.1) / 3.6
     curves = sweep_cost(full_segment, sched, params, v_grid,
                         [3000.0, 300.0, 30.0])
-    assert curves[0].label == "constant-ci"
     assert math.isinf(curves[0].tau)
     assert [c.tau for c in curves[1:]] == [3000.0, 300.0, 30.0]
     # baseline minimum sits at the initial economy speed
