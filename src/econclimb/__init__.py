@@ -39,7 +39,6 @@ from .scenario_sim import (
     Scenario,
     ScenarioResult,
     SweepCurve,
-    mvt_crosscheck,
     run_scenario,
     sweep_cost,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "Scenario",
     "ScenarioResult",
     "SweepCurve",
-    "mvt_crosscheck",
     "run_scenario",
     "sweep_cost",
     "STANDARD_GRAVITY",

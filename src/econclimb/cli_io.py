@@ -539,11 +539,8 @@ def cmd_sweep(cfg, args):
             item = item.strip()
             if not item:
                 continue
-            if item.lower() in ("inf", "infinite"):
-                taus.append(math.inf)
-                continue
             try:
-                value = float(item)
+                value = math.inf if item.lower() == "infinite" else float(item)
             except ValueError:
                 raise ConfigError(f"bad tau entry {item!r}")
             if not value > 0.0:
@@ -551,7 +548,7 @@ def cmd_sweep(cfg, args):
             taus.append(value)
 
     curves = sweep_cost(climb, scenario.schedule, scenario.aircraft,
-                        v_grid, taus, q0=scenario.q0)
+                        v_grid, taus)
 
     blocks = []
     for curve in curves:
@@ -661,6 +658,10 @@ def main(argv=None):
         return 0
     except (ConfigError, DomainError, DegenerateSegmentError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:  # a Python-float ** or / past its range
+        print(f"config error: a value leaves the float range "
+              f"({exc.args[-1]})", file=sys.stderr)
         return 2
     except (NoInteriorOptimumError, SaddlePointError, EnvelopeError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)

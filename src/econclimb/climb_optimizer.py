@@ -258,8 +258,9 @@ def solve_optimal_speed(seg, ci0, ci_in, tau, params, q0=None):
         # envelope, i.e. whenever ci0 is at most the ceiling calibrate_ci_max
         # computes (at ci0 equal to it the quartic at v_max is zero up to
         # rounding, so its sign cannot tell).
-        v, steps = _economy_newton(seg, ci0, params)
+        # Before the Newton: its Python-float ** raises where NumPy's warns.
         clipped = ci0 > ci_for_speed(seg, params.v_max, params)
+        v, steps = _economy_newton(seg, ci0, params)
         if not clipped and v >= _V_LO:
             return _assemble_plan(float(v), seg, ci0, ci_in, tau, params, q0,
                                   iterations=steps, at_envelope_limit=False)

@@ -18,7 +18,8 @@ Geometry conventions used by the replay:
   waypoint.
 * Every leg keeps the whole climb's density band for its mean density
   quantities, the band the departure plan was calibrated on.
-* Events fire in time order, whatever their order in the schedule. A
+* Events fire in time order, whatever their order in the schedule, and
+  events due together in list order, a zero-length leg apart. A
   waypoint-triggered event fires when x reaches the waypoint's x (the
   moment the aircraft passes a waypoint on its straight line to cruise),
   and the leg that follows starts from the waypoint.
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,8 +89,8 @@ class Scenario:
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise DomainError("waypoints must be strictly increasing in x")
         h0, hc = wps[0][1], wps[-1][1]
-        if hc < h0:
-            raise DomainError("cruise altitude must not lie below the origin")
+        if not hc > h0:
+            raise DomainError("cruise altitude must lie above the origin")
         for x, h in wps[1:-1]:
             if not h0 <= h <= hc:
                 raise DomainError(
@@ -182,17 +183,11 @@ def _pop_next_event(timed, placed, seg, t_leg, v_leg):
     if placed:
         i, ev = placed[0]
         wp = (float(ev.at_waypoint[0]), float(ev.at_waypoint[1]))
-        if not x0 < wp[0] < xc:
-            raise DomainError(f"event waypoint x={wp[0]:g} m is not ahead of "
-                              f"the aircraft (at x={x0:g} m)")
-        frac = (wp[0] - x0) / (xc - x0)
+        frac = max(wp[0] - x0, 0.0) / (xc - x0)
         next_events.append((t_leg + frac * seg.d / v_leg, i, placed, wp))
     if timed:
         i, ev = timed[0]
-        t_ev = float(ev.at_time)
-        if t_ev <= t_leg:
-            raise DomainError(f"event at t={t_ev:g} s does not come after the "
-                              f"previous leg start t={t_leg:g} s")
+        t_ev = max(float(ev.at_time), t_leg)
         frac = (t_ev - t_leg) * v_leg / seg.d
         next_events.append((t_ev, i, timed,
                             (x0 + frac * (xc - x0), h0 + frac * (hc - h0))))
@@ -384,7 +379,7 @@ class SweepCurve:
     argmin_index: int
 
 
-def sweep_cost(seg, schedule, params, v_grid, tau_list, q0=0.0):
+def sweep_cost(seg, schedule, params, v_grid, tau_list):
     """Evaluate the cost curve over v_grid for each tau in tau_list.
 
     The constant-CI baseline (CI pinned at schedule.ci0) is always the first
@@ -403,30 +398,9 @@ def sweep_cost(seg, schedule, params, v_grid, tau_list, q0=0.0):
     curves = []
     for ci_cmd, tau in [(schedule.ci0, math.inf),
                         *((ci_in, float(tau)) for tau in tau_list)]:
-        j = total_cost(v_arr, seg, schedule.ci0, ci_cmd, tau, q0, params)
+        j = total_cost(v_arr, seg, schedule.ci0, ci_cmd, tau, 0.0, params)
         j.flags.writeable = False
         curves.append(SweepCurve(tau=tau, v=v_arr, j=j,
                                  argmin_index=int(np.argmin(j))))
     return curves
 
-
-def mvt_crosscheck(seg, v, params, atmo=TROPOSPHERE):
-    """Relative gap between closed-form and integrated segment discharge.
-
-    The closed form replaces the time integrals of density (and inverse
-    density) along the climb with altitude-band means. This check flies the
-    same climb exactly: altitude sweeps the segment's band linearly over the
-    flight time d/v while the climb-power term keeps the segment's mean
-    climb rate, so the time means of rho and 1/rho are the band integrals
-    over the band's height. Returns |closed - integrated| / |integrated|.
-
-    Meaningful only when the segment's density means belong to its own
-    altitude band (the default in segment_between).
-    """
-    h0, hc = seg.start[1], seg.end[1]
-    rho_mean, inv_mean = (atmo.band_integral(h0, hc, p) / (hc - h0) if hc > h0
-                          else atmo.density(h0) ** p for p in (1, -1))
-    flown = replace(seg, rho_bar=rho_mean, delta_rho_bar=inv_mean)
-    discharge_num = segment_discharge(v, flown, params)
-    discharge_closed = segment_discharge(v, seg, params)
-    return abs(discharge_closed - discharge_num) / abs(discharge_num)

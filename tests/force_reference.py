@@ -6,12 +6,20 @@ The package integrates the drag polar in one closed form
 inline. These helpers state each piece on its own: the polar, the climb
 thrust, the point charge rate the replay oracle integrates, and the
 three-term segment discharge in the segment's means, so the tests can check
-the package's closed form against independent expressions.
+the package's closed form against independent expressions. The paper's
+mean-value-theorem check (``mvt_crosscheck``, criterion 7) lives here too.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
-from econclimb import DegenerateSegmentError, DomainError
+from econclimb import (
+    TROPOSPHERE,
+    DegenerateSegmentError,
+    DomainError,
+    segment_discharge,
+)
 from econclimb.vehicle import _require_positive_speed
 
 
@@ -77,3 +85,25 @@ def segment_discharge_terms(v, seg, params):
         + seg.rho_bar * s * params.cd0 * v**2 / 2.0
         + 2.0 * params.cd2 * w**2 * seg.delta_rho_bar / (s * v**2)
     )
+
+
+def mvt_crosscheck(seg, v, params, atmo=TROPOSPHERE):
+    """Relative gap between closed-form and integrated segment discharge.
+
+    The closed form replaces the time integrals of density (and inverse
+    density) along the climb with altitude-band means. This check flies the
+    same climb exactly: altitude sweeps the segment's band linearly over the
+    flight time d/v while the climb-power term keeps the segment's mean
+    climb rate, so the time means of rho and 1/rho are the band integrals
+    over the band's height. Returns |closed - integrated| / |integrated|.
+
+    Meaningful only when the segment's density means belong to its own
+    altitude band (the default in segment_between).
+    """
+    h0, hc = seg.start[1], seg.end[1]
+    rho_mean, inv_mean = (atmo.band_integral(h0, hc, p) / (hc - h0) if hc > h0
+                          else atmo.density(h0) ** p for p in (1, -1))
+    flown = replace(seg, rho_bar=rho_mean, delta_rho_bar=inv_mean)
+    discharge_num = segment_discharge(v, flown, params)
+    discharge_closed = segment_discharge(v, seg, params)
+    return abs(discharge_closed - discharge_num) / abs(discharge_num)

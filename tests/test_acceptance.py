@@ -21,13 +21,13 @@ from econclimb import (
     cost_gradient,
     final_charge_sensitivity,
     fms_initial_speed,
-    mvt_crosscheck,
     segment_between,
     segment_discharge,
     solve_optimal_speed,
     total_cost,
 )
 from econclimb.cli_io import main
+from tests.force_reference import mvt_crosscheck
 from tests.ode_reference import ci_ode_check
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" \

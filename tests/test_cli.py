@@ -425,6 +425,14 @@ def test_main_exit_code_config_error(tmp_path, capsys):
     capsys.readouterr()
     assert main(["plan", "--config", str(empty)]) == 2
     assert f"config {empty} is empty" in capsys.readouterr().err
+    raw = _read_config_dict()  # a level climb: no altitude to climb
+    raw["scenario"]["waypoints_km"] = [[0.0, 0.5], [30.0, 0.5]]
+    del raw["cost_index"]["events"]
+    level = tmp_path / "level.yaml"
+    level.write_text(yaml.safe_dump(raw))
+    assert main(["plan", "--config", str(level)]) == 2
+    assert "config error: altitude band must climb" in \
+        capsys.readouterr().err
 
 
 def test_main_exit_code_solver_error(monkeypatch, capsys):
@@ -433,6 +441,23 @@ def test_main_exit_code_solver_error(monkeypatch, capsys):
     assert main(["plan", "--config", str(CONFIG)]) == 3
     err = capsys.readouterr().err
     assert "solver error" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, key, value", [
+    ("plan", "MASS_KG", "1e300"), ("calibrate", "MASS_KG", "1e300"),
+    ("plan", "MASS_KG", "1e200"), ("plan", "GRAVITY_MS2", "1e300"),
+    ("plan", "VMAX_KMH", "1e300"), ("calibrate", "VMAX_KMH", "1e300"),
+    ("calibrate", "VMAX_KMH", "1e-300")])
+def test_airframe_values_past_the_float_range_exit_2(command, key, value,
+                                                     monkeypatch, capsys):
+    # the config validates, and then the force model's Python-float ** or /
+    # overflows, or divides by a speed whose square underflows to zero
+    monkeypatch.setenv(f"ECONCLIMB_AIRCRAFT__{key}", value)
+    assert main([command, "--config", str(CONFIG)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: a value leaves the float range")
+    assert err.count("\n") == 1
 
 
 def _light_config(tmp_path, **aircraft):

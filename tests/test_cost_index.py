@@ -115,6 +115,8 @@ def test_schedule_validation():
     assert ok.ci0 <= ok.ci_max
     with pytest.raises(DomainError):
         CostIndexSchedule(ci0=-1.0, tau=7.71, ci_max=327.99)
+    with pytest.raises(DomainError, match="ci_max must be positive"):
+        CostIndexSchedule(ci0=0.0, tau=7.71, ci_max=0.0)
     with pytest.raises(DomainError):
         CostIndexSchedule(ci0=400.0, tau=7.71, ci_max=327.99)
     with pytest.raises(DomainError):
@@ -128,6 +130,12 @@ def test_schedule_validation():
             ci0=196.79, tau=7.71, ci_max=327.99,
             events=(CiEvent(ci_in=200.0, at_time=20.0),
                     CiEvent(ci_in=250.0, at_time=10.0)))
+    # and waypoint triggers strictly increasing in x
+    with pytest.raises(DomainError, match="increasing in x"):
+        CostIndexSchedule(
+            ci0=196.79, tau=7.71, ci_max=327.99,
+            events=(CiEvent(ci_in=200.0, at_waypoint=(20000.0, 600.0)),
+                    CiEvent(ci_in=250.0, at_waypoint=(10000.0, 300.0))))
     # infinite tau is a legal sentinel for "no transient"
     frozen = CostIndexSchedule(ci0=196.79, tau=math.inf, ci_max=327.99)
     assert math.isinf(frozen.tau)

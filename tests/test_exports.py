@@ -12,7 +12,6 @@ import econclimb
 #: Public names no package module reads, each kept for a reason.
 KEPT_UNUSED = {
     "ConstantAtmosphere": "the benchmark's span tracer patches its density",
-    "mvt_crosscheck": "the paper's mean-value-theorem check (criterion 7)",
     "e430": "the README's library example builds its aircraft with it",
     "__version__": "package metadata",
 }

@@ -21,13 +21,12 @@ from econclimb import (
     e430,
     final_charge_sensitivity,
     fms_initial_speed,
-    mvt_crosscheck,
     segment_between,
     segment_discharge,
     solve_optimal_speed,
     total_cost,
 )
-from tests.force_reference import climbing_time
+from tests.force_reference import climbing_time, mvt_crosscheck
 # Frozen reference-climb solution (30 km / 1000 m climb at 1.65 m/s average
 # climb rate, ci0 = 0.6 ci_max anchored to 140.19 km/h):
 V_REF_KMH = 140.19
@@ -79,6 +78,9 @@ def test_replan_segment_keeps_whole_climb_band(replan_segment, full_segment):
 def test_segment_validation():
     with pytest.raises(DegenerateSegmentError):
         segment_between((0.0, 1000.0), (30000.0, 500.0), 1.65)
+    with pytest.raises(DomainError, match="must not descend"):
+        ClimbSegment(start=(0.0, 1000.0), end=(30000.0, 500.0),
+                     h_dot_bar=1.65, rho_bar=1.16, delta_rho_bar=0.86)
     with pytest.raises(DomainError):
         ClimbSegment(start=(0.0, 0.0), end=(30000.0, 1000.0),
                      h_dot_bar=-1.0, rho_bar=1.16, delta_rho_bar=0.86)
@@ -508,6 +510,8 @@ def test_solver_input_validation(params, full_segment):
                         rho_bar=1.16, delta_rho_bar=0.86)
     with pytest.raises(DegenerateSegmentError):
         solve_optimal_speed(zero, CI0, CI_IN, TAU, params)
+    with pytest.raises(DegenerateSegmentError):
+        calibrate_ci_max_to_speed(params, zero, V0, CI0_FRACTION)
     with pytest.raises(DomainError):
         solve_optimal_speed(full_segment, -1.0, CI_IN, TAU, params)
     slow = dataclasses.replace(params, v_max=5.0)  # at the search floor

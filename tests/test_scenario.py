@@ -13,7 +13,6 @@ from econclimb import (
     DomainError,
     Scenario,
     fms_initial_speed,
-    mvt_crosscheck,
     run_scenario,
     segment_between,
     solve_optimal_speed,
@@ -23,6 +22,7 @@ from econclimb import climb_optimizer, scenario_sim
 from econclimb.cli_io import build_scenario, validate_config
 from econclimb.climb_optimizer import economy_speed
 from econclimb.scenario_sim import ProfileSample, _sample_times
+from tests.force_reference import mvt_crosscheck
 from tests.replay_reference import replay_reference
 from tests.test_golden import _bench_inputs
 
@@ -249,6 +249,7 @@ def test_profile_is_a_sequence_of_samples(reference_result):
         [tuple(row) for row in rows]
     assert samples == listed
     assert samples != samples[1:]
+    assert samples.__eq__(5) is NotImplemented and samples != 5
 
 
 def test_plan_and_profile_agree_on_times(reference_result):
@@ -281,14 +282,22 @@ def test_event_after_arrival_is_skipped(params):
 
 
 def test_scenario_validation(params):
+    no_events = _reference_schedule(events=())
+    with pytest.raises(DomainError, match="at least origin and cruise"):
+        _reference_scenario(aircraft=params, schedule=no_events,
+                            waypoints=((0.0, 0.0),))
     with pytest.raises(DomainError):
         _reference_scenario(aircraft=params,
                             waypoints=((0.0, 0.0), (0.0, 1000.0)))
-    with pytest.raises(DomainError):
-        _reference_scenario(aircraft=params,
-                            waypoints=((0.0, 500.0), (30000.0, 0.0)))
+    # a descending or a level climb is rejected when the Scenario is built
+    for cruise_h in (0.0, 500.0):
+        with pytest.raises(DomainError, match="must lie above the origin"):
+            _reference_scenario(aircraft=params, schedule=no_events,
+                                waypoints=((0.0, 500.0), (30000.0, cruise_h)))
     with pytest.raises(DomainError):
         _reference_scenario(aircraft=params, q0=-1.0)
+    with pytest.raises(DomainError, match="h_dot_bar must be positive"):
+        _reference_scenario(aircraft=params, h_dot_bar=0.0)
     with pytest.raises(DomainError):
         _reference_scenario(aircraft=params, sim_step=0.0)
     # waypoint-triggered events must name an interior scenario waypoint
@@ -419,6 +428,34 @@ def test_waypoint_event_off_the_flown_line_fires_at_its_x(params):
         assert (fired[0]["t_s"] == t_time) == (first == "time")
         wp_fired = [ev for ev in fired if ev["ci_in_Cs"] == CI_IN][0]
         assert (wp_fired["x_m"], wp_fired["h_m"]) == wp
+
+
+@pytest.mark.parametrize("timed_first", [True, False])
+def test_simultaneous_events_fire_in_list_order(timed_first, params):
+    # on the E430 (params), a timed event at 200 s, and a waypoint event
+    # where the departure speed puts the aircraft at 200 s: both fall due
+    origin, cruise = (0.0, 0.0), (30000.0, 1000.0)
+    seg = segment_between(origin, cruise, 1.3)
+    v0 = fms_initial_speed(seg, 150.0, params).v_star
+    frac = 200.0 * v0 / seg.d
+    wp = (frac * cruise[0], frac * cruise[1])
+    events = [CiEvent(ci_in=300.0, at_time=200.0),
+              CiEvent(ci_in=250.0, at_waypoint=wp)]
+    if not timed_first:
+        events.reverse()
+    res = run_scenario(Scenario(
+        waypoints=(origin, wp, cruise), aircraft=params,
+        schedule=CostIndexSchedule(ci0=150.0, tau=60.0, ci_max=300.0,
+                                   events=tuple(events)),
+        q0=250000.0, h_dot_bar=1.3))
+    s = res.summary
+    assert [ev["applied"] for ev in s["events"]] == [True, True]
+    assert [ev["ci_in_Cs"] for ev in s["events"]] == \
+        [ev.ci_in for ev in events]
+    assert [seg["flown_time_s"] for seg in s["segments"]][1] == 0.0
+    table = res.samples.table
+    assert (np.diff(table[:, 0]) > 0.0).all()
+    assert (np.diff(table[:, 5]) <= 0.0).all()
 
 
 def test_interior_waypoints_lie_in_the_climb_band(params):
