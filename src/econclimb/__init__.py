@@ -38,9 +38,7 @@ from .scenario_sim import (
     ProfileSample,
     Scenario,
     ScenarioResult,
-    SweepCurve,
     run_scenario,
-    sweep_cost,
 )
 from .vehicle import (
     STANDARD_GRAVITY,
@@ -80,9 +78,7 @@ __all__ = [
     "ProfileSample",
     "Scenario",
     "ScenarioResult",
-    "SweepCurve",
     "run_scenario",
-    "sweep_cost",
     "STANDARD_GRAVITY",
     "AircraftParams",
     "e430",

@@ -68,17 +68,17 @@ class AtmosphereModel:
     def band_integral(self, h0, h, power=1):
         """Integral of density**power over altitude from h0 to h  [m],
         scalars or arrays, for power 1 (rho)  [kg m^-2] or -1 (1/rho)
-        [m^4 kg^-1]. With T = t0 - lapse h and k = power * exponent + 1 it
-        is -c0^power T0^k / (lapse k) expm1(k ln(T/T0)), a form that does
-        not cancel two powers of order 1e13."""
+        [m^4 kg^-1]. With T0 = t0 - lapse h0 and k = power * exponent + 1 it
+        is -c0^power T0^k / (lapse k) expm1(k log1p(-lapse (h - h0) / T0)),
+        which cancels no two powers of order 1e13 and rounds off no climb."""
         k = power * self.exponent + 1.0
         if self.lapse * k == 0.0:
             raise DomainError("band_integral needs a nonzero lapse and "
                               "power * exponent != -1")
         t_lo = self.t0 - self.lapse * _checked_altitude(h0, self.h_max)
-        t_hi = self.t0 - self.lapse * _checked_altitude(h, self.h_max)
+        dh = _checked_altitude(h, self.h_max) - h0
         out = (-self.c0**power * t_lo**k / (self.lapse * k)
-               * np.expm1(k * np.log(t_hi / t_lo)))
+               * np.expm1(k * np.log1p(-self.lapse * dh / t_lo)))
         return float(out) if out.ndim == 0 else out
 
 

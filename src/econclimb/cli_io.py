@@ -31,6 +31,7 @@ from .climb_optimizer import (
     calibrate_ci_max_to_speed,
     fms_initial_speed,
     segment_between,
+    total_cost,
 )
 from .cost_index import CiEvent, CostIndexSchedule
 from .errors import (
@@ -41,7 +42,7 @@ from .errors import (
     NoInteriorOptimumError,
     SaddlePointError,
 )
-from .scenario_sim import Scenario, run_scenario, sweep_cost
+from .scenario_sim import Scenario, run_scenario
 from .vehicle import STANDARD_GRAVITY, AircraftParams
 
 ENV_PREFIX = "ECONCLIMB_"
@@ -528,11 +529,16 @@ def cmd_sweep(cfg, args):
     _check_grid(v_max_kmh - v_min_kmh, v_step_kmh, "sweep step", "km/h")
     grid_kmh = np.arange(v_min_kmh, v_max_kmh + 0.5 * v_step_kmh, v_step_kmh)
     grid_kmh = grid_kmh[grid_kmh <= v_max_kmh + 1e-12]
-    v_grid = grid_kmh / 3.6
+    v = grid_kmh / 3.6
+    params, sched = scenario.aircraft, scenario.schedule
+    if not (np.all(v > 0.0) and np.all(v <= params.v_max)):
+        raise ConfigError(
+            f"sweep speeds must lie in (0, {params.v_max * 3.6:g}] km/h, got "
+            f"--v-min-kmh {v_min_kmh:g} to --v-max-kmh {v_max_kmh:g}"
+        )
 
-    tau = scenario.schedule.tau
     if args.tau_s is None:
-        taus = [] if math.isinf(tau) else [tau]
+        taus = [] if math.isinf(sched.tau) else [sched.tau]
     else:
         taus = []
         for item in args.tau_s.split(","):
@@ -547,17 +553,16 @@ def cmd_sweep(cfg, args):
                 raise ConfigError(f"tau entries must be positive, got {item!r}")
             taus.append(value)
 
-    curves = sweep_cost(climb, scenario.schedule, scenario.aircraft,
-                        v_grid, taus)
-
+    # One cost curve J(v) per time constant: the constant-CI baseline, then
+    # the filter from ci0 toward the first event's command (ci0 if none).
+    ci_in = sched.events[0].ci_in if sched.events else sched.ci0
     blocks = []
-    for curve in curves:
-        v = curve.v
-        is_argmin = np.zeros_like(v)
-        is_argmin[curve.argmin_index] = 1.0
-        blocks.append(np.column_stack([np.full_like(v, curve.tau), v, v * 3.6,
-                                       curve.j, is_argmin]))
-    return (f"wrote {len(curves)} curves to {args.out}\n",
+    for ci_cmd, tau in [(sched.ci0, math.inf), *((ci_in, tau) for tau in taus)]:
+        j = total_cost(v, climb, sched.ci0, ci_cmd, tau, 0.0, params)
+        is_argmin = (np.arange(len(v)) == np.argmin(j)).astype(float)
+        blocks.append(np.column_stack([np.full_like(v, tau), v, v * 3.6, j,
+                                       is_argmin]))
+    return (f"wrote {len(blocks)} curves to {args.out}\n",
             [(args.out, _csv("tau_s,v_ms,v_kmh,j_C,is_argmin",
                              np.concatenate(blocks)))])
 
@@ -644,7 +649,8 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, sim_step=args.sim_step)
-        text, files = args.run(cfg, args)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            text, files = args.run(cfg, args)
         # All files or none: a failed write removes those written before it.
         for k, (path, body) in enumerate(files):
             try:
@@ -659,7 +665,7 @@ def main(argv=None):
     except (ConfigError, DomainError, DegenerateSegmentError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ArithmeticError as exc:  # a Python-float ** or / past its range
+    except ArithmeticError as exc:  # Python or NumPy floats past their range
         print(f"config error: a value leaves the float range "
               f"({exc.args[-1]})", file=sys.stderr)
         return 2

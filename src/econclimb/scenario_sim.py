@@ -41,7 +41,6 @@ from .climb_optimizer import (
     economy_speed,
     segment_between,
     solve_optimal_speed,
-    total_cost,
 )
 from .errors import DomainError
 from .vehicle import _charge_drawn, segment_discharge
@@ -367,40 +366,4 @@ def _simulate_profile(scn, legs, full_seg, t_total):
                         np.diff(np.append(starts, len(ci))))
     return np.column_stack([times, x, h, v, ci, q, q * params.voltage,
                             v_track])
-
-
-@dataclass(frozen=True)
-class SweepCurve:
-    """Cost-versus-speed curve for one filter time constant."""
-
-    tau: float  # [s]; inf labels the constant-CI baseline
-    v: np.ndarray  # [m s^-1], read-only float64
-    j: np.ndarray  # [C], read-only float64
-    argmin_index: int
-
-
-def sweep_cost(seg, schedule, params, v_grid, tau_list):
-    """Evaluate the cost curve over v_grid for each tau in tau_list.
-
-    The constant-CI baseline (CI pinned at schedule.ci0) is always the first
-    curve. Filtered curves use schedule.ci0 as the start value and the first
-    event's commanded value as ci_in (falling back to ci0 when the schedule
-    has no events, which collapses them onto the baseline).
-    """
-    v_arr = np.asarray(list(v_grid), dtype=float)
-    if v_arr.size == 0:
-        raise DomainError("v_grid is empty")
-    if np.any(v_arr <= 0.0) or np.any(v_arr > params.v_max):
-        raise DomainError("v_grid must lie in (0, v_max]")
-    v_arr.flags.writeable = False
-    ci_in = schedule.events[0].ci_in if schedule.events else schedule.ci0
-
-    curves = []
-    for ci_cmd, tau in [(schedule.ci0, math.inf),
-                        *((ci_in, float(tau)) for tau in tau_list)]:
-        j = total_cost(v_arr, seg, schedule.ci0, ci_cmd, tau, 0.0, params)
-        j.flags.writeable = False
-        curves.append(SweepCurve(tau=tau, v=v_arr, j=j,
-                                 argmin_index=int(np.argmin(j))))
-    return curves
 

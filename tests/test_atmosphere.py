@@ -173,6 +173,15 @@ def test_band_integral_frozen_values_and_grid_means():
         - 1.0 == pytest.approx(9.7e-7, rel=0.05)
 
 
+@pytest.mark.parametrize("power", [1, -1])
+@pytest.mark.parametrize("dh", [1e-9, 1e-300])
+def test_band_integral_keeps_a_tiny_climb(dh, power):
+    # a climb too small to move (t0 - lapse h) / t0 off 1 still counts
+    assert TROPOSPHERE.band_integral(0.0, dh, power) == \
+        pytest.approx(TROPOSPHERE.density(0.0) ** power * dh, rel=1e-12,
+                      abs=0.0)
+
+
 def test_band_integral_vectorized_and_validated():
     hs = np.array([0.0, 1e-9, 250.0, 1000.0, 11000.0])
     for power in (1, -1):

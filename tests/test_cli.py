@@ -351,6 +351,56 @@ def test_sweep_csv(tmp_path, capsys):
     assert any(abs(float(row[2]) - 140.0) < 0.51 for row in base_marks)
 
 
+def _sweep_curves(csv_path):
+    """The sweep CSV as {tau cell: (v_kmh cells, j_C cells, argmin v_kmh
+    cell)}, in file order."""
+    curves = {}
+    for tau, _, v_kmh, j, is_argmin in (
+            ln.split(",") for ln in csv_path.read_text().splitlines()[1:]):
+        vs, js, argmin = curves.setdefault(tau, ([], [], []))
+        vs.append(v_kmh)
+        js.append(j)
+        if is_argmin == "1":
+            argmin.append(v_kmh)
+    return {tau: (vs, js, argmin) for tau, (vs, js, [argmin])
+            in curves.items()}
+
+
+def test_sweep_curves_order_and_argmins(tmp_path, capsys):
+    csv_path = tmp_path / "sweep.csv"
+    assert _run(capsys, "sweep", "--out", csv_path, "--v-min-kmh", 100,
+                "--v-step-kmh", 0.1, "--tau-s", "3000,300,30")[0] == 0
+    curves = _sweep_curves(csv_path)
+    assert list(curves) == ["inf", "3000", "300", "30"]
+    # baseline minimum sits at the initial economy speed
+    v_base = float(curves["inf"][2])
+    assert v_base == pytest.approx(140.19, abs=0.1 + 1e-9)
+    # faster filters pull the sweep minimum toward the commanded (higher) CI
+    argmin_speeds = [float(curves[tau][2]) for tau in ("3000", "300", "30")]
+    assert argmin_speeds[0] < argmin_speeds[1] < argmin_speeds[2]
+    assert all(v_base <= u for u in argmin_speeds)
+
+
+def test_sweep_without_events_curves_equal_the_baseline(tmp_path, capsys):
+    csv_path = tmp_path / "sweep.csv"
+    assert _run(capsys, "sweep", "--out", csv_path, "--no-event",
+                "--tau-s", "10")[0] == 0
+    curves = _sweep_curves(csv_path)
+    assert list(curves) == ["inf", "10"]
+    assert curves["10"][1] == curves["inf"][1]
+
+
+@pytest.mark.parametrize("flag", ["--v-min-kmh=0", "--v-max-kmh=200"])
+def test_sweep_rejects_speeds_outside_the_envelope(flag, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code, printed = _run(capsys, "sweep", "--out", out, flag)
+    assert code == 2 and printed.out == ""
+    assert printed.err.startswith(
+        "config error: sweep speeds must lie in (0, 161] km/h, got "
+        "--v-min-kmh ")
+    assert not out.exists()
+
+
 def test_sweep_rejects_empty_grid(tmp_path, capsys):
     out = tmp_path / "x.csv"
     code, printed = _run(capsys, "sweep", "--out", out, "--v-min-kmh", 170)
@@ -404,6 +454,20 @@ def test_calibrate_reports_both_modes(tmp_path, capsys):
     assert abs(record["modes"]["calibrated"]["deviation_pct"]) < 1e-6
 
 
+def test_calibrate_without_a_reference_speed_shows_vmax_only(tmp_path,
+                                                             capsys):
+    raw = _read_config_dict()
+    raw["cost_index"]["ci_max"] = {"mode": "vmax"}
+    config, rec = tmp_path / "vmax.yaml", tmp_path / "cal.json"
+    config.write_text(yaml.safe_dump(raw))
+    assert main(["calibrate", "--config", str(config), "--out", str(rec)]) == 0
+    assert capsys.readouterr().out.endswith(
+        "calibrated mode not shown: set cost_index.ci_max.reference_v_kmh\n")
+    modes = json.loads(rec.read_text())["modes"]
+    assert list(modes) == ["vmax"]
+    assert "deviation_pct" not in modes["vmax"]
+
+
 # ---------------------------------------------------------------------------
 # entry point and exit codes
 
@@ -443,7 +507,6 @@ def test_main_exit_code_solver_error(monkeypatch, capsys):
     assert "solver error" in err
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command, key, value", [
     ("plan", "MASS_KG", "1e300"), ("calibrate", "MASS_KG", "1e300"),
     ("plan", "MASS_KG", "1e200"), ("plan", "GRAVITY_MS2", "1e300"),
@@ -458,6 +521,27 @@ def test_airframe_values_past_the_float_range_exit_2(command, key, value,
     err = capsys.readouterr().err
     assert err.startswith("config error: a value leaves the float range")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("plan", {"AIRCRAFT__VMAX_KMH": "1e100"}),
+    ("calibrate", {"AIRCRAFT__VMAX_KMH": "1e100"}),
+    ("sweep", {"AIRCRAFT__CD2": "1e300", "COST_INDEX__CI_MAX__MODE": "value",
+               "COST_INDEX__CI_MAX__VALUE_CS": "100"})])
+def test_numpy_values_past_the_float_range_exit_2(command, overrides,
+                                                  tmp_path, monkeypatch,
+                                                  capsys):
+    # the config validates, and then a NumPy expression of the model
+    # overflows: one line and exit 2, not a traceback or a table of inf
+    for key, value in overrides.items():
+        monkeypatch.setenv(f"ECONCLIMB_{key}", value)
+    out = tmp_path / "out"
+    code, printed = _run(capsys, command, "--out", out)
+    assert code == 2 and printed.out == ""
+    assert printed.err.startswith(
+        "config error: a value leaves the float range (overflow encountered")
+    assert printed.err.count("\n") == 1
+    assert not out.exists()
 
 
 def _light_config(tmp_path, **aircraft):

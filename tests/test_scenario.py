@@ -16,7 +16,7 @@ from econclimb import (
     run_scenario,
     segment_between,
     solve_optimal_speed,
-    sweep_cost,
+    total_cost,
 )
 from econclimb import climb_optimizer, scenario_sim
 from econclimb.cli_io import build_scenario, validate_config
@@ -314,46 +314,22 @@ def test_depleting_scenario_is_reported_not_raised(params):
 
 
 # ---------------------------------------------------------------------------
-# cost sweeps
+# cost curves (the sweep's J(v); its CSV is checked in test_cli)
 
-def test_sweep_baseline_and_filtered_curves(params, full_segment):
-    sched = _reference_schedule()
-    v_grid = np.arange(100.0, 161.0 + 1e-9, 0.1) / 3.6
-    curves = sweep_cost(full_segment, sched, params, v_grid,
-                        [3000.0, 300.0, 30.0])
-    assert math.isinf(curves[0].tau)
-    assert [c.tau for c in curves[1:]] == [3000.0, 300.0, 30.0]
-    # baseline minimum sits at the initial economy speed
-    v_base = curves[0].v[curves[0].argmin_index]
-    assert v_base * 3.6 == pytest.approx(140.19, abs=0.1 + 1e-9)
-    # faster filters pull the sweep minimum toward the commanded (higher) CI
-    argmin_speeds = [c.v[c.argmin_index] for c in curves[1:]]
-    assert argmin_speeds[0] < argmin_speeds[1] < argmin_speeds[2]
-    assert all(v_base <= u for u in argmin_speeds)
-
-
-def test_sweep_large_tau_collapses_to_baseline(params, full_segment):
-    sched = _reference_schedule()
+def test_cost_curve_large_tau_collapses_to_baseline(params, full_segment):
     v_grid = np.linspace(30.0, 44.0, 57)
-    curves = sweep_cost(full_segment, sched, params, v_grid, [1e9])
-    j_base = np.asarray(curves[0].j)
-    j_slow = np.asarray(curves[1].j)
+    j_base = total_cost(v_grid, full_segment, CI0, CI0, math.inf, 0.0, params)
+    j_slow = total_cost(v_grid, full_segment, CI0, CI_IN, 1e9, 0.0, params)
     assert np.max(np.abs(j_slow - j_base) / np.abs(j_base)) < 1e-6
 
 
-def test_sweep_without_events_collapses_to_baseline(params, full_segment):
-    sched = _reference_schedule(events=())
+def test_cost_curve_without_a_command_collapses_to_baseline(params,
+                                                            full_segment):
+    # with no events the sweep filters from ci0 toward ci0
     v_grid = np.linspace(30.0, 44.0, 15)
-    curves = sweep_cost(full_segment, sched, params, v_grid, [10.0])
-    assert np.allclose(curves[1].j, curves[0].j, rtol=1e-12)
-
-
-def test_sweep_rejects_bad_grids(params, full_segment):
-    sched = _reference_schedule()
-    with pytest.raises(DomainError):
-        sweep_cost(full_segment, sched, params, [], [10.0])
-    with pytest.raises(DomainError):
-        sweep_cost(full_segment, sched, params, [10.0, 50.0], [10.0])
+    j_base = total_cost(v_grid, full_segment, CI0, CI0, math.inf, 0.0, params)
+    j_tau = total_cost(v_grid, full_segment, CI0, CI0, 10.0, 0.0, params)
+    assert np.allclose(j_tau, j_base, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
