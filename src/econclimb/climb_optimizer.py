@@ -12,10 +12,11 @@ constant tau (``math.inf`` = constant-CI mode, collapsing the first two terms
 to ci0 d / v). Q_f comes from the closed-form segment discharge in
 ``vehicle``. The constant-CI condition ci = v^2 (-dQf/dv) / d is stated once
 each way round, in ``ci_for_speed`` and its inverse ``economy_speed``, and
-every constant-CI airspeed comes from the latter's Newton iteration. Only
-the filtered cost (finite tau) needs a search: bracketed root-finding on
-dJ/dv over a gradient sign scan, with a positivity check on the second
-derivative.
+every constant-CI airspeed comes from the latter's Newton iteration. With
+a filtered CI, dJ/dv = (d / v^2) (ci_for_speed(v) - ci_at(d / v)): v* is
+the constant-CI economy speed of the CI in force at arrival, a bracketed
+root on [5 m/s, v_max] (on either piece of it, for a falling CI that makes
+dJ/dv dip twice) checked to be a minimum.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atmosphere import TROPOSPHERE, mean_density, mean_inverse_density
+from .cost_index import ci_at
 from .errors import (
     DegenerateSegmentError,
     DomainError,
@@ -43,13 +45,10 @@ from .vehicle import (
 #: Lowest airspeed an optimum may take.  [m s^-1]
 _V_LO = 5.0
 
-#: Points in the gradient sign scan used for bracket discovery.
-_SCAN_POINTS = 50
-
-#: Relative tolerance on v for the root polishes.
+#: Relative tolerance on v for the root solves.
 _RTOL = 1e-10
 
-#: Iteration cap for the root polishes; both converge well inside it.
+#: Iteration cap for the root solves; both converge well inside it.
 _MAXITER = 100
 
 
@@ -123,7 +122,7 @@ class ClimbPlan:
     t_c_star: float  # [s]
     j_star: float  # [C]
     q_f: float | None  # [C]; None when no initial charge was given
-    iterations: int  # Newton steps taken for v*; 0 when clipped to v_max
+    iterations: int  # Newton (filtered CI: _rtsafe) steps; 0 when clipped
     at_envelope_limit: bool = False
     battery_depleted: bool = False
 
@@ -140,28 +139,25 @@ def total_cost(v, seg, ci0, ci_in, tau, q0, params):
     d = seg.d
     q_f = q0 - segment_discharge(v, seg, params)
     if math.isinf(tau):
-        return ci0 * d / v + q0 - q_f
-    time_cost = tau * (ci0 - ci_in) * (-np.expm1(-d / (tau * v)))
-    return time_cost + ci_in * d / v + q0 - q_f
+        return ci0 * (d / v) + q0 - q_f
+    time_cost = (ci0 - ci_in) * (tau * -np.expm1(-d / (tau * v)))
+    return time_cost + ci_in * (d / v) + q0 - q_f
 
 
 def cost_gradient(v, seg, ci0, ci_in, tau, params):
     """dJ/dv; the root in v is the optimal climb airspeed."""
     _check_speed_and_tau(v, tau)
     d = seg.d
-    v2 = v**2
-    return (-(ci0 - ci_in) * d * np.exp(-d / (tau * v)) / v2
-            - ci_in * d / v2
+    return (-ci_at(d / v, ci0, ci_in, tau) * d / v**2
             - final_charge_sensitivity(v, seg, params))
 
 
 def cost_curvature(v, seg, ci0, ci_in, tau, params):
     """d2J/dv2; positive at a gradient root confirms a minimum.
 
-    Second derivative of total_cost:
+    Second derivative of total_cost, with c = ci_at(d / v):
 
-        (ci0 - ci_in) d e^(-d/(tau v)) (2v - d/tau) / v^4
-        + 2 ci_in d / v^3
+        (2 c - (c - ci_in) d / (tau v)) d / v^3
         + (d / (eta U)) (2 W h_dot_bar / v^3 + rho_bar S cd0
                          + 12 cd2 W^2 delta_rho_bar / (S v^4))
     """
@@ -169,23 +165,14 @@ def cost_curvature(v, seg, ci0, ci_in, tau, params):
     d = seg.d
     w = params.weight
     s = params.wing_area
-    filtered = ((ci0 - ci_in) * d * np.exp(-d / (tau * v))
-                * (2.0 * v - d / tau) / v**4)
-    steady = 2.0 * ci_in * d / v**3
+    ci = ci_at(d / v, ci0, ci_in, tau)
+    time = (2.0 * ci - (ci - ci_in) * d / (tau * v)) * d / v**3
     discharge = (d / (params.efficiency * params.voltage)) * (
         2.0 * w * seg.h_dot_bar / v**3
         + seg.rho_bar * s * params.cd0
         + 12.0 * params.cd2 * w**2 * seg.delta_rho_bar / (s * v**4)
     )
-    return filtered + steady + discharge
-
-
-@functools.lru_cache(maxsize=256)
-def _scan_grid(v_max):
-    """The read-only log-spaced grid of the gradient sign scan."""
-    grid = np.geomspace(_V_LO, v_max, _SCAN_POINTS)
-    grid.flags.writeable = False
-    return grid
+    return time + discharge
 
 
 def _rtsafe(slope_and_curvature, lo, hi):
@@ -222,10 +209,11 @@ def solve_optimal_speed(seg, ci0, ci_in, tau, params, q0=None):
 
     At constant CI (tau = inf, or ci0 == ci_in for any tau) dJ/dv has the
     sign of the quartic that economy_speed solves, so v* is its Newton
-    root. Otherwise the search scans gradient signs on a log-spaced grid
-    over (5, v_max] m/s, polishes each descending-to-ascending crossing
-    with a safeguarded Newton iteration on dJ/dv (using the analytic
-    curvature), and keeps the candidate with the lowest cost. A gradient
+    root. Otherwise dJ/dv has the sign of
+    g(v) = ci_for_speed(v) - ci_at(d / v, ci0, ci_in, tau), and v* is where
+    g rises through zero in [5 m/s, v_max], found by a safeguarded Newton
+    iteration with g's analytic slope and checked for positive curvature
+    (a falling CI can give two such roots; the cheaper flies). A gradient
     still negative at v_max means the unconstrained optimum sits outside
     the envelope; the plan then clips to v_max and flags it.
 
@@ -239,9 +227,9 @@ def solve_optimal_speed(seg, ci0, ci_in, tau, params, q0=None):
             depletion flag on the returned plan.
 
     Raises:
-        NoInteriorOptimumError: the optimum lies below 5 m/s, or the
-            gradient has no usable sign change and is not negative at v_max.
-        SaddlePointError: a stationary point fails the curvature check.
+        NoInteriorOptimumError: g rises through zero nowhere and is not
+            negative at v_max, so the optimum lies below 5 m/s.
+        SaddlePointError: the root fails the curvature check.
     """
     if seg.d <= 0.0:
         raise DegenerateSegmentError("segment has zero length")
@@ -264,46 +252,80 @@ def solve_optimal_speed(seg, ci0, ci_in, tau, params, q0=None):
         if not clipped and v >= _V_LO:
             return _assemble_plan(float(v), seg, ci0, ci_in, tau, params, q0,
                                   iterations=steps, at_envelope_limit=False)
-        grad = cost_gradient(np.array([_V_LO, params.v_max]), seg, ci0, ci_in,
-                             tau, params)
     else:
-        grid = _scan_grid(params.v_max)
-        grad = cost_gradient(grid, seg, ci0, ci_in, tau, params)
-
-        def slope_and_curvature(v):
-            return (float(cost_gradient(v, seg, ci0, ci_in, tau, params)),
-                    float(cost_curvature(v, seg, ci0, ci_in, tau, params)))
-
-        candidates = [
-            _rtsafe(slope_and_curvature, float(grid[i]), float(grid[i + 1]))
-            for i in np.flatnonzero((grad[:-1] <= 0.0) & (grad[1:] >= 0.0))
-        ]
-        if candidates:
-            best_v, best_iters = min(
-                candidates,
-                key=lambda c: total_cost(c[0], seg, ci0, ci_in, tau, 0.0,
-                                         params),
-            )
-            curvature = cost_curvature(best_v, seg, ci0, ci_in, tau, params)
+        roots, gap = _arrival_roots(seg, ci0, ci_in, tau, params)
+        if roots:
+            v, steps = min(roots, key=lambda root: total_cost(
+                root[0], seg, ci0, ci_in, tau, 0.0, params))
+            curvature = cost_curvature(v, seg, ci0, ci_in, tau, params)
             if not curvature > 0.0:
                 raise SaddlePointError(
-                    f"stationary point at v={best_v:.6g} m/s has non-positive "
+                    f"stationary point at v={v:.6g} m/s has non-positive "
                     f"curvature {curvature:.6g}"
                 )
-            return _assemble_plan(best_v, seg, ci0, ci_in, tau, params, q0,
-                                  iterations=best_iters,
-                                  at_envelope_limit=False)
-        clipped = grad[-1] < 0.0
+            return _assemble_plan(v, seg, ci0, ci_in, tau, params, q0,
+                                  iterations=steps, at_envelope_limit=False)
+        clipped = gap(params.v_max)[0] < 0.0
 
     if clipped:
         # Cost still falling at the envelope edge: clipped optimum.
         return _assemble_plan(params.v_max, seg, ci0, ci_in, tau, params, q0,
                               iterations=0, at_envelope_limit=True)
+    grad = cost_gradient(np.array([_V_LO, params.v_max]), seg, ci0, ci_in,
+                         tau, params)
     raise NoInteriorOptimumError(
         "cost gradient has no descending-to-ascending sign change in "
         f"({_V_LO:g}, {params.v_max:g}] m/s",
         grad_lo=float(grad[0]), grad_hi=float(grad[-1]),
     )
+
+
+def _arrival_roots(seg, ci0, ci_in, tau, params):
+    """The roots (v, steps) where g rises through zero in [5, v_max] m/s,
+    and g with its slope.
+
+    By the quartic, with k = d / tau and c = ci_at(d / v),
+
+        g(v) = (A v^3 - W h_dot_bar - B / v) / (eta U) - c
+        v^2 g'(v) = (3 A v^4 + B) / (eta U) - k (c - ci_in),
+
+    positive for a rising CI. For a falling one the log of the ratio of
+    the last two terms is convex in k / v and least at the root of
+    12 A v^5 = k (3 A v^4 + B), so g falls on one interval (v_p, v_q) at
+    most, and each piece either side holds one root at most.
+    """
+    a, b, climb = (float(c) for c in _quartic(seg, params))
+    eu = params.efficiency * params.voltage
+    d = seg.d
+    k = d / tau
+
+    def gap(v):
+        ci = ci_at(d / v, ci0, ci_in, tau)
+        return ((a * v**3 - climb - b / v) / eu - ci,
+                (3.0 * a * v**2 + b / v**2) / eu - (ci - ci_in) * k / v**2)
+
+    def rise(v):  # v^2 g'(v), and its slope
+        pull = (ci_at(d / v, ci0, ci_in, tau) - ci_in) * k
+        return ((3.0 * a * v**4 + b) / eu - pull,
+                12.0 * a * v**3 / eu - pull * k / v**2)
+
+    def turn(v):  # has the sign of that log ratio's slope
+        return (12.0 * a * v**5 - k * (3.0 * a * v**4 + b),
+                12.0 * a * v**3 * (5.0 * v - k))
+
+    lo, hi = _V_LO, params.v_max
+    pieces = [(lo, hi)]
+    if ci0 > ci_in:
+        mid = (lo if turn(lo)[0] >= 0.0 else hi if turn(hi)[0] <= 0.0
+               else _rtsafe(turn, lo, hi)[0])
+        if rise(mid)[0] < 0.0:
+            v_p = lo if rise(lo)[0] <= 0.0 else _rtsafe(
+                lambda v: [-f for f in rise(v)], lo, mid)[0]
+            v_q = hi if rise(hi)[0] <= 0.0 else _rtsafe(rise, mid, hi)[0]
+            pieces = [(lo, v_p), (v_q, hi)]
+    roots = [_rtsafe(gap, start, end) for start, end in pieces
+             if gap(start)[0] < 0.0 <= gap(end)[0]]
+    return roots, gap
 
 
 def _assemble_plan(v_star, seg, ci0, ci_in, tau, params, q0, iterations,
@@ -344,8 +366,7 @@ def economy_speed(seg, ci, params):
     """Constant-CI optimal airspeed for each cost index in ci.  [m s^-1]
 
     Inverts ci_for_speed. Multiplied out, its condition is the quartic
-    A v^4 - R v - B = 0 with A = rho_bar S cd0, B = 4 cd2 W^2 delta_rho_bar / S
-    and R = ci eta U + W h_dot_bar, convex for v > 0 with one positive root.
+    A v^4 - R v - B = 0 of _quartic, convex for v > 0 with one positive root.
     Newton's method from v_max falls monotonically onto that root where the
     quartic is >= 0 at v_max; elsewhere the optimum lies beyond the envelope
     and the speed is exactly v_max.
@@ -353,15 +374,23 @@ def economy_speed(seg, ci, params):
     return _economy_newton(seg, ci, params)[0]
 
 
+def _quartic(seg, params):
+    """(A, B, W h_dot_bar) of the constant-CI quartic A v^4 - R v - B, with
+    A = rho_bar S cd0, B = 4 cd2 W^2 delta_rho_bar / S and
+    R = ci eta U + W h_dot_bar."""
+    w = params.weight
+    s = params.wing_area
+    return (seg.rho_bar * s * params.cd0,
+            4.0 * params.cd2 * w**2 * seg.delta_rho_bar / s,
+            w * seg.h_dot_bar)
+
+
 def _economy_newton(seg, ci, params):
     """economy_speed's Newton iteration: (speeds, steps taken). The
     quartic, times d / (eta U v^3), is the constant-CI dJ/dv."""
-    w = params.weight
-    s = params.wing_area
-    a = seg.rho_bar * s * params.cd0
-    b = 4.0 * params.cd2 * w**2 * seg.delta_rho_bar / s
+    a, b, climb = _quartic(seg, params)
     r = np.asarray(ci, dtype=float) * params.efficiency * params.voltage \
-        + w * seg.h_dot_bar
+        + climb
     v = np.full_like(r, params.v_max)
     inside = a * v**4 - r * v - b >= 0.0
     step = np.zeros_like(v)  # stays zero where ~inside: those keep v_max

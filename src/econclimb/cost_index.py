@@ -86,11 +86,13 @@ class CostIndexSchedule:
 def ci_at(t, ci_start, ci_in, tau):
     """Filtered cost index t seconds after the forcing switched to ci_in.
 
-    Returns exp(-t/tau) * (ci_start - ci_in) + ci_in; for infinite tau the
-    start value is returned unchanged. Accepts scalar or array t, and for
-    array t also ci_start and ci_in of its shape (one per point).
+    Returns ci_start + (ci_in - ci_start) (1 - exp(-t/tau)), by expm1 so
+    that no cancellation loses the step; for infinite tau the start value
+    is returned unchanged. Accepts scalar or array t, and for array t also
+    ci_start and ci_in of its shape (one per point).
     """
-    if (t < 0.0) if isinstance(t, float) else (np.asarray(t) < 0.0).any():
+    scalar = isinstance(t, float)  # no array round trip for a float
+    if (t < 0.0) if scalar else (np.asarray(t) < 0.0).any():
         raise DomainError(f"time must be >= 0, got {t!r}")
     if not tau > 0.0:
         raise DomainError(f"tau must be positive or inf, got {tau!r}")
@@ -98,8 +100,7 @@ def ci_at(t, ci_start, ci_in, tau):
         if np.ndim(t) == 0:
             return ci_start
         return np.full(np.shape(t), ci_start, dtype=float)
-    out = np.exp(-np.asarray(t, dtype=float) / tau) * (ci_start - ci_in) + ci_in
-    if np.ndim(t) == 0:
-        return float(out)
-    return out
+    out = ci_start + (ci_in - ci_start) * -np.expm1(
+        -(t if scalar else np.asarray(t, dtype=float)) / tau)
+    return out if isinstance(out, np.ndarray) else float(out)
 

@@ -7,7 +7,9 @@ inline. These helpers state each piece on its own: the polar, the climb
 thrust, the point charge rate the replay oracle integrates, and the
 three-term segment discharge in the segment's means, so the tests can check
 the package's closed form against independent expressions. The paper's
-mean-value-theorem check (``mvt_crosscheck``, criterion 7) lives here too.
+mean-value-theorem check (``mvt_crosscheck``, criterion 7) lives here too,
+and so does the gradient sign scan (``scan_optimal_speed``) that once found
+the filtered-CI optimum, as the reference for the bracketed root.
 """
 
 from dataclasses import replace
@@ -18,8 +20,13 @@ from econclimb import (
     TROPOSPHERE,
     DegenerateSegmentError,
     DomainError,
+    NoInteriorOptimumError,
+    cost_curvature,
+    cost_gradient,
     segment_discharge,
+    total_cost,
 )
+from econclimb.climb_optimizer import _V_LO, _rtsafe
 from econclimb.vehicle import _require_positive_speed
 
 
@@ -107,3 +114,34 @@ def mvt_crosscheck(seg, v, params, atmo=TROPOSPHERE):
     discharge_num = segment_discharge(v, flown, params)
     discharge_closed = segment_discharge(v, seg, params)
     return abs(discharge_closed - discharge_num) / abs(discharge_num)
+
+
+def scan_optimal_speed(seg, ci0, ci_in, tau, params):
+    """The filtered-CI optimum found by a gradient sign scan: (v*, clipped).
+
+    Scans dJ/dv on a log-spaced grid of 50 speeds over [5 m/s, v_max],
+    polishes each descending-to-ascending crossing with the package's
+    safeguarded Newton iteration on (dJ/dv, d2J/dv2), and keeps the
+    crossing of lowest cost. With no crossing, a gradient still
+    negative at v_max clips to v_max; otherwise it raises
+    NoInteriorOptimumError with the gradients at the grid ends.
+    """
+    grid = np.geomspace(_V_LO, params.v_max, 50)
+    grad = cost_gradient(grid, seg, ci0, ci_in, tau, params)
+
+    def slope_and_curvature(v):
+        return (float(cost_gradient(v, seg, ci0, ci_in, tau, params)),
+                float(cost_curvature(v, seg, ci0, ci_in, tau, params)))
+
+    candidates = [
+        _rtsafe(slope_and_curvature, float(grid[i]), float(grid[i + 1]))[0]
+        for i in np.flatnonzero((grad[:-1] <= 0.0) & (grad[1:] >= 0.0))
+    ]
+    if candidates:
+        return min(candidates, key=lambda v: total_cost(
+            v, seg, ci0, ci_in, tau, 0.0, params)), False
+    if grad[-1] < 0.0:
+        return params.v_max, True
+    raise NoInteriorOptimumError("no sign change in the scan",
+                                 grad_lo=float(grad[0]),
+                                 grad_hi=float(grad[-1]))

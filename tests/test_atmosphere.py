@@ -27,7 +27,7 @@ RHO_TABLE = {
 
 def test_density_frozen_values():
     for h, rho in RHO_TABLE.items():
-        assert TROPOSPHERE.density(h) == pytest.approx(rho, rel=1e-14)
+        assert TROPOSPHERE.density(h) == pytest.approx(rho, rel=1e-14, abs=0.0)
 
 
 def test_density_sea_level_near_standard():
@@ -78,11 +78,11 @@ def test_mean_density_two_point_band():
     # step equal to the span -> plain endpoint average
     expected = 0.5 * (TROPOSPHERE.density(0.0) + TROPOSPHERE.density(1000.0))
     assert mean_density(TROPOSPHERE, 0.0, 1000.0, step=1000.0) == \
-        pytest.approx(expected, rel=1e-15)
+        pytest.approx(expected, rel=1e-15, abs=0.0)
     expected_inv = 0.5 * (1.0 / TROPOSPHERE.density(0.0)
                           + 1.0 / TROPOSPHERE.density(1000.0))
     assert mean_inverse_density(TROPOSPHERE, 0.0, 1000.0, step=1000.0) == \
-        pytest.approx(expected_inv, rel=1e-15)
+        pytest.approx(expected_inv, rel=1e-15, abs=0.0)
 
 
 def test_mean_density_frozen_values():
@@ -90,17 +90,17 @@ def test_mean_density_frozen_values():
     assert mean_density(TROPOSPHERE, 0.0, 1000.0) == \
         pytest.approx(1.16924271654781, rel=1e-12)
     assert mean_inverse_density(TROPOSPHERE, 0.0, 1000.0) == \
-        pytest.approx(0.855925952019917, rel=1e-12)
+        pytest.approx(0.855925952019917, rel=1e-12, abs=0.0)
     # upper half of the climb
     assert mean_density(TROPOSPHERE, 500.0, 1000.0) == \
         pytest.approx(1.1409082054932758, rel=1e-12)
     assert mean_inverse_density(TROPOSPHERE, 500.0, 1000.0) == \
-        pytest.approx(0.8766690319776704, rel=1e-12)
+        pytest.approx(0.8766690319776704, rel=1e-12, abs=0.0)
     # non-dividing step pins the top endpoint
     assert mean_density(TROPOSPHERE, 200.0, 800.0, step=2.0) == \
         pytest.approx(1.1690186958431767, rel=1e-12)
     assert mean_inverse_density(TROPOSPHERE, 200.0, 800.0, step=2.0) == \
-        pytest.approx(0.8556611787613062, rel=1e-12)
+        pytest.approx(0.8556611787613062, rel=1e-12, abs=0.0)
 
 
 def test_mean_density_step_refinement_converges():
@@ -118,7 +118,7 @@ def test_mean_density_matches_fine_grid_oracle():
     assert mean_density(TROPOSPHERE, 0.0, 1000.0, step=0.1) == \
         pytest.approx(1.169242086088158, rel=1e-12)
     assert mean_inverse_density(TROPOSPHERE, 0.0, 1000.0, step=0.1) == \
-        pytest.approx(0.8559252067396129, rel=1e-12)
+        pytest.approx(0.8559252067396129, rel=1e-12, abs=0.0)
     # default grid agrees with the fine grid to well under 1e-4
     assert mean_density(TROPOSPHERE, 0.0, 1000.0) == \
         pytest.approx(1.169242086088158, rel=1e-4)
@@ -190,7 +190,7 @@ def test_band_integral_vectorized_and_validated():
         assert np.all(np.diff(out) > 0.0)
         assert out.tolist() == pytest.approx(
             [TROPOSPHERE.band_integral(0.0, h, power) for h in hs],
-            rel=1e-15)
+            rel=1e-15, abs=0.0)
     with pytest.raises(DomainError, match="altitude must lie in"):
         TROPOSPHERE.band_integral(0.0, 11001.0)
     uniform = AtmosphereModel(c0=1.0, t0=2.0, lapse=0.0, exponent=3.0)
@@ -201,19 +201,20 @@ def test_band_integral_vectorized_and_validated():
 def test_custom_model_parameters():
     model = AtmosphereModel(c0=1.0, t0=2.0, lapse=0.0, exponent=3.0,
                             h_max=100.0)
-    assert model.density(50.0) == pytest.approx(8.0, rel=1e-15)
+    assert model.density(50.0) == pytest.approx(8.0, rel=1e-15, abs=0.0)
 
 
 def test_constant_atmosphere_stub():
     atmo = ConstantAtmosphere(1.1)
     assert atmo.density(0.0) == 1.1
     assert atmo.density(123456.0) == 1.1
-    assert mean_density(atmo, 0.0, 5000.0) == pytest.approx(1.1, rel=1e-15)
+    assert mean_density(atmo, 0.0, 5000.0) == \
+        pytest.approx(1.1, rel=1e-15, abs=0.0)
     assert mean_inverse_density(atmo, 0.0, 5000.0) == \
-        pytest.approx(1.0 / 1.1, rel=1e-15)
+        pytest.approx(1.0 / 1.1, rel=1e-15, abs=0.0)
     assert atmo.band_integral(0.0, 5000.0) == pytest.approx(5500.0, rel=1e-15)
     assert atmo.band_integral(0.0, np.array([0.0, 11.0]), -1).tolist() == \
-        pytest.approx([0.0, 10.0], rel=1e-15)
+        pytest.approx([0.0, 10.0], rel=1e-15, abs=0.0)
     bounded = ConstantAtmosphere(1.1, h_max=100.0)
     with pytest.raises(DomainError):
         bounded.density(101.0)

@@ -523,6 +523,32 @@ def test_airframe_values_past_the_float_range_exit_2(command, key, value,
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("overrides, clipped", [
+    ({"COST_INDEX__CI0_FRACTION": "1e-300",
+      "COST_INDEX__TAU__FACTOR": "1e98"}, True),
+    ({"AIRCRAFT__WING_AREA_M2": "1.137e301",
+      "SCENARIO__H_DOT_BAR_MS": "1.65e-8",
+      "COST_INDEX__TAU__FACTOR": "1e18"}, False)])
+def test_a_command_far_above_ci0_plans_a_finite_cost(overrides, clipped,
+                                                     tmp_path, monkeypatch,
+                                                     capsys):
+    # ci_in is ~1e302 C/s beside a ci0 ~1e-300 of it (or beside a huge
+    # airframe): the filtered CI at arrival keeps its step from ci0, and the
+    # time cost's tau (ci0 - ci_in) product no longer overflows to -inf
+    for key, value in overrides.items():
+        monkeypatch.setenv(f"ECONCLIMB_{key}", value)
+    out = tmp_path / "plan.json"
+    code, printed = _run(capsys, "plan", "--out", out)
+    assert code == 0, printed.err
+    assert "inf" not in printed.out
+    legs = json.loads(out.read_text())["segments"]
+    assert len(legs) == 2
+    assert all(math.isfinite(leg["j_star_C"]) for leg in legs)
+    assert legs[1]["at_envelope_limit"] is clipped
+    if clipped:
+        assert legs[1]["v_star_kmh"] == 161.0
+
+
 @pytest.mark.parametrize("command, overrides", [
     ("plan", {"AIRCRAFT__VMAX_KMH": "1e100"}),
     ("calibrate", {"AIRCRAFT__VMAX_KMH": "1e100"}),

@@ -19,7 +19,8 @@ TAU = 7.71
 
 
 def test_response_endpoints():
-    assert ci_at(0.0, CI0, CI_IN, TAU) == pytest.approx(CI0, rel=1e-15)
+    assert ci_at(0.0, CI0, CI_IN, TAU) == \
+        pytest.approx(CI0, rel=1e-15, abs=0.0)
     # one time constant closes all but 1/e of the gap
     expected = CI_IN + (CI0 - CI_IN) * math.exp(-1.0)
     assert ci_at(TAU, CI0, CI_IN, TAU) == pytest.approx(expected, rel=1e-14)

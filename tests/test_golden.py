@@ -54,12 +54,12 @@ CONFIGS = ROOT / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 #: sha256 of the 200 replan-storm scenarios of seed 1001, rendered in order.
-STORM_PIN = ("839e2005a677e59e0d66a722fe4a8150"
-             "da2960476a766fbc45d38421ecfbc089")
+STORM_PIN = ("cc724d756e383d83eabada8785fecf12"
+             "e79a1b54e7972e1434b20e7de39a5e5d")
 
 #: The same for the 200 replan-storm scenarios of seed 2001.
-STORM_PIN_2001 = ("1b4ad6e79fccbc31d7abda0ecb038392"
-                  "0daaf61395d8233b9e4ae38c555c43e8")
+STORM_PIN_2001 = ("3b1f600602fc27c48b8c7c16380f1f2e"
+                  "20dc7fa08ab31dbf31995e78f85bc954")
 
 # case -> (subcommand and its flags, golden file of its stdout or None,
 #          files it writes[, config file name, default e430_atc_climb.yaml])
@@ -85,15 +85,15 @@ PINS = {
         "e430_atc_climb.yaml",
         {"profile.csv": "5bea98eec3c22488b42db545b575c24c"
                         "94a877a3100bf49d13e23300f3835f1a",
-         "profile.csv.meta.json": "0023be80c5bcff4e134e103e194bad89"
-                                  "169f7ccbb43d9d30c606c13a000d627d"}),
+         "profile.csv.meta.json": "a4e5f029b4dd334017851a6b3081e198"
+                                  "55415cc84bdc8d1b218424acfd950713"}),
     "profile_storm_fine": (
         ["profile", "--sim-step", "0.01", "--out", "profile.csv"],
         "e430_atc_storm.yaml",
         {"profile.csv": "4a9975744a284c72d3d6095e8d8df6d8"
                         "44126dac7173edc232779423bf17a12c",
-         "profile.csv.meta.json": "a8476c7aef7ab6f4e086d800103774a3"
-                                  "54fe897154b1a5a6040562219ab557dc"}),
+         "profile.csv.meta.json": "9087e13ed81b096eed339d82f4122534"
+                                  "5b676cfa66043091b17886af4f62bf55"}),
     "sweep_fine": (
         ["sweep", "--v-step-kmh", "0.01", "--tau-s", "1,10,100,inf",
          "--out", "sweep.csv"],

@@ -4,8 +4,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import econclimb.climb_optimizer as co
+import econclimb.scenario_sim as scenario_sim
 from econclimb import (
     ClimbSegment,
     ConstantAtmosphere,
@@ -26,7 +29,12 @@ from econclimb import (
     solve_optimal_speed,
     total_cost,
 )
-from tests.force_reference import climbing_time, mvt_crosscheck
+from tests.force_reference import (
+    climbing_time,
+    mvt_crosscheck,
+    scan_optimal_speed,
+)
+from tests.test_golden import _bench_inputs
 # Frozen reference-climb solution (30 km / 1000 m climb at 1.65 m/s average
 # climb rate, ci0 = 0.6 ci_max anchored to 140.19 km/h):
 V_REF_KMH = 140.19
@@ -62,7 +70,7 @@ def test_segment_between_reference_geometry(full_segment):
     assert full_segment.h_dot_bar == 1.65
     assert full_segment.rho_bar == pytest.approx(1.16924271654781, rel=1e-12)
     assert full_segment.delta_rho_bar == \
-        pytest.approx(0.855925952019917, rel=1e-12)
+        pytest.approx(0.855925952019917, rel=1e-12, abs=0.0)
 
 
 def test_replan_segment_keeps_whole_climb_band(replan_segment, full_segment):
@@ -335,7 +343,7 @@ def _plan_or_floor(solve):
 
 
 def test_economy_speed_matches_planner(params, full_segment, replan_segment):
-    # the constant-CI kernel against the filtered cost's scan and polish on
+    # the constant-CI kernel against the filtered cost's bracketed root on
     # an identical cost: with ci0 == ci_in the filtered term vanishes for
     # any tau; ci_for_speed inverts both. A 1 kg airframe with a 100 m^2
     # wing has its optimum below the 5 m/s floor at CI 0.
@@ -457,7 +465,6 @@ def test_constant_ci_speed_skips_the_scan(params, full_segment,
         monkeypatch.setattr(co, name, wrapped)
 
     spy("_rtsafe", co._rtsafe)
-    spy("_scan_grid", co._scan_grid)
     plan = fms_initial_speed(full_segment, CI0, params, q0=250000.0)
     assert plan.v_star == pytest.approx(V0, rel=1e-9)
     assert plan.iterations == 5
@@ -465,9 +472,104 @@ def test_constant_ci_speed_skips_the_scan(params, full_segment,
                                   math.inf, params)
     assert clipped.at_envelope_limit and clipped.iterations == 0
     assert calls == []
-    # the filtered cost still scans and polishes
+    # the filtered cost solves for its bracketed root
     solve_optimal_speed(full_segment, CI0, CI_IN, TAU, params)
-    assert calls[0] == "_scan_grid" and "_rtsafe" in calls
+    assert calls == ["_rtsafe"]
+
+
+@st.composite
+def _filtered_legs(draw):
+    """A segment, an airframe and a CI that moves (rising or falling) at a
+    time constant from 1e-3 to 1e3 flight times."""
+    unit = st.floats(0.0, 1.0)
+    span = draw(st.floats(1000.0, 60000.0))
+    climb = draw(st.floats(0.0, 2000.0))
+    rho = draw(st.floats(0.3, 1.3))
+    seg = ClimbSegment(start=(0.0, 0.0), end=(span, climb),
+                       h_dot_bar=draw(st.floats(0.0, 5.0)), rho_bar=rho,
+                       delta_rho_bar=(1.0 + 0.05 * draw(unit)) / rho)
+    craft = dataclasses.replace(
+        e430(), mass=draw(st.floats(1.0, 2000.0)),
+        wing_area=draw(st.floats(5.0, 100.0)),
+        cd0=draw(st.floats(0.01, 0.06)), cd2=draw(st.floats(0.005, 0.05)),
+        v_max=draw(st.floats(10.0, 100.0)))
+    scale = abs(co.ci_for_speed(seg, craft.v_max, craft))
+    ci0, ci_in = sorted(scale * draw(unit) * 1.5 for _ in range(2))
+    if draw(st.booleans()):
+        ci0, ci_in = ci_in, ci0
+    assume(ci0 != ci_in)
+    tau = 10.0 ** draw(st.floats(-3.0, 3.0)) * seg.d / craft.v_max
+    return seg, ci0, ci_in, tau, craft
+
+
+def _same_optimum(leg):
+    """The bracketed root and the reference scan agree on one leg: the
+    scan's (v*, clipped), or its floor error's gradient signs."""
+    solved = _plan_or_floor(lambda: solve_optimal_speed(*leg))
+    try:
+        scanned = scan_optimal_speed(*leg)
+    except NoInteriorOptimumError as exc:
+        scanned = "floor", exc.grad_lo > 0.0, exc.grad_hi > 0.0
+    if scanned[0] == "floor":
+        assert solved == scanned
+    else:
+        assert solved[0] == pytest.approx(scanned[0], rel=1e-10, abs=0.0)
+        assert solved[1] == scanned[1]
+    return scanned
+
+
+@given(_filtered_legs())
+def test_bracketed_root_matches_the_gradient_scan(leg):
+    _same_optimum(leg)
+
+
+@pytest.mark.parametrize("leg, crossings", [
+    # J already rises at the 5 m/s floor, and still has a minimum at 29.9
+    ((ClimbSegment(start=(0.0, 0.0), end=(12000.0, 1600.0), h_dot_bar=0.0,
+                   rho_bar=1.1, delta_rho_bar=0.95), 5000.0, 0.0, 280.0,
+      dataclasses.replace(e430(), wing_area=85.0, mass=80.0, cd0=0.044,
+                          v_max=44.5)), 2),
+    # minima at 5.5 and 39.6 m/s; the slower one costs less
+    ((ClimbSegment(start=(0.0, 0.0), end=(55000.0, 300.0), h_dot_bar=0.0,
+                   rho_bar=1.1, delta_rho_bar=0.91), 12000.0, 0.0, 550.0,
+      dataclasses.replace(e430(), wing_area=41.0, mass=176.0, cd0=0.032,
+                          cd2=0.005, v_max=100.0)), 3)])
+def test_a_falling_ci_flies_the_cheaper_of_two_minima(leg, crossings):
+    # a falling CI's pull can outrun the polar's, so that dJ/dv dips below
+    # zero a second time: one bracket over [5 m/s, v_max] would miss a
+    # minimum, or find the wrong one
+    grid = np.geomspace(5.0, leg[-1].v_max, 20001)
+    grad = cost_gradient(grid, *leg)
+    rises = np.flatnonzero((grad[:-1] < 0.0) & (grad[1:] >= 0.0))
+    assert np.count_nonzero(np.diff(np.sign(grad))) == crossings
+    plan = solve_optimal_speed(*leg)
+    assert not plan.at_envelope_limit
+    assert plan.v_star == pytest.approx(scan_optimal_speed(*leg)[0],
+                                        rel=1e-10, abs=0.0)
+    costs = total_cost(grid[rises], *leg[:4], 0.0, leg[-1])
+    assert plan.v_star == pytest.approx(grid[rises][np.argmin(costs)],
+                                        rel=1e-3)
+    assert plan.j_star <= total_cost(5.0, *leg[:4], 0.0, leg[-1])
+
+
+def test_storm_legs_match_the_gradient_scan(monkeypatch):
+    # every filtered leg the benchmark's replan-storm scenarios plan
+    legs = []
+    solve = scenario_sim.solve_optimal_speed
+
+    def record(seg, ci0, ci_in, tau, params, q0=None):
+        if not math.isinf(tau) and ci0 != ci_in:
+            legs.append((seg, ci0, ci_in, tau, params))
+        return solve(seg, ci0, ci_in, tau, params, q0=q0)
+
+    monkeypatch.setattr(scenario_sim, "solve_optimal_speed", record)
+    inputs = _bench_inputs()
+    for seed in (1001, 2001, 3001):
+        for scn in inputs.replan_storm_scenarios(seed):
+            scenario_sim.run_scenario(scn)
+    assert len(legs) == 4344
+    outcomes = [_same_optimum(leg) for leg in legs]
+    assert {clipped for v, clipped in outcomes} == {False, True}
 
 
 @pytest.mark.parametrize("share", [0.6, 1.0, 1.1])
@@ -526,7 +628,8 @@ def test_constant_density_stub_segment(params):
     # uniform atmosphere: rho_bar * delta_rho_bar == 1 exactly
     atmo = ConstantAtmosphere(1.16)
     seg = segment_between((0.0, 0.0), (30000.0, 1000.0), 1.65, atmo=atmo)
-    assert seg.rho_bar * seg.delta_rho_bar == pytest.approx(1.0, rel=1e-14)
+    assert seg.rho_bar * seg.delta_rho_bar == \
+        pytest.approx(1.0, rel=1e-14, abs=0.0)
     plan = fms_initial_speed(seg, CI0, params)
     assert 30.0 < plan.v_star < params.v_max
 
@@ -534,23 +637,14 @@ def test_constant_density_stub_segment(params):
 # ---------------------------------------------------------------------------
 # what the fast re-plan relies on
 
-def test_scan_grid_is_a_cached_read_only_geomspace(params, full_segment,
-                                                   replan_segment):
+def test_repeated_solves_give_equal_plans(params, full_segment,
+                                         replan_segment):
+    # a solve keeps no state between calls: warm plans equal cold ones
     cases = [(full_segment, CI0, CI0, math.inf),
              (replan_segment, CI0, CI_IN, TAU),
              (replan_segment, CI_IN, 0.5 * CI0, 60.0)]
-    co._scan_grid.cache_clear()
     cold = [solve_optimal_speed(*case, params, q0=250000.0) for case in cases]
-    assert co._scan_grid.cache_info().misses == 1
-    grid = co._scan_grid(params.v_max)
-    expected = np.geomspace(co._V_LO, params.v_max, co._SCAN_POINTS)
-    assert grid.dtype == expected.dtype
-    assert grid.tobytes() == expected.tobytes()
-    assert not grid.flags.writeable
-    with pytest.raises(ValueError):
-        grid[0] = 1.0
     warm = [solve_optimal_speed(*case, params, q0=250000.0) for case in cases]
-    assert co._scan_grid.cache_info().misses == 1
     assert warm == cold
 
 

@@ -174,10 +174,9 @@ def test_constant_ci_scenario_never_scans(params, monkeypatch):
     # every speed of an infinite-tau flight is the constant-CI kernel's: the
     # departure, each re-plan and the tracking column
     def forbidden(*args):
-        raise AssertionError("the scan and polish ran at constant CI")
+        raise AssertionError("the filtered CI's root ran at constant CI")
 
     monkeypatch.setattr(climb_optimizer, "_rtsafe", forbidden)
-    monkeypatch.setattr(climb_optimizer, "_scan_grid", forbidden)
     schedule = CostIndexSchedule(
         ci0=CI0, tau=math.inf, ci_max=CI_MAX,
         events=(CiEvent(ci_in=CI_IN, at_waypoint=(15000.0, 500.0)),

@@ -35,7 +35,7 @@ def test_e430_factory():
     assert p.mass == 472.0
     assert p.cd0 == 0.035
     assert p.cd2 == 0.009
-    assert p.v_max == pytest.approx(161.0 / 3.6, rel=1e-15)
+    assert p.v_max == pytest.approx(161.0 / 3.6, rel=1e-15, abs=0.0)
     assert p.voltage == 133.2
     assert p.efficiency == 0.7
     assert p.weight == pytest.approx(4628.7388, rel=1e-12)
