@@ -104,8 +104,9 @@ _MODES = {
 _CANONICAL_KEYS = {key.lower(): key for rows in _SCHEMA.values() for key in rows}
 
 
-class _Loader(yaml.SafeLoader):
-    """PyYAML's safe loader, also reading YAML 1.2's exponent floats.
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """PyYAML's safe loader (on libyaml where PyYAML has it), also reading
+    YAML 1.2's exponent floats.
 
     YAML 1.1 wants a dot in the mantissa and a sign in the exponent, so
     PyYAML reads 5e-1, 1e5, 1.0e5 and 1E+3 as strings; this loader reads
@@ -234,6 +235,19 @@ def validate_config(raw):
     return cfg
 
 
+def _parse_yaml(text, what):
+    """text read as YAML; a parse error is a one-line ConfigError that
+    starts with what and ends with the problem and where it is."""
+    try:
+        return yaml.load(text, Loader=_Loader)
+    except yaml.YAMLError as exc:
+        mark, problem = getattr(exc, "problem_mark", None), exc
+        if mark is not None and getattr(exc, "problem", None):
+            problem = (f"{exc.problem} at line {mark.line + 1}, "
+                       f"column {mark.column + 1}")
+        raise ConfigError(f"{what}: {' '.join(str(problem).split())}")
+
+
 def _apply_env_overrides(raw, env):
     """Fold ECONCLIMB_* environment variables into the raw config mapping."""
     for name, text in sorted(env.items()):
@@ -243,10 +257,7 @@ def _apply_env_overrides(raw, env):
                 for part in name[len(ENV_PREFIX):].lower().split("__")]
         if not all(path):
             raise ConfigError(f"malformed override variable {name}")
-        try:
-            value = yaml.load(text, Loader=_Loader)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"override {name}: unparseable value: {exc}")
+        value = _parse_yaml(text, f"override {name}: unparseable value")
         node = raw
         for part in path[:-1]:
             nxt = node.get(part)
@@ -267,12 +278,9 @@ def load_config(path, env=None, sim_step=None):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
-    try:
-        raw = yaml.load(text, Loader=_Loader)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config {path} is not valid YAML: {exc}")
+    raw = _parse_yaml(text, f"config {path} is not valid YAML")
     if raw is None:
         raise ConfigError(f"config {path} is empty")
     raw = _block(raw, "config")
@@ -379,38 +387,113 @@ def fmt(value):
     return f"{value:.6g}"
 
 
-#: Most runs of equal values a CSV column may hold and still be rendered
-#: once per run rather than once per cell.
-_BAKED_RUNS = 256
-#: Most rows rendered by one %, so that the floats it takes as arguments
-#: (24 bytes each, plus the tuple) stay small next to the text.
-_BLOCK_ROWS = 8192
+#: Rows rendered per block: few enough that the block's work arrays stay
+#: small and are reused, many enough to spread NumPy's per-call cost.
+_BLOCK_ROWS = 2048
+
+# Tables of the "%.6g" renderer, in little-endian words (a word's first
+# character is its low byte). Those by decimal exponent x (of a cell rounded
+# to six digits) are indexed by x + 32: "%.6g" writes 0.000ddd for x in
+# -4..-1, fixed notation up to x = 5, and d.ddddde±XX past that.
+_EXPONENTS = range(-32, 32)
+
+
+def _words(texts):
+    """The int64 words of ASCII texts of up to eight characters."""
+    return np.array([int.from_bytes(text.encode(), "little") for text in texts],
+                    dtype=np.int64)
+
+
+_DIGITS = _words(f"{k:03d}" for k in range(1000))
+# _HEAD has a NUL where a minus sign goes, then 0. and zeros; _TAIL is e±XX
+_HEAD = _words("\0" + "0." + "0" * (-x - 1) if -4 <= x < 0 else ""
+               for x in _EXPONENTS)
+_TAIL = _words("" if -4 <= x <= 5 else f"e{x:+03d}" for x in _EXPONENTS)
+# exact powers of ten (up to 10**22) in the decades in use
+_UP = np.array([10.0 ** max(5 - x, 0) for x in _EXPONENTS])
+_DOWN = np.array([10.0 ** max(x - 5, 0) for x in _EXPONENTS])
+# The body's six digits take the point at byte x + 1 in fixed notation, at
+# byte 1 in e-notation, and at byte 6 (cut off again) for x = 5 and 0.000ddd.
+# XORed into a body, _ZERO zeroes what may be cut from its end: the point
+# and the digits after it that are 0.
+_POINT = [6 if -4 <= x < 0 else x + 1 if 0 <= x <= 5 else 1
+          for x in _EXPONENTS]
+_LOW = np.array([(1 << 8 * p) - 1 for p in _POINT], dtype=np.int64)
+_DOT = _words("\0" * p + "." for p in _POINT)
+_ZERO = _words("000000." if -4 <= x < 0 else "\0" * p + "." + "0" * (6 - p)
+               for x, p in zip(_EXPONENTS, _POINT))
+
+
+def _break_ties(a, q, m, xi):
+    """m = rint(q), where q = a * 10**(5 - x) was rounded onto a
+    half-integer, moved to the side of q that the exact scaled a lies on;
+    rint's half to even stands only where q is exact. Dekker's two-product
+    gives the rounding error of the scaling exactly."""
+    up = _DOWN[xi] == 1.0  # q = a * 10**k, or else q = a / 10**k
+    uv = np.stack([np.where(up, a, q), _UP[xi] * _DOWN[xi]])
+    big = 134217729.0 * uv  # 2**27 + 1: Veltkamp's split into 26-bit halves
+    (uh, vh), (ul, vl) = big - (big - uv), uv - (big - (big - uv))
+    p = uv[0] * uv[1]
+    err = ((uh * vh - p) + uh * vl + ul * vh) + ul * vl  # u * v - p
+    side = np.sign(np.where(up, err, a - p - err))
+    return np.where(side == 0, m, q + 0.5 * side)
+
+
+def _csv_cells(cells, words):
+    """Render float64 cells as "%.6g" does, into words: three int64 a cell
+    (head, body, tail), whose NUL bytes are padding. Zeros, subnormals, NaN,
+    inf and the decades past the exact powers of ten go through % one at a
+    time."""
+    a = np.abs(cells)
+    odd = np.flatnonzero(~((a >= 1e-15) & (a < 1e26)))
+    a[odd] = 1.0
+    # x + 32 by a float32 log10, which is one off at worst next to a power
+    # of ten: q = a * 10**(5 - x), rounded once, then leaves [1e5, 1e6)
+    xi = (np.log10(a.astype(np.float32)) + np.float32(32)).astype(np.intp)
+    q = a * _UP[xi] / _DOWN[xi]
+    off = np.flatnonzero((q < 1e5) | (q >= 1e6))
+    xi[off] += np.where(q[off] < 1e5, -1, 1)
+    q[off] = a[off] * _UP[xi[off]] / _DOWN[xi[off]]
+    m = np.rint(q)
+    ties = np.flatnonzero(np.abs(q - m) == 0.5)
+    if ties.size:
+        m[ties] = _break_ties(a[ties], q[ties], m[ties], xi[ties])
+    top = m == 1e6  # rounded up into the next decade
+    m[top] = 1e5
+    xi += top
+    m = m.astype(np.intp)
+    high = m // 1000
+    digits = _DIGITS[high] | _DIGITS[m - 1000 * high] << 24
+    low = digits & _LOW[xi]
+    body = low | (digits ^ low) << 8 | _DOT[xi]
+    # cut the body after its last byte that _ZERO leaves nonzero: the float
+    # exponent of the XORed body is the index of its highest set bit
+    last = (body ^ _ZERO[xi]).astype(np.float64).view(np.int64) >> 52
+    words[:, 0] = _HEAD[xi] | (cells < 0) * 45
+    words[:, 1] = body & (256 << (last - 1023 & -8)) - 1
+    words[:, 2] = _TAIL[xi]
+    if odd.size:
+        words.view("S24")[odd, 0] = ["%.6g" % u for u in cells[odd].tolist()]
 
 
 def _csv(header, table):
-    """CSV text: the header line, then one line per row of a 2-D float
-    table, each cell rendered as fmt renders it.
+    """CSV text: the header line, then one line per row of a 2-D float64
+    table, each cell rendered as "%.6g" % renders it.
 
-    A column of at most _BAKED_RUNS runs of equal values is "baked": the
-    rows are split into blocks wherever a baked column changes (and every
-    _BLOCK_ROWS rows), each block gets a row format holding its baked
-    cells as literal text, and one % per block renders the other cells.
-    Runs compare the float bits, so -0.0 and 0.0 (rendered -0 and 0) never
-    share one.
+    A block of rows at a time is rendered into words, the separators take
+    the last byte of each cell's tail, and one pass deletes the NUL bytes.
     """
-    n = len(table)
-    bits = table.view(np.int64)
-    changed = bits[1:] != bits[:-1]
-    baked = np.count_nonzero(changed, axis=0) < _BAKED_RUNS
-    starts = np.flatnonzero(np.any(changed[:, baked], axis=1)) + 1
-    edges = sorted({*starts.tolist(), *range(0, n, _BLOCK_ROWS), n})
-    parts = [f"{header}\n"]
-    for lo, hi in zip(edges, edges[1:]):
-        row = ",".join(["%.6g" % u if is_baked else "%.6g" for u, is_baked
-                        in zip(table[lo].tolist(), baked.tolist())]) + "\n"
-        free = table[lo:hi, ~baked].ravel().tolist()
-        parts.append((row * (hi - lo)) % tuple(free))
-    return "".join(parts)
+    rows, cols = table.shape
+    sep = np.full(cols, ord(",") << 56, dtype=np.int64)
+    sep[-1] = ord("\n") << 56
+    words = np.empty((min(rows, _BLOCK_ROWS), cols, 3), np.int64)
+    parts = [f"{header}\n".encode()]
+    for lo in range(0, rows, _BLOCK_ROWS):
+        block = words[:min(rows - lo, _BLOCK_ROWS)]
+        _csv_cells(table[lo:lo + _BLOCK_ROWS].ravel(), block.reshape(-1, 3))
+        block[:, :, 2] |= sep
+        parts.append(block.tobytes().translate(None, b"\0"))
+    return b"".join(parts).decode("ascii")
 
 
 def _jsonable(value):

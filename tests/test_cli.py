@@ -1,7 +1,6 @@
 import json
 import math
 import os
-import random
 import subprocess
 import sys
 from pathlib import Path
@@ -15,9 +14,9 @@ from hypothesis import strategies as st
 import econclimb
 from econclimb import climb_optimizer, scenario_sim, segment_between
 from econclimb.cli_io import (
-    _BAKED_RUNS,
     _BLOCK_ROWS,
     ConfigError,
+    _Loader,
     _csv,
     _json_text,
     _jsonable,
@@ -274,58 +273,93 @@ def test_csv_renders_cells_as_fmt():
     assert _csv("a,b", np.empty((0, 2))) == "a,b\n"
 
 
-# Values that == gets wrong for runs: -0.0 == 0.0 although they print -0
-# and 0, and a NaN (of either sign, both printed "nan") equals nothing;
-# and the infinities.
-_SPECIAL = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf]
+# Cells where a "%.6g" renderer can go wrong: the digits of a decimal
+# midpoint (M + 0.5) * 10**e and of a binary tie such as 123456.5 rest on
+# the last bit; 999999.5 * 10**e and a power of ten less one ulp round into
+# the next decade; 1e-5 and 1e6 switch between fixed and e-notation; 1e-15
+# and 1e26 bound the decades that the NumPy path renders; and zeros, NaN of
+# either sign, the infinities and subnormals take the one-at-a-time path.
+_M = st.integers(100000, 999999)
+_E = st.integers(-20, 30)
+_EDGES = [1e-5, 1e6, 1e-15, 1e26, 9.999995e-6, 999999.5, 1e-4, 0.1, 1.0]
+_SPECIAL = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
+            2.2250738585072014e-308, 2.225073858507201e-308]
+
+
+def _near(values):
+    """values, or one of their float64 neighbours."""
+    return st.tuples(values, st.sampled_from([-math.inf, None, math.inf])).map(
+        lambda vs: vs[0] if vs[1] is None else float(np.nextafter(*vs)))
+
+
+_CELLS = st.tuples(st.one_of(
+    st.integers(0, 2**64 - 1).map(
+        lambda bits: float(np.uint64(bits).view(np.float64))),
+    _near(st.builds(lambda m, e: (m + 0.5) * 10.0 ** e, _M, _E)),
+    st.builds(lambda m: m + 0.5, _M),
+    _near(st.builds(lambda e: 10.0 ** e, _E)),
+    _near(st.builds(lambda e: 999999.5 * 10.0 ** e, _E)),
+    _near(st.sampled_from(_EDGES)),
+    st.sampled_from(_SPECIAL),
+    st.floats(),
+), st.booleans()).map(lambda cell: -cell[0] if cell[1] else cell[0])
 
 
 @st.composite
-def _run_tables(draw):
-    """Tables whose columns are runs of equal values: runs long and short,
-    one run or one per row, and run counts either side of _BAKED_RUNS."""
-    n = draw(st.one_of(st.integers(0, 3), st.integers(4, 60),
-                       st.integers(_BAKED_RUNS - 2, _BAKED_RUNS + 60),
-                       st.integers(_BLOCK_ROWS - 2, _BLOCK_ROWS + 2)))
-    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))  # where runs end
-    columns = []
-    for _ in range(draw(st.integers(1, 5))):
-        runs = min(n, draw(st.one_of(
-            st.sampled_from([1, 2, _BAKED_RUNS - 1, _BAKED_RUNS,
-                             _BAKED_RUNS + 1, n]),
-            st.integers(1, max(n, 1)))))
-        # cycling through values of distinct bits keeps neighbouring runs
-        # apart, so a column holds exactly `runs` runs
-        cycle = draw(st.one_of(
-            st.permutations([0.0, -0.0]),
-            st.lists(st.one_of(st.sampled_from(_SPECIAL), st.floats()),
-                     min_size=2, max_size=4,
-                     unique_by=lambda u: np.float64(u).tobytes())))
-        cuts = sorted(rnd.sample(range(1, n), runs - 1)) if runs else []
-        lengths = np.diff([0, *cuts, n])
-        columns.append(np.repeat([cycle[k % len(cycle)] for k in range(runs)],
-                                 lengths).astype(np.float64))
-    return np.column_stack(columns) if n else np.empty((0, len(columns)))
-
-
-def _alternating(n, runs, a, b):
-    """A column of n rows: `runs` runs alternating between a and b."""
-    return np.repeat([(a, b)[k % 2] for k in range(runs)],
-                     np.diff(np.linspace(0, n, runs + 1).astype(int)))
+def _tables(draw):
+    """Tables of drawn cells: row counts about a block and small ones, and
+    C-ordered, Fortran-ordered or strided layouts."""
+    rows = draw(st.one_of(st.sampled_from([0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS,
+                                           _BLOCK_ROWS + 1]),
+                          st.integers(0, 40)))
+    cols = draw(st.integers(1, 6))
+    cells = draw(st.lists(_CELLS, min_size=1, max_size=40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = rng.choice(np.array(cells), size=(rows, cols))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        return np.asfortranarray(table)
+    if layout == "strided":
+        wide = np.zeros((rows, 2 * cols))
+        wide[:, ::2] = table
+        return wide[:, ::2]
+    return table
 
 
 @example(np.empty((0, 3)))
 @example(np.array([[1.0, -0.0, math.nan, math.inf]]))
-@example(np.full((500, 2), 7.25))
-@example(np.column_stack([_alternating(600, runs, 0.0, -0.0)
-                          for runs in (_BAKED_RUNS - 1, _BAKED_RUNS,
-                                       _BAKED_RUNS + 1, 600)]))
-@example(np.column_stack([_alternating(_BLOCK_ROWS + 1, 3, math.nan, -math.inf),
-                          np.arange(_BLOCK_ROWS + 1.0)]))
-@given(_run_tables())
+@example(np.full((_BLOCK_ROWS + 1, 2), 999999.5))
+# scaled down by a power of ten onto a half: above, below and on the tie
+@example(np.array([[2.577405e+22, 6.844745e+24, 1234565.0, 1234575.0]]))
+# past 1e-15 and 1e26, where a scaling by an inexact power of ten misrounds
+@example(np.array([[4.676255e-18, 9.992585e-18, 9.751305e+28, 8.864315e+28]]))
+@given(_tables())
 def test_csv_matches_cell_by_cell_reference(table):
     header = ",".join(f"c{k}" for k in range(table.shape[1]))
-    assert _csv(header, table) == csv_reference(header, table)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        text = _csv(header, table)
+    assert text == csv_reference(header, table)
+
+
+def test_csv_matches_reference_on_dense_hard_cells():
+    # ~400k cells of the families above, drawn by NumPy, over all the
+    # decades of the NumPy path and a few past its edges
+    rng = np.random.default_rng(2024)
+    n = 20000
+    m = rng.integers(100000, 1000000, n) + 0.5
+    ten = 10.0 ** rng.integers(-20, 31, n)
+    hard = [rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64),
+            10.0 ** rng.uniform(-16, 27, n), m * ten, m / (1.0 / ten), m,
+            999999.5 * ten, ten, rng.integers(-10**9, 10**9, n) / 1000.0]
+    hard += [np.nextafter(u, np.inf) for u in hard[1:]]
+    hard += [np.nextafter(u, -np.inf) for u in hard[1:8]]
+    signs = (rng.integers(0, 2, (n, len(hard)), dtype=np.uint64)
+             << np.uint64(63))
+    table = (np.column_stack(hard).view(np.uint64) ^ signs).view(np.float64)
+    header = ",".join(f"c{k}" for k in range(table.shape[1]))
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        text = _csv(header, table)
+    assert text == csv_reference(header, table)
 
 
 def test_profile_respects_sim_step(tmp_path, capsys):
@@ -497,6 +531,36 @@ def test_main_exit_code_config_error(tmp_path, capsys):
     assert main(["plan", "--config", str(level)]) == 2
     assert "config error: altitude band must climb" in \
         capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, override, message, located", [
+    (b"\xff\xfe", None, "cannot read config", False),
+    (b"aircraft: [1", None, "expected ',' or ']'", True),
+    (b"aircraft: 'x", None, "found unexpected end of stream", True),
+    (b"a: 1\x00", None, "unacceptable character #x0000", False),
+    (None, "[1", "override ECONCLIMB_AIRCRAFT__MASS_KG: unparseable", True),
+])
+def test_unreadable_config_text_is_one_line(content, override, message,
+                                            located, tmp_path, monkeypatch,
+                                            capsys):
+    # a file that is not UTF-8 or not YAML, or an override that is not
+    # YAML, exits 2 with one line naming the problem and where it lies
+    path = CONFIG
+    if content is not None:
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(content)
+    if override is not None:
+        monkeypatch.setenv("ECONCLIMB_AIRCRAFT__MASS_KG", override)
+    assert main(["plan", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert err.count("\n") == 1
+    assert (" at line " in err and ", column " in err) == located
+
+
+def test_config_loader_uses_libyaml_where_pyyaml_has_it():
+    base = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+    assert issubclass(_Loader, base)
 
 
 def test_main_exit_code_solver_error(monkeypatch, capsys):
