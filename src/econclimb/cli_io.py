@@ -237,14 +237,19 @@ def validate_config(raw):
 
 def _parse_yaml(text, what):
     """text read as YAML; a parse error is a one-line ConfigError that
-    starts with what and ends with the problem and where it is."""
+    starts with what and ends with the problem and where it is, then the
+    construct it was parsing and where that began (libyaml marks an
+    unclosed bracket where the stream ends, past the last line)."""
     try:
         return yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
-        mark, problem = getattr(exc, "problem_mark", None), exc
-        if mark is not None and getattr(exc, "problem", None):
-            problem = (f"{exc.problem} at line {mark.line + 1}, "
-                       f"column {mark.column + 1}")
+        problem = exc
+        if getattr(exc, "problem_mark", None) and getattr(exc, "problem", None):
+            problem = ", ".join(
+                f"{says} at line {mark.line + 1}, column {mark.column + 1}"
+                for says, mark in ((exc.problem, exc.problem_mark),
+                                   (exc.context, exc.context_mark))
+                if says and mark)
         raise ConfigError(f"{what}: {' '.join(str(problem).split())}")
 
 

@@ -10,23 +10,23 @@ a power law of altitude, so the sample spacing does not affect accuracy.
 
 Geometry conventions used by the replay:
 
-* Horizontal position advances so each leg's endpoints are met exactly
-  (linear interpolation over the leg's flight time at its constant v).
-* Altitude climbs at the scenario's mean climb rate until the cruise
-  altitude, then holds; the rate and the straight-line geometry are
-  independent inputs, so the ceiling can be reached before the cruise
-  waypoint.
+* Every leg flies a straight piece of the line from the origin to the
+  cruise waypoint, so x and h both advance linearly over the leg's flight
+  time at its constant v, and the last sample is the cruise waypoint.
+  The mean climb rate enters only the planner's closed form.
 * Every leg keeps the whole climb's density band for its mean density
   quantities, the band the departure plan was calibrated on.
 * Events fire in time order, whatever their order in the schedule, and
   events due together in list order, a zero-length leg apart. A
   waypoint-triggered event fires when x reaches the waypoint's x (the
-  moment the aircraft passes a waypoint on its straight line to cruise),
-  and the leg that follows starts from the waypoint.
+  moment the aircraft passes a waypoint on its straight line to cruise).
+  Both kinds of event fire where the flown leg is at their time, so the
+  leg that follows starts on the line, also for a waypoint off it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -60,7 +60,8 @@ class Scenario:
         aircraft: airframe and powertrain constants.
         schedule: cost-index schedule with concrete values (C/s).
         q0: battery charge at the start of the climb  [C]
-        h_dot_bar: mean climb rate  [m s^-1]
+        h_dot_bar: mean climb rate of the planner's closed-form charge;
+            the replay climbs each leg at its own rate  [m s^-1]
         sim_step: profile sample spacing; does not affect accuracy  [s]
         atmo: density model: ``density(h)`` for the segment means and
             ``band_integral(h0, h, power)`` for the replayed charge.
@@ -176,22 +177,21 @@ class ScenarioResult:
 
 def _pop_next_event(timed, placed, seg, t_leg, v_leg):
     """Remove and return (t, (x, h), event) of the pending event that fires
-    first on a leg flying seg from t_leg at v_leg (ties in list order)."""
+    first on a leg flying seg from t_leg at v_leg (ties in list order),
+    with the point of the leg it fires at."""
     (x0, h0), (xc, hc) = seg.start, seg.end
     next_events = []
     if placed:
         i, ev = placed[0]
-        wp = (float(ev.at_waypoint[0]), float(ev.at_waypoint[1]))
-        frac = max(wp[0] - x0, 0.0) / (xc - x0)
-        next_events.append((t_leg + frac * seg.d / v_leg, i, placed, wp))
+        frac = max(float(ev.at_waypoint[0]) - x0, 0.0) / (xc - x0)
+        next_events.append((t_leg + frac * seg.d / v_leg, i, placed))
     if timed:
         i, ev = timed[0]
-        t_ev = max(float(ev.at_time), t_leg)
-        frac = (t_ev - t_leg) * v_leg / seg.d
-        next_events.append((t_ev, i, timed,
-                            (x0 + frac * (xc - x0), h0 + frac * (hc - h0))))
-    t_ev, _, queue, pos_ev = min(next_events)  # list indices are distinct
-    return t_ev, pos_ev, queue.pop(0)[1]
+        next_events.append((max(float(ev.at_time), t_leg), i, timed))
+    t_ev, _, queue = min(next_events)  # list indices are distinct
+    frac = (t_ev - t_leg) * v_leg / seg.d
+    return (t_ev, (x0 + frac * (xc - x0), h0 + frac * (hc - h0)),
+            queue.pop(0)[1])
 
 
 def run_scenario(scn: Scenario) -> ScenarioResult:
@@ -203,8 +203,7 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
     """
     params = scn.aircraft
     sched = scn.schedule
-    origin = scn.waypoints[0]
-    cruise = scn.waypoints[-1]
+    origin, cruise = scn.waypoints[0], scn.waypoints[-1]
 
     full_seg = segment_between(origin, cruise, scn.h_dot_bar, scn.atmo,
                                scn.atmo_step)
@@ -245,7 +244,7 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
                                   "ci_before_Cs": None, "ci_in_Cs": ev.ci_in,
                                   "applied": False})
                 ev = None
-        legs.append((t_leg, t_end, *pos_leg, pos_end[0], v_leg,
+        legs.append((t_leg, t_end, *pos_leg, *pos_end, v_leg,
                      ci_start_leg, ci_in_leg))
         if ev is None:
             break
@@ -260,12 +259,9 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
         t_leg, pos_leg = t_end, pos_end
         ci_start_leg, ci_in_leg = ci_ev, ev.ci_in
 
-    t_total = t_end
-    legs = np.array(legs)
+    t_total, legs = t_end, np.array(legs)
     samples = Profile(_simulate_profile(scn, legs, full_seg, t_total))
-
-    last = samples[-1]
-    final_q = last.q
+    final_q = samples[-1].q
     summary = {
         "ci_max_Cs": sched.ci_max,
         "ci_max_mode": scn.ci_max_mode,
@@ -292,12 +288,11 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
         "total_time_s": t_total,
         "time_delta_s": t_total - plans[0].t_c_star,
         "final_q_C": final_q,
-        "final_e_J": last.e,
+        "final_e_J": samples[-1].e,
         "energy_used_J": (scn.q0 - final_q) * params.voltage,
         "closed_form_final_q_C": plans[-1].q_f,
         "battery_depleted": bool(final_q < 0.0
                                  or any(p.battery_depleted for p in plans)),
-        "reaches_cruise_altitude": bool(last.h >= cruise[1]),
     }
     return ScenarioResult(plans=plans, samples=samples, summary=summary)
 
@@ -310,28 +305,15 @@ def _sample_times(t_total, dt):
     return np.append(grid[grid < t_total - eps], t_total)
 
 
-def _climb_integrals(scn, t):
-    """(h, and the time integrals of rho and 1/rho from 0) at flight times t:
-    the band integral from the origin over the climb rate, plus rho(hc) or
-    1/rho(hc) for each second held at the cruise altitude."""
-    origin_h, cruise_h = scn.waypoints[0][1], scn.waypoints[-1][1]
-    rate = scn.h_dot_bar
-    h = np.minimum(origin_h + rate * t, cruise_h)
-    held = np.maximum(t - (cruise_h - origin_h) / rate, 0.0)
-    rho_c = scn.atmo.density(cruise_h)
-    return (h, scn.atmo.band_integral(origin_h, h, 1) / rate + rho_c * held,
-            scn.atmo.band_integral(origin_h, h, -1) / rate + held / rho_c)
-
-
 def _simulate_profile(scn, legs, full_seg, t_total):
     """The replayed profile as one (n, 8) table, columns as in Profile.
 
-    ``legs`` holds one row per flown leg: t0, t1, x0, h0, x1, v, ci_start
-    and ci_in.
+    ``legs`` holds one row per flown leg: t0, t1, x0, h0, x1, h1, v,
+    ci_start and ci_in.
     """
     params = scn.aircraft
     times = _sample_times(t_total, scn.sim_step)
-    t0, t1, x0, _, x1, v_leg, ci_start, ci_in = legs.T
+    t0, t1, x0, h0, x1, h1, v_leg, ci_start, ci_in = legs.T
     idx = np.searchsorted(t0, times, side="right") - 1
 
     # Each point gathers its leg's values column by column (no (n, 8)
@@ -342,20 +324,28 @@ def _simulate_profile(scn, legs, full_seg, t_total):
     span = (t1 - t0)[idx]
     frac = np.divide(tl, span, out=np.zeros_like(tl), where=span > 0.0)
     x = x0[idx] + frac * (x1 - x0)[idx]
+    h = h0[idx] + frac * (h1 - h0)[idx]
+    x[-1], h[-1] = scn.waypoints[-1]  # h0 + (h1 - h0) may miss h1 by an ulp
     v = v_leg[idx]
     del tl, span, frac  # grid-sized; the final table is the memory peak
 
     # The charge drawn by each sample: its leg's start value (one cumsum
     # over the legs) plus the closed form from the leg start at the leg's
-    # speed. Both are the same monotone expression, so q never rises.
-    h_b, rho_b, inv_b = _climb_integrals(scn, np.append(t0, t_total))
-    per_leg = _charge_drawn(v_leg, np.diff(h_b), np.diff(rho_b),
-                            np.diff(inv_b), params)
+    # speed. A leg climbs at the constant rate (h1 - h0) / (t1 - t0), so its
+    # time integrals of rho and 1/rho are (t1 - t0) / (h1 - h0) times the
+    # band integrals, taken from the origin and differenced at the leg
+    # start; a leg that does not climb (zero length, or shorter than the
+    # rounding of its altitude) draws nothing. Both are the same monotone
+    # expression, so q never rises.
+    band = functools.partial(scn.atmo.band_integral, scn.waypoints[0][1])
+    per_m = np.divide(t1 - t0, h1 - h0, out=np.zeros_like(t0), where=h1 > h0)
+    rho_0, inv_0 = band(h0, 1), band(h0, -1)
+    per_leg = _charge_drawn(v_leg, h1 - h0, per_m * (band(h1, 1) - rho_0),
+                            per_m * (band(h1, -1) - inv_0), params)
     at_start = np.append(0.0, np.cumsum(per_leg[:-1]))
-    h, rho_t, inv_t = _climb_integrals(scn, times)
     q = scn.q0 - (at_start[idx] + _charge_drawn(
-        v, h - h_b[idx], rho_t - rho_b[idx], inv_t - inv_b[idx], params))
-    del rho_t, inv_t
+        v, h - h0[idx], per_m[idx] * (band(h, 1) - rho_0[idx]),
+        per_m[idx] * (band(h, -1) - inv_0[idx]), params))
 
     # One tracking-speed solve per run of equal cost index, repeated over
     # the run. The speeds are those of a solve per row: the Newton loop
@@ -366,4 +356,3 @@ def _simulate_profile(scn, legs, full_seg, t_total):
                         np.diff(np.append(starts, len(ci))))
     return np.column_stack([times, x, h, v, ci, q, q * params.voltage,
                             v_track])
-

@@ -7,9 +7,10 @@ once ran. Its t, x, h, v, ci and v_track columns are the ones
 
 Its q and e columns are a numerical oracle for the closed-form charge: the
 trapezoid rule on charge_rate over a fine grid (``ORACLE_STEP``) merged
-with the sample times, the leg starts and the moment the cruise altitude is
-reached. Each grid interval then lies inside one leg and one flight phase,
-so the integrand is smooth on it and the rule converges as the step squared.
+with the sample times and the leg starts. Each grid interval then lies
+inside one leg, which climbs its straight piece of the origin-cruise line
+at the constant rate (h1 - h0) / (t1 - t0), so the integrand is smooth on
+it and the rule converges as the step squared.
 """
 
 import numpy as np
@@ -49,16 +50,16 @@ def replay_reference(scn, summary):
     t_total = summary["total_time_s"]
     times = _sample_times(t_total, scn.sim_step)
     leg_starts = np.asarray([leg[0] for leg in legs])
-    t_reach = (cruise[1] - origin[1]) / scn.h_dot_bar
     edges = np.unique(np.concatenate([
-        times, leg_starts[1:], [t_reach] if t_reach < t_total else [],
-        np.arange(0.0, t_total, ORACLE_STEP)]))
+        times, leg_starts[1:], np.arange(0.0, t_total, ORACLE_STEP)]))
     idx = np.clip(np.searchsorted(leg_starts, edges, side="right") - 1,
                   0, len(legs) - 1)
 
     v = np.empty_like(edges)
     ci = np.empty_like(edges)
     x = np.empty_like(edges)
+    h = np.empty_like(edges)
+    hdot = np.empty_like(edges)
     for k, (t0, t1, pos0, pos1, v_leg, ci_start, ci_in) in enumerate(legs):
         m = idx == k
         tl = edges[m] - t0
@@ -67,13 +68,13 @@ def replay_reference(scn, summary):
         span = t1 - t0
         frac = tl / span if span > 0.0 else np.zeros_like(tl)
         x[m] = pos0[0] + frac * (pos1[0] - pos0[0])
+        h[m] = pos0[1] + frac * (pos1[1] - pos0[1])
+        hdot[m] = (pos1[1] - pos0[1]) / span if span > 0.0 else 0.0
+    x[-1], h[-1] = cruise  # the arrival
 
-    # Each interval flies its left end's leg, and climbs while its
-    # midpoint lies before the cruise altitude is reached.
-    h = np.minimum(origin[1] + scn.h_dot_bar * edges, cruise[1])
+    # Each interval flies its left end's leg at that leg's climb rate.
     rho = scn.atmo.density(h)
-    hdot = np.where(0.5 * (edges[:-1] + edges[1:]) < t_reach,
-                    scn.h_dot_bar, 0.0)
+    hdot = hdot[:-1]
     rates = (charge_rate(v[:-1], hdot, rho[:-1], params)
              + charge_rate(v[:-1], hdot, rho[1:], params))
     q = scn.q0 + np.concatenate([[0.0],

@@ -1,14 +1,18 @@
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import econclimb
@@ -558,6 +562,18 @@ def test_unreadable_config_text_is_one_line(content, override, message,
     assert (" at line " in err and ", column " in err) == located
 
 
+def test_unclosed_bracket_names_where_it_opened(tmp_path, capsys):
+    # libyaml marks the problem where the stream ends, on a line past the
+    # file's last, so the error also names the construct and its start
+    path = tmp_path / "bad.yaml"
+    path.write_bytes(b"aircraft: [1")
+    assert main(["plan", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(", while parsing a flow sequence at line 1, "
+                        "column 11\n")
+    assert err.count("\n") == 1
+
+
 def test_config_loader_uses_libyaml_where_pyyaml_has_it():
     base = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
     assert issubclass(_Loader, base)
@@ -632,6 +648,103 @@ def test_numpy_values_past_the_float_range_exit_2(command, overrides,
         "config error: a value leaves the float range (overflow encountered")
     assert printed.err.count("\n") == 1
     assert not out.exists()
+
+
+def _number_keys(node, path=()):
+    """(path, value) of every number a config block sets, events included
+    and waypoint coordinates left out."""
+    for key, value in (node.items() if isinstance(node, dict)
+                       else enumerate(node)):
+        if isinstance(value, float):
+            yield path + (key,), value
+        elif isinstance(value, dict) or key == "events":
+            yield from _number_keys(value, path + (key,))
+
+
+NUMBER_KEYS = dict(_number_keys(_read_config_dict()))
+
+#: Each command at a 5 s step where it flies the replay; the sweep ends at
+#: the bundled v_max, so that a v_max scaled up does not tabulate millions
+#: of rows.
+FUZZ_ARGS = {"plan": ["--sim-step", "5", "--out", "out.json"],
+             "profile": ["--sim-step", "5", "--out", "out.csv"],
+             "sweep": ["--v-max-kmh", "161", "--out", "out.csv"],
+             "calibrate": ["--out", "out.json"]}
+
+_NON_FINITE = re.compile(r"\b(?:nan|inf)\b", re.IGNORECASE)
+
+
+@st.composite
+def _scaled_keys(draw):
+    """1-3 numeric keys of the bundled config, each set to its value times
+    10^k for k in [-300, 300], or to a fraction between 0 and 1."""
+    keys = {}
+    for path in draw(st.lists(st.sampled_from(list(NUMBER_KEYS)),
+                              min_size=1, max_size=3, unique=True)):
+        k = draw(st.integers(-300, 300))
+        if path[-1] == "atmosphere_step_m":
+            k = max(k, -3)  # a 1e-4 m grid is the 10^7-point cap: 0.3 GB
+        keys[path] = draw(st.sampled_from(
+            [NUMBER_KEYS[path] * 10.0**k, 0.0, 1e-300, 1e-12, 0.5, 1.0]))
+    return keys
+
+
+def _finite_numbers(value, key=None):
+    """Whether every number of a rendered JSON value but a tau is finite."""
+    if isinstance(value, dict):
+        return all(_finite_numbers(v, k) for k, v in value.items())
+    if isinstance(value, list):
+        return all(_finite_numbers(v, key) for v in value)
+    return key == "tau_s" or value not in ("nan", "inf", "-inf")
+
+
+@example("plan", {("cost_index", "ci0_fraction"): 1e-300,
+                  ("cost_index", "tau", "factor"): 1e98})
+@example("plan", {("aircraft", "wing_area_m2"): 1.137e301,
+                  ("scenario", "h_dot_bar_ms"): 1.65e-8,
+                  ("cost_index", "tau", "factor"): 1e18})
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(list(FUZZ_ARGS)), _scaled_keys())
+def test_every_config_that_validates_flies_or_fails_in_one_line(command,
+                                                                 keys):
+    raw = _read_config_dict()
+    for path, value in keys.items():
+        node = raw
+        for part in path[:-1]:
+            node = node[part]
+        node[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "cfg.yaml"
+        config.write_text(yaml.safe_dump(raw))
+        argv = [command, "--config", str(config), *FUZZ_ARGS[command]]
+        argv[-1] = str(Path(tmp) / argv[-1])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        written = {name: (Path(tmp) / name).read_text()
+                   for name in os.listdir(tmp) if name != "cfg.yaml"}
+    assert code in (0, 2, 3), err
+    if code != 0:
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert out == "" and written == {}
+        return
+    assert err == ""
+    assert not _NON_FINITE.search(re.sub(r"tau: \S+|\S*/\S*", "", out))
+    for name, text in written.items():
+        if name.endswith(".json"):
+            summary = json.loads(text)
+            assert _finite_numbers(summary)
+            v_max = raw["aircraft"]["vmax_kmh"] / 3.6 * (1.0 + 5e-6)
+            for leg in summary.get("segments", []):
+                assert 5.0 < leg["v_star_ms"] * (1.0 + 5e-6)
+                assert leg["v_star_ms"] <= v_max
+        else:
+            cells = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1,
+                               ndmin=2)
+            assert np.isfinite(cells[:, 1 if command == "sweep" else 0:]).all()
+            if command == "profile":
+                assert (np.diff(cells[:, 5]) <= 0.0).all()
 
 
 def _light_config(tmp_path, **aircraft):

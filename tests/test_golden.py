@@ -54,12 +54,12 @@ CONFIGS = ROOT / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 #: sha256 of the 200 replan-storm scenarios of seed 1001, rendered in order.
-STORM_PIN = ("cc724d756e383d83eabada8785fecf12"
-             "e79a1b54e7972e1434b20e7de39a5e5d")
+STORM_PIN = ("55374bb1fa71aabf00d47706cce0678e"
+             "c9a21c984f5cc7d2b1cd870a49628aba")
 
 #: The same for the 200 replan-storm scenarios of seed 2001.
-STORM_PIN_2001 = ("3b1f600602fc27c48b8c7c16380f1f2e"
-                  "20dc7fa08ab31dbf31995e78f85bc954")
+STORM_PIN_2001 = ("6c56d687b13b50581cb513fd20943a9b"
+                  "ab239e52873f15217594d74942a90e9f")
 
 # case -> (subcommand and its flags, golden file of its stdout or None,
 #          files it writes[, config file name, default e430_atc_climb.yaml])
@@ -83,17 +83,17 @@ PINS = {
     "profile_fine": (
         ["profile", "--sim-step", "0.01", "--out", "profile.csv"],
         "e430_atc_climb.yaml",
-        {"profile.csv": "5bea98eec3c22488b42db545b575c24c"
-                        "94a877a3100bf49d13e23300f3835f1a",
-         "profile.csv.meta.json": "a4e5f029b4dd334017851a6b3081e198"
-                                  "55415cc84bdc8d1b218424acfd950713"}),
+        {"profile.csv": "981f09f8f980bf778b520da5f2ea8bc8"
+                        "e6cc792debb46bdb22b1287720c48d3c",
+         "profile.csv.meta.json": "c66a69627becdf46b1e37488d27b14ea"
+                                  "9a8b32c21cc340fcea1763a45ecec452"}),
     "profile_storm_fine": (
         ["profile", "--sim-step", "0.01", "--out", "profile.csv"],
         "e430_atc_storm.yaml",
-        {"profile.csv": "4a9975744a284c72d3d6095e8d8df6d8"
-                        "44126dac7173edc232779423bf17a12c",
-         "profile.csv.meta.json": "9087e13ed81b096eed339d82f4122534"
-                                  "5b676cfa66043091b17886af4f62bf55"}),
+        {"profile.csv": "9119b0d855991e8eac2890d541e55c02"
+                        "d94ddc79ad06c40e97f90d99ab9aa03e",
+         "profile.csv.meta.json": "7f8e5edb09c0cd09ce52aa854fc8be0f"
+                                  "c75fc5fe4d579436979eaa5e6241b7d8"}),
     "sweep_fine": (
         ["sweep", "--v-step-kmh", "0.01", "--tau-s", "1,10,100,inf",
          "--out", "sweep.csv"],
