@@ -16,7 +16,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import econclimb
-from econclimb import climb_optimizer, scenario_sim, segment_between
+from econclimb import (
+    climb_optimizer,
+    run_scenario,
+    scenario_sim,
+    segment_between,
+)
 from econclimb.cli_io import (
     _BLOCK_ROWS,
     ConfigError,
@@ -24,6 +29,7 @@ from econclimb.cli_io import (
     _csv,
     _json_text,
     _jsonable,
+    _profile_csv,
     build_scenario,
     fmt,
     load_config,
@@ -263,6 +269,13 @@ def test_profile_csv(tmp_path, capsys):
         q_prev = q
     assert rows[-1][1] == pytest.approx(30000.0, rel=1e-5)
     assert rows[-1][2] == pytest.approx(1000.0, rel=1e-9)
+
+
+def test_bundled_profile_csv_matches_cell_by_cell_reference():
+    table = run_scenario(build_scenario(load_config(CONFIG))[0]).samples.table
+    assert table.shape == (7361, 8)  # the 0.1 s step of the config
+    assert _profile_csv(table) == csv_reference(
+        "t_s,x_m,h_m,v_ms,ci_Cs,q_C,e_J,v_track_ms", table)
 
 
 def test_csv_renders_cells_as_fmt():

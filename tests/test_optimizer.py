@@ -213,6 +213,16 @@ def test_reference_replan_after_command(params, replan_segment):
     assert plan.q_f is None
 
 
+def test_settled_replan_is_the_constant_ci_speed_at_ci_in(params,
+                                                         replan_segment):
+    # the leg lasts about 45 filter time constants, so the CI has settled
+    # at ci_in and the speed is the constant-CI one at ci_in
+    plan = solve_optimal_speed(replan_segment, CI0, CI_IN, TAU, params)
+    v_in = fms_initial_speed(replan_segment, CI_IN, params).v_star
+    assert plan.v_star == pytest.approx(v_in, rel=1e-9)
+    assert fms_initial_speed(replan_segment, CI0, params).v_star < v_in
+
+
 def test_plan_without_charge_leaves_qf_unset(params, full_segment):
     plan = fms_initial_speed(full_segment, CI0, params)
     assert plan.q_f is None

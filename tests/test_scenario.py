@@ -215,18 +215,27 @@ def test_sample_times_match_stepwise_grid():
     assert _sample_times(736.0, 0.01).size == 73601
 
 
-def test_grids_past_the_point_cap_are_domain_errors():
+def test_grids_past_the_point_cap_are_domain_errors(params):
     # 1e-12 fails the point-count check before anything is allocated
-    with pytest.raises(DomainError, match="sim step 1e-12 s needs 7.36e"):
-        _sample_times(736.0, 1e-12)
+    with pytest.raises(DomainError, match="sim step 1e-12 s needs 6.003e"):
+        _reference_scenario(aircraft=params, sim_step=1e-12)
 
 
 def test_scenario_bounds_its_sample_grid_before_flying(params):
-    # the longest flight two legs can make on the reference climb is
-    # (30 km + 2 x 1 km) / 5 m/s = 6400 s, so 10^7 samples allow 6.4e-4 s
-    _reference_scenario(aircraft=params, sim_step=6.5e-4)
-    with pytest.raises(DomainError, match="sim step 0.0006 s needs 1.067e"):
+    # the legs fly the reference climb's 30,016.7 m slant once, at 5 m/s or
+    # faster, so no flight lasts past 6,003.3 s and 10^7 samples allow a
+    # 6.0033e-4 s step
+    _reference_scenario(aircraft=params, sim_step=6.01e-4)
+    with pytest.raises(DomainError, match="sim step 0.0006 s needs 1.001e"):
         _reference_scenario(aircraft=params, sim_step=6e-4)
+
+
+def test_storm_config_builds_at_a_step_its_slant_allows():
+    # 6,003.3 s at 7e-4 s is 8.6e6 samples, and the six events do not
+    # lengthen the flight
+    raw = yaml.safe_load(STORM_CONFIG.read_text())
+    raw["scenario"]["sim_step_s"] = 7e-4
+    assert build_scenario(validate_config(raw))[0].sim_step == 7e-4
 
 
 def test_profile_is_a_sequence_of_samples(reference_result):
@@ -261,6 +270,28 @@ def test_plan_and_profile_agree_on_times(reference_result):
         pytest.approx(s["segments"][1]["planned_time_s"], rel=1e-12)
     assert s["segments"][0]["flown_time_s"] < \
         s["segments"][0]["planned_time_s"]
+
+
+def test_twelve_event_replay_applies_every_event(params):
+    # the reference climb with six waypoint and six time commands that
+    # alternate, each re-planning the rest of the climb, on a 5 s step
+    waypoints = [(x, x / 30.0) for x in (4500.0, 9000.0, 13500.0, 18000.0,
+                                         22500.0, 27000.0)]
+    times = (60.0, 170.0, 290.0, 400.0, 520.0, 640.0)
+    events = []
+    for k, (wp, t) in enumerate(zip(waypoints, times)):
+        events.append(CiEvent(ci_in=CI_MAX * (0.4 + 0.1 * k), at_time=t))
+        events.append(CiEvent(ci_in=CI_MAX * (0.95 - 0.1 * k), at_waypoint=wp))
+    scn = _reference_scenario(
+        waypoints=((0.0, 0.0), *waypoints, (30000.0, 1000.0)),
+        aircraft=params, schedule=_reference_schedule(tuple(events)),
+        sim_step=5.0)
+    result = run_scenario(scn)
+    summary = result.summary
+    assert [ev["applied"] for ev in summary["events"]] == [True] * 12
+    assert len(result.plans) == 13
+    rows = len(_sample_times(summary["total_time_s"], scn.sim_step))
+    assert len(result.samples) == rows == 154
 
 
 def test_time_triggered_event_matches_waypoint_trigger(params,
