@@ -487,18 +487,19 @@ def _csv(header, table):
 
     A block of rows at a time is rendered into words, the separators take
     the last byte of each cell's tail, and one pass deletes the NUL bytes.
+    Each block is decoded apart: the whole text is never bytes as well.
     """
     rows, cols = table.shape
     sep = np.full(cols, ord(",") << 56, dtype=np.int64)
     sep[-1] = ord("\n") << 56
     words = np.empty((min(rows, _BLOCK_ROWS), cols, 3), np.int64)
-    parts = [f"{header}\n".encode()]
+    parts = [f"{header}\n"]
     for lo in range(0, rows, _BLOCK_ROWS):
         block = words[:min(rows - lo, _BLOCK_ROWS)]
         _csv_cells(table[lo:lo + _BLOCK_ROWS].ravel(), block.reshape(-1, 3))
         block[:, :, 2] |= sep
-        parts.append(block.tobytes().translate(None, b"\0"))
-    return b"".join(parts).decode("ascii")
+        parts.append(block.tobytes().translate(None, b"\0").decode("ascii"))
+    return "".join(parts)
 
 
 def _jsonable(value):

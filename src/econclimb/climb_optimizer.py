@@ -8,15 +8,16 @@ airspeed v, chosen to minimize direct operating cost
            + Q0 - Q_f(v)                               # battery charge spent
 
 where the cost index relaxes from ci0 toward the commanded ci_in with time
-constant tau (``math.inf`` = constant-CI mode, collapsing the first two terms
-to ci0 d / v). Q_f comes from the closed-form segment discharge in
-``vehicle``. The constant-CI condition ci = v^2 (-dQf/dv) / d is stated once
-each way round, in ``ci_for_speed`` and its inverse ``economy_speed``, and
-every constant-CI airspeed comes from the latter's Newton iteration. With
-a filtered CI, dJ/dv = (d / v^2) (ci_for_speed(v) - ci_at(d / v)): v* is
-the constant-CI economy speed of the CI in force at arrival, a bracketed
-root on [5 m/s, v_max] (on either piece of it, for a falling CI that makes
-dJ/dv dip twice) checked to be a minimum.
+constant tau (``math.inf`` = constant-CI mode, collapsing the first two
+terms to ci0 d / v). Q_f and its speed derivatives come from the drag
+polar's (A, B, C) that ``vehicle._polar`` states once. The constant-CI
+condition ci = v^2 (-dQf/dv) / d is stated once each way round, in
+``ci_for_speed`` and its inverse ``economy_speed``, whose Newton iteration
+gives every constant-CI airspeed. With a filtered CI,
+dJ/dv = (d / v^2) (ci_for_speed(v) - ci_at(d / v)): v* is the constant-CI
+economy speed of the CI in force at arrival, a bracketed root on
+[5 m/s, v_max] (on either piece of it, for a falling CI that makes dJ/dv dip
+twice) checked to be a minimum.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .errors import (
     SaddlePointError,
 )
 from .vehicle import (
+    _polar,
     _require_positive_speed,
     final_charge_sensitivity,
     segment_discharge,
@@ -50,6 +52,9 @@ _RTOL = 1e-10
 
 #: Iteration cap for the root solves; both converge well inside it.
 _MAXITER = 100
+
+#: Taylor coefficients of phi(x) / x = x / 2 - x^2 / 6 + ..., highest first.
+_PHI_TAYLOR = [(-1) ** k / math.factorial(k + 2) for k in range(9, -1, -1)]
 
 
 @dataclass(frozen=True)
@@ -134,14 +139,28 @@ def _check_speed_and_tau(v, tau):
 
 
 def total_cost(v, seg, ci0, ci_in, tau, q0, params):
-    """Total cost J of flying the segment at constant airspeed v.  [C]"""
+    """Total cost J of flying the segment at constant airspeed v.  [C]
+
+    With t = d / v, x = t / tau, psi = 1 - exp(-x) and phi = x - psi, the
+    time cost is t (ci0 psi / x + ci_in phi / x), two terms >= 0 that cannot
+    cancel; below x = 0.1, phi / x is summed from ten Taylor terms.
+    """
     _check_speed_and_tau(v, tau)
-    d = seg.d
+    t = seg.d / v
     q_f = q0 - segment_discharge(v, seg, params)
     if math.isinf(tau):
-        return ci0 * (d / v) + q0 - q_f
-    time_cost = (ci0 - ci_in) * (tau * -np.expm1(-d / (tau * v)))
-    return time_cost + ci_in * (d / v) + q0 - q_f
+        return ci0 * t + q0 - q_f
+    x = t / tau
+    if isinstance(x, float):  # no array round trip for a float
+        phi = (functools.reduce(lambda s, c: (s + c) * x, _PHI_TAYLOR, 0.0)
+               if x < 0.1 else 1.0 + np.expm1(-x) / x)
+        psi = 1.0 - phi if x < 0.1 else -np.expm1(-x) / x
+    else:  # each form only where it holds: no overflow, no 0 / 0
+        near = np.minimum(x, 0.1)
+        phi = functools.reduce(lambda s, c: (s + c) * near, _PHI_TAYLOR, 0.0)
+        psi = np.where(x < 0.1, 1.0 - phi, -np.expm1(-x) / np.maximum(x, 0.1))
+        phi = np.where(x < 0.1, phi, 1.0 - psi)
+    return t * (ci0 * psi + ci_in * phi) + q0 - q_f
 
 
 def cost_gradient(v, seg, ci0, ci_in, tau, params):
@@ -155,23 +174,18 @@ def cost_gradient(v, seg, ci0, ci_in, tau, params):
 def cost_curvature(v, seg, ci0, ci_in, tau, params):
     """d2J/dv2; positive at a gradient root confirms a minimum.
 
-    Second derivative of total_cost, with c = ci_at(d / v):
+    Second derivative of total_cost, with c = ci_at(d / v) and _polar's A, B, C:
 
         (2 c - (c - ci_in) d / (tau v)) d / v^3
-        + (d / (eta U)) (2 W h_dot_bar / v^3 + rho_bar S cd0
-                         + 12 cd2 W^2 delta_rho_bar / (S v^4))
+        + (d / (eta U)) (A + 2 C / v^3 + 3 B / v^4)
     """
     _check_speed_and_tau(v, tau)
     d = seg.d
-    w = params.weight
-    s = params.wing_area
+    a, b, climb = _polar(seg, params)
     ci = ci_at(d / v, ci0, ci_in, tau)
     time = (2.0 * ci - (ci - ci_in) * d / (tau * v)) * d / v**3
     discharge = (d / (params.efficiency * params.voltage)) * (
-        2.0 * w * seg.h_dot_bar / v**3
-        + seg.rho_bar * s * params.cd0
-        + 12.0 * params.cd2 * w**2 * seg.delta_rho_bar / (s * v**4)
-    )
+        a + 2.0 * climb / v**3 + 3.0 * b / v**4)
     return time + discharge
 
 
@@ -208,8 +222,8 @@ def solve_optimal_speed(seg, ci0, ci_in, tau, params, q0=None):
     """Find the cost-minimizing constant airspeed for one segment.
 
     At constant CI (tau = inf, or ci0 == ci_in for any tau) dJ/dv has the
-    sign of the quartic that economy_speed solves, so v* is its Newton
-    root. Otherwise dJ/dv has the sign of
+    sign of economy_speed's quartic in the polar's (A, B, C), so v* is its
+    Newton root. Otherwise dJ/dv has the sign of
     g(v) = ci_for_speed(v) - ci_at(d / v, ci0, ci_in, tau), and v* is where
     g rises through zero in [5 m/s, v_max], found by a safeguarded Newton
     iteration with g's analytic slope and checked for positive curvature
@@ -284,9 +298,9 @@ def _arrival_roots(seg, ci0, ci_in, tau, params):
     """The roots (v, steps) where g rises through zero in [5, v_max] m/s,
     and g with its slope.
 
-    By the quartic, with k = d / tau and c = ci_at(d / v),
+    In the polar's (A, B, C), with k = d / tau and c = ci_at(d / v),
 
-        g(v) = (A v^3 - W h_dot_bar - B / v) / (eta U) - c
+        g(v) = (A v^3 - C - B / v) / (eta U) - c
         v^2 g'(v) = (3 A v^4 + B) / (eta U) - k (c - ci_in),
 
     positive for a rising CI. For a falling one the log of the ratio of
@@ -294,7 +308,7 @@ def _arrival_roots(seg, ci0, ci_in, tau, params):
     12 A v^5 = k (3 A v^4 + B), so g falls on one interval (v_p, v_q) at
     most, and each piece either side holds one root at most.
     """
-    a, b, climb = (float(c) for c in _quartic(seg, params))
+    a, b, climb = (float(c) for c in _polar(seg, params))
     eu = params.efficiency * params.voltage
     d = seg.d
     k = d / tau
@@ -366,31 +380,19 @@ def economy_speed(seg, ci, params):
     """Constant-CI optimal airspeed for each cost index in ci.  [m s^-1]
 
     Inverts ci_for_speed. Multiplied out, its condition is the quartic
-    A v^4 - R v - B = 0 of _quartic, convex for v > 0 with one positive root.
-    Newton's method from v_max falls monotonically onto that root where the
-    quartic is >= 0 at v_max; elsewhere the optimum lies beyond the envelope
-    and the speed is exactly v_max.
+    A v^4 - R v - B = 0 in the polar's (A, B, C), with R = ci eta U + C,
+    convex for v > 0 with one positive root. Newton's method from v_max
+    falls monotonically onto that root where the quartic is >= 0 at v_max;
+    elsewhere the optimum lies past the envelope and the speed is exactly v_max.
     """
     return _economy_newton(seg, ci, params)[0]
-
-
-def _quartic(seg, params):
-    """(A, B, W h_dot_bar) of the constant-CI quartic A v^4 - R v - B, with
-    A = rho_bar S cd0, B = 4 cd2 W^2 delta_rho_bar / S and
-    R = ci eta U + W h_dot_bar."""
-    w = params.weight
-    s = params.wing_area
-    return (seg.rho_bar * s * params.cd0,
-            4.0 * params.cd2 * w**2 * seg.delta_rho_bar / s,
-            w * seg.h_dot_bar)
 
 
 def _economy_newton(seg, ci, params):
     """economy_speed's Newton iteration: (speeds, steps taken). The
     quartic, times d / (eta U v^3), is the constant-CI dJ/dv."""
-    a, b, climb = _quartic(seg, params)
-    r = np.asarray(ci, dtype=float) * params.efficiency * params.voltage \
-        + climb
+    a, b, climb = _polar(seg, params)
+    r = np.asarray(ci, dtype=float) * params.efficiency * params.voltage + climb
     v = np.full_like(r, params.v_max)
     inside = a * v**4 - r * v - b >= 0.0
     step = np.zeros_like(v)  # stays zero where ~inside: those keep v_max

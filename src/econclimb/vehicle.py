@@ -13,11 +13,10 @@ of dh over which the time integrals of rho and 1/rho are I and J draws
 
 of charge. A whole segment flown at v for t = d / v at mean climb rate
 h_dot_bar takes dh = h_dot_bar t, I = rho_bar t and J = delta_rho_bar t,
-so its end-of-climb charge is
+so, with the polar's coefficients A = rho_bar S cd0,
+B = 4 cd2 W^2 delta_rho_bar / S and C = W h_dot_bar, its end-of-climb charge is
 
-    Q_f = Q0 - (d / (eta U)) * (W h_dot_bar / v
-                                + rho_bar S cd0 v^2 / 2
-                                + 2 cd2 W^2 delta_rho_bar / (S v^2))
+    Q_f = Q0 - (d / (eta U)) * (C / v + A v^2 / 2 + B / (2 v^2))
 
 Unit note: the cost-index bookkeeping elsewhere in this package is carried
 in the same unit as Qdot, namely C/s. A cost index expressed in kJ/s
@@ -60,16 +59,9 @@ class AircraftParams:
     gravity: float = STANDARD_GRAVITY
 
     def __post_init__(self):
-        positive = {
-            "wing_area": self.wing_area,
-            "mass": self.mass,
-            "cd0": self.cd0,
-            "cd2": self.cd2,
-            "v_max": self.v_max,
-            "voltage": self.voltage,
-            "gravity": self.gravity,
-        }
-        for name, value in positive.items():
+        for name in ("wing_area", "mass", "cd0", "cd2", "v_max", "voltage",
+                     "gravity"):
+            value = getattr(self, name)
             if not value > 0.0:
                 raise DomainError(f"{name} must be positive, got {value!r}")
         if not 0.0 < self.efficiency <= 1.0:
@@ -132,19 +124,23 @@ def segment_discharge(v, seg, params):
                          seg.delta_rho_bar * t, params)
 
 
+def _polar(seg, params):
+    """(A, B, C) = (rho_bar S cd0, 4 cd2 W^2 delta_rho_bar / S, W h_dot_bar),
+    the segment's drag polar and climb term, from which every speed
+    derivative of its charge is taken."""
+    w, s = params.weight, params.wing_area
+    return (seg.rho_bar * s * params.cd0,
+            4.0 * params.cd2 * w**2 * seg.delta_rho_bar / s,
+            w * seg.h_dot_bar)
+
+
 def final_charge_sensitivity(v, seg, params):
     """Analytic derivative of the final charge Q0 - segment_discharge with
     respect to airspeed.
 
-    dQf/dv = -(d / (eta U)) * (-W h_dot_bar / v^2
-                               + rho_bar S cd0 v
-                               - 4 cd2 W^2 delta_rho_bar / (S v^3))
+    dQf/dv = -(d / (eta U)) * (A v - C / v^2 - B / v^3)
     """
     _require_positive_speed(v)
-    w = params.weight
-    s = params.wing_area
+    a, b, climb = _polar(seg, params)
     return -(seg.d / (params.efficiency * params.voltage)) * (
-        -w * seg.h_dot_bar / v**2
-        + seg.rho_bar * s * params.cd0 * v
-        - 4.0 * params.cd2 * w**2 * seg.delta_rho_bar / (s * v**3)
-    )
+        a * v - climb / v**2 - b / v**3)

@@ -627,7 +627,9 @@ def test_a_command_far_above_ci0_plans_a_finite_cost(overrides, clipped,
                                                      capsys):
     # ci_in is ~1e302 C/s beside a ci0 ~1e-300 of it (or beside a huge
     # airframe): the filtered CI at arrival keeps its step from ci0, and the
-    # time cost's tau (ci0 - ci_in) product no longer overflows to -inf
+    # time cost's tau (ci0 - ci_in) product no longer overflows to -inf.
+    # In the first case t / tau is ~4e-99, and the time cost
+    # ~ci_in t^2 / (2 tau) dwarfs the charge, not cancelling to zero.
     for key, value in overrides.items():
         monkeypatch.setenv(f"ECONCLIMB_{key}", value)
     out = tmp_path / "plan.json"
@@ -638,6 +640,8 @@ def test_a_command_far_above_ci0_plans_a_finite_cost(overrides, clipped,
     assert len(legs) == 2
     assert all(math.isfinite(leg["j_star_C"]) for leg in legs)
     assert legs[1]["at_envelope_limit"] is clipped
+    j_star = 1.29388e206 if clipped else 1.70366e305
+    assert legs[1]["j_star_C"] == pytest.approx(j_star, rel=1e-12, abs=0.0)
     if clipped:
         assert legs[1]["v_star_kmh"] == 161.0
 

@@ -53,3 +53,17 @@ def test_every_public_definition_is_used_by_the_package():
     assert unused == [], (
         f"defined but never used inside the package: {unused}; move "
         "test-only helpers to tests/ or state why they stay public")
+
+
+def test_the_drag_polar_is_read_in_vehicle_only():
+    # the polar's coefficients are stated once, in vehicle._polar and the
+    # charge's one closed form; other modules read them through it
+    polar = {"cd0", "cd2", "wing_area", "weight"}
+    readers = sorted(
+        f"{path.name}:{node.lineno} {node.attr}" for path in MODULES
+        if path.name != "vehicle.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in polar)
+    assert readers == [], (
+        f"drag polar attributes read outside vehicle: {readers}; take the "
+        "coefficients from vehicle._polar")

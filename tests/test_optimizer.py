@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import math
 import random
 
@@ -127,6 +128,47 @@ def test_huge_tau_approaches_infinite_tau(params, full_segment):
     a = total_cost(V0, full_segment, CI0, CI_IN, 1e12, 0.0, params)
     b = total_cost(V0, full_segment, CI0, CI_IN, math.inf, 0.0, params)
     assert a == pytest.approx(b, rel=1e-9)
+
+
+def _time_cost_reference(t, ci0, ci_in, tau):
+    """The integral of ci_at over [0, t] at 80 digits, from the exact float
+    inputs: ci0 tau psi + ci_in tau phi, with psi = 1 - exp(-x) and
+    phi = x - psi; below x = 1, phi is summed from its Taylor series."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        t, ci0, ci_in, tau = map(decimal.Decimal, (t, ci0, ci_in, tau))
+        x = t / tau
+        if x < 1:
+            term, phi = x, decimal.Decimal(0)
+            for k in range(2, 80):
+                term = -term * x / k
+                phi -= term
+            psi = x - phi
+        else:
+            psi = 1 - (-x).exp()
+            phi = x - psi
+        return ci0 * tau * psi + ci_in * tau * phi
+
+
+def test_filtered_time_cost_matches_a_decimal_reference(params,
+                                                        full_segment):
+    # ci_in far above or below ci0, and t / tau from 1e-300 to ~630: the
+    # two-term form once cancelled to zero when ci_in t swamped the result
+    rng = random.Random(41)
+    v = V0
+    t = full_segment.d / v
+    charge = segment_discharge(v, full_segment, params)
+    for _ in range(2000):
+        x = 10.0 ** rng.uniform(-300.0, math.log10(630.0))
+        ci0, ci_in = (10.0 ** rng.uniform(6.0, 300.0) for _ in range(2))
+        tau = t / x
+        expected = _time_cost_reference(t, ci0, ci_in, tau)
+        scalar = total_cost(v, full_segment, ci0, ci_in, tau, 0.0, params)
+        vector = total_cost(np.array([v]), full_segment, ci0, ci_in, tau,
+                            0.0, params)[0]
+        for j in (scalar, vector):
+            time_cost = decimal.Decimal(j) - decimal.Decimal(charge)
+            assert abs(time_cost / expected - 1) <= 1e-13, (x, ci0, ci_in)
 
 
 def test_gradient_matches_finite_differences(params):
