@@ -125,11 +125,9 @@ class ClimbPlan:
 
     v_star: float  # [m s^-1]
     t_c_star: float  # [s]
-    j_star: float  # [C]
-    q_f: float | None  # [C]; None when no initial charge was given
+    j_star: float  # [C]; the charge term is the charge drawn, Q0 - Q_f
     iterations: int  # Newton (filtered CI: _rtsafe) steps; 0 when clipped
     at_envelope_limit: bool = False
-    battery_depleted: bool = False
 
 
 def _check_speed_and_tau(v, tau):
@@ -218,7 +216,7 @@ def _rtsafe(slope_and_curvature, lo, hi):
     return x, iteration
 
 
-def solve_optimal_speed(seg, ci0, ci_in, tau, params, q0=None):
+def solve_optimal_speed(seg, ci0, ci_in, tau, params):
     """Find the cost-minimizing constant airspeed for one segment.
 
     At constant CI (tau = inf, or ci0 == ci_in for any tau) dJ/dv has the
@@ -229,7 +227,9 @@ def solve_optimal_speed(seg, ci0, ci_in, tau, params, q0=None):
     iteration with g's analytic slope and checked for positive curvature
     (a falling CI can give two such roots; the cheaper flies). A gradient
     still negative at v_max means the unconstrained optimum sits outside
-    the envelope; the plan then clips to v_max and flags it.
+    the envelope; the plan then clips to v_max and flags it. Q0 is a
+    constant of J, so the plan does not depend on the battery: its J*
+    counts the charge drawn, Q0 - Q_f.
 
     Args:
         seg: ClimbSegment to fly.
@@ -237,8 +237,6 @@ def solve_optimal_speed(seg, ci0, ci_in, tau, params, q0=None):
         ci_in: commanded cost index  [C s^-1]
         tau: filter time constant  [s], math.inf for constant CI.
         params: AircraftParams.
-        q0: optional charge at segment start [C]; enables q_f and the
-            depletion flag on the returned plan.
 
     Raises:
         NoInteriorOptimumError: g rises through zero nowhere and is not
@@ -255,35 +253,35 @@ def solve_optimal_speed(seg, ci0, ci_in, tau, params, q0=None):
         )
 
     if math.isinf(tau) or ci0 == ci_in:
-        # The CI cannot move, so J = ci0 d / v + Q0 - Qf for any tau: convex,
-        # so the quartic's root is the optimum whenever it lies in the
-        # envelope, i.e. whenever ci0 is at most the ceiling calibrate_ci_max
-        # computes (at ci0 equal to it the quartic at v_max is zero up to
-        # rounding, so its sign cannot tell).
+        # The CI cannot move, so J = ci0 d / v + Q0 - Qf for any tau (the
+        # plan states it at tau = inf): convex, so the quartic's root is the
+        # optimum whenever it lies in the envelope, i.e. whenever ci0 is at
+        # most the ceiling calibrate_ci_max computes (at ci0 equal to it the
+        # quartic at v_max is zero up to rounding, so its sign cannot tell).
+        tau = math.inf
         # Before the Newton: its Python-float ** raises where NumPy's warns.
         clipped = ci0 > ci_for_speed(seg, params.v_max, params)
         v, steps = _economy_newton(seg, ci0, params)
         if not clipped and v >= _V_LO:
-            return _assemble_plan(float(v), seg, ci0, ci_in, tau, params, q0,
-                                  iterations=steps, at_envelope_limit=False)
+            return _assemble_plan(float(v), seg, ci0, ci_in, tau, params, steps)
     else:
         roots, gap = _arrival_roots(seg, ci0, ci_in, tau, params)
         if roots:
-            v, steps = min(roots, key=lambda root: total_cost(
-                root[0], seg, ci0, ci_in, tau, 0.0, params))
-            curvature = cost_curvature(v, seg, ci0, ci_in, tau, params)
+            plan = min((_assemble_plan(v, seg, ci0, ci_in, tau, params, steps)
+                        for v, steps in roots), key=lambda plan: plan.j_star)
+            curvature = cost_curvature(plan.v_star, seg, ci0, ci_in, tau,
+                                       params)
             if not curvature > 0.0:
                 raise SaddlePointError(
-                    f"stationary point at v={v:.6g} m/s has non-positive "
-                    f"curvature {curvature:.6g}"
+                    f"stationary point at v={plan.v_star:.6g} m/s has "
+                    f"non-positive curvature {curvature:.6g}"
                 )
-            return _assemble_plan(v, seg, ci0, ci_in, tau, params, q0,
-                                  iterations=steps, at_envelope_limit=False)
+            return plan
         clipped = gap(params.v_max)[0] < 0.0
 
     if clipped:
         # Cost still falling at the envelope edge: clipped optimum.
-        return _assemble_plan(params.v_max, seg, ci0, ci_in, tau, params, q0,
+        return _assemble_plan(params.v_max, seg, ci0, ci_in, tau, params,
                               iterations=0, at_envelope_limit=True)
     grad = cost_gradient(np.array([_V_LO, params.v_max]), seg, ci0, ci_in,
                          tau, params)
@@ -342,29 +340,24 @@ def _arrival_roots(seg, ci0, ci_in, tau, params):
     return roots, gap
 
 
-def _assemble_plan(v_star, seg, ci0, ci_in, tau, params, q0, iterations,
-                   at_envelope_limit):
-    j_star = total_cost(v_star, seg, ci0, ci_in, tau, q0 if q0 is not None else 0.0,
-                        params)
-    q_f = None if q0 is None else q0 - segment_discharge(v_star, seg, params)
+def _assemble_plan(v_star, seg, ci0, ci_in, tau, params, iterations,
+                   at_envelope_limit=False):
     return ClimbPlan(
         v_star=v_star,
         t_c_star=seg.d / v_star,
-        j_star=float(j_star),
-        q_f=q_f,
+        j_star=float(total_cost(v_star, seg, ci0, ci_in, tau, 0.0, params)),
         iterations=iterations,
         at_envelope_limit=at_envelope_limit,
-        battery_depleted=bool(q_f is not None and q_f < 0.0),
     )
 
 
-def fms_initial_speed(seg, ci0, params, q0=None):
+def fms_initial_speed(seg, ci0, params):
     """Pre-departure speed choice: the constant-CI special case.
 
     Solves -ci0 d / v^2 - dQf/dv = 0, which is solve_optimal_speed with the
     infinite-tau cost (the commanded value never deviates from ci0).
     """
-    return solve_optimal_speed(seg, ci0, ci0, math.inf, params, q0=q0)
+    return solve_optimal_speed(seg, ci0, ci0, math.inf, params)
 
 
 def ci_for_speed(seg, v, params):

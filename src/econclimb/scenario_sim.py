@@ -206,7 +206,7 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
 
     full_seg = segment_between(origin, cruise, scn.h_dot_bar, scn.atmo,
                                scn.atmo_step)
-    plans, legs, event_log = [], [], []
+    plans, legs, event_log, q_fs = [], [], [], []
     t_leg, pos_leg = 0.0, origin
     ci_start_leg = ci_in_leg = sched.ci0
     q_leg = scn.q0  # closed-form charge bookkeeping at leg starts
@@ -223,13 +223,15 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
                            full_seg.delta_rho_bar)
         try:
             plan = solve_optimal_speed(seg, ci_start_leg, ci_in_leg, sched.tau,
-                                       params, q0=q_leg)
+                                       params)
         except Exception as exc:  # prefix the failing segment's index
             head = exc.args[0] if exc.args else repr(exc)
             exc.args = (f"segment {len(plans)}: {head}",) + exc.args[1:]
             raise
         plans.append(plan)
         v_leg = plan.v_star
+        discharge = segment_discharge(v_leg, seg, params)
+        q_fs.append(q_leg - discharge)
 
         # The leg ends at the first event before arrival, else at arrival;
         # events at or after arrival are logged as skipped.
@@ -250,7 +252,7 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
 
         ci_ev = ci_at(t_end - t_leg, ci_start_leg, ci_in_leg, sched.tau)
         flown = (t_end - t_leg) * v_leg
-        q_leg = q_leg - segment_discharge(v_leg, seg, params) * (flown / seg.d)
+        q_leg = q_leg - discharge * (flown / seg.d)
         event_log.append({
             "t_s": t_end, "x_m": pos_end[0], "h_m": pos_end[1],
             "ci_before_Cs": ci_ev, "ci_in_Cs": ev.ci_in, "applied": True,
@@ -276,11 +278,12 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
                 "planned_time_s": plan.t_c_star,
                 "flown_time_s": t1 - t0,
                 "j_star_C": plan.j_star,
-                "q_f_C": plan.q_f,
+                "q_f_C": q_f,
                 "at_envelope_limit": plan.at_envelope_limit,
                 "iterations": plan.iterations,
             }
-            for (t0, t1, x0, h0, *_), plan in zip(legs.tolist(), plans)
+            for (t0, t1, x0, h0, *_), plan, q_f in zip(legs.tolist(), plans,
+                                                      q_fs)
         ],
         "events": event_log,
         "baseline_time_s": plans[0].t_c_star,
@@ -289,9 +292,8 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
         "final_q_C": final_q,
         "final_e_J": samples[-1].e,
         "energy_used_J": (scn.q0 - final_q) * params.voltage,
-        "closed_form_final_q_C": plans[-1].q_f,
-        "battery_depleted": bool(final_q < 0.0
-                                 or any(p.battery_depleted for p in plans)),
+        "closed_form_final_q_C": q_fs[-1],
+        "battery_depleted": bool(final_q < 0.0 or min(q_fs) < 0.0),
     }
     return ScenarioResult(plans=plans, samples=samples, summary=summary)
 

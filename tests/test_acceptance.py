@@ -105,16 +105,17 @@ def test_criterion_03_energy_ordering(params, full_segment, replan_segment,
     tau = 0.01 * TC0_REF
     worst = math.inf
     for q0 in (200000.0, 250000.0, 400000.0):
-        base = fms_initial_speed(full_segment, ci0, params, q0=q0)
-        assert not base.battery_depleted
+        base = fms_initial_speed(full_segment, ci0, params)
+        base_q_f = q0 - segment_discharge(base.v_star, full_segment, params)
+        assert base_q_f >= 0.0
         # with the event: first half at v0, re-planned second half
-        t1 = 0.5 * base.t_c_star
         q_mid = q0 - segment_discharge(base.v_star, full_segment, params) * 0.5
-        replan = solve_optimal_speed(replan_segment, ci0, ci_in, tau, params,
-                                     q0=q_mid)
-        assert not replan.battery_depleted
-        gap = (base.q_f - replan.q_f) * params.voltage
-        assert replan.q_f < base.q_f
+        replan = solve_optimal_speed(replan_segment, ci0, ci_in, tau, params)
+        replan_q_f = q_mid - segment_discharge(replan.v_star, replan_segment,
+                                               params)
+        assert replan_q_f >= 0.0
+        gap = (base_q_f - replan_q_f) * params.voltage
+        assert replan_q_f < base_q_f
         worst = min(worst, gap)
     _report(3, f"commanded climb finishes with at least {worst:.0f} J less "
                "energy across packs")

@@ -235,14 +235,14 @@ def test_cruise_reduction(params):
 # solver
 
 def test_reference_initial_plan(params, full_segment):
-    plan = fms_initial_speed(full_segment, CI0, params, q0=250000.0)
+    plan = fms_initial_speed(full_segment, CI0, params)
     assert plan.v_star == pytest.approx(V0, rel=1e-9)
     assert plan.v_star * 3.6 == pytest.approx(140.19, abs=1e-6)
     assert plan.t_c_star == pytest.approx(TC0, rel=1e-9)
     assert plan.j_star == pytest.approx(J0, rel=1e-9)
-    assert plan.q_f == pytest.approx(67121.09888349051, rel=1e-9)
+    q_f = 250000.0 - segment_discharge(plan.v_star, full_segment, params)
+    assert q_f == pytest.approx(67121.09888349051, rel=1e-9)
     assert not plan.at_envelope_limit
-    assert not plan.battery_depleted
     assert plan.iterations > 0
 
 
@@ -252,7 +252,6 @@ def test_reference_replan_after_command(params, replan_segment):
     assert plan.v_star * 3.6 == pytest.approx(154.131, abs=1e-3)
     assert plan.t_c_star == pytest.approx(TC1, rel=1e-9)
     assert plan.j_star == pytest.approx(J1, rel=1e-9)
-    assert plan.q_f is None
 
 
 def test_settled_replan_is_the_constant_ci_speed_at_ci_in(params,
@@ -265,16 +264,10 @@ def test_settled_replan_is_the_constant_ci_speed_at_ci_in(params,
     assert fms_initial_speed(replan_segment, CI0, params).v_star < v_in
 
 
-def test_plan_without_charge_leaves_qf_unset(params, full_segment):
-    plan = fms_initial_speed(full_segment, CI0, params)
-    assert plan.q_f is None
-    assert not plan.battery_depleted
-
-
 def test_small_pack_flags_depletion(params, full_segment):
-    plan = fms_initial_speed(full_segment, CI0, params, q0=1000.0)
-    assert plan.battery_depleted
-    assert plan.q_f < 0.0
+    # the plan does not depend on the pack; a 1000 C one cannot fly it
+    plan = fms_initial_speed(full_segment, CI0, params)
+    assert 1000.0 - segment_discharge(plan.v_star, full_segment, params) < 0.0
 
 
 def test_solution_is_grid_minimum(params, full_segment, replan_segment):
@@ -517,7 +510,7 @@ def test_constant_ci_speed_skips_the_scan(params, full_segment,
         monkeypatch.setattr(co, name, wrapped)
 
     spy("_rtsafe", co._rtsafe)
-    plan = fms_initial_speed(full_segment, CI0, params, q0=250000.0)
+    plan = fms_initial_speed(full_segment, CI0, params)
     assert plan.v_star == pytest.approx(V0, rel=1e-9)
     assert plan.iterations == 5
     clipped = solve_optimal_speed(full_segment, 1.05 * CI_MAX_VMAX, CI_IN,
@@ -609,10 +602,10 @@ def test_storm_legs_match_the_gradient_scan(monkeypatch):
     legs = []
     solve = scenario_sim.solve_optimal_speed
 
-    def record(seg, ci0, ci_in, tau, params, q0=None):
+    def record(seg, ci0, ci_in, tau, params):
         if not math.isinf(tau) and ci0 != ci_in:
             legs.append((seg, ci0, ci_in, tau, params))
-        return solve(seg, ci0, ci_in, tau, params, q0=q0)
+        return solve(seg, ci0, ci_in, tau, params)
 
     monkeypatch.setattr(scenario_sim, "solve_optimal_speed", record)
     inputs = _bench_inputs()
@@ -630,10 +623,9 @@ def test_a_ci_that_cannot_move_is_the_constant_ci_plan(share, params,
     # with ci0 == ci_in the filter term of J is zero for any tau, so a
     # finite tau must give the infinite-tau plan, field by field
     ci = share * calibrate_ci_max(params, full_segment)
-    plan = fms_initial_speed(full_segment, ci, params, q0=250000.0)
+    plan = fms_initial_speed(full_segment, ci, params)
     for tau in (TAU, 600.0):
-        same = solve_optimal_speed(full_segment, ci, ci, tau, params,
-                                   q0=250000.0)
+        same = solve_optimal_speed(full_segment, ci, ci, tau, params)
         for field in dataclasses.fields(plan):
             assert getattr(same, field.name) == getattr(plan, field.name), \
                 (tau, field.name)
@@ -695,8 +687,8 @@ def test_repeated_solves_give_equal_plans(params, full_segment,
     cases = [(full_segment, CI0, CI0, math.inf),
              (replan_segment, CI0, CI_IN, TAU),
              (replan_segment, CI_IN, 0.5 * CI0, 60.0)]
-    cold = [solve_optimal_speed(*case, params, q0=250000.0) for case in cases]
-    warm = [solve_optimal_speed(*case, params, q0=250000.0) for case in cases]
+    cold = [solve_optimal_speed(*case, params) for case in cases]
+    warm = [solve_optimal_speed(*case, params) for case in cases]
     assert warm == cold
 
 

@@ -344,6 +344,17 @@ def test_depleting_scenario_is_reported_not_raised(params):
     assert res.summary["final_q_C"] < 0.0
 
 
+def test_final_charge_may_go_negative(params, reference_result):
+    # a small pack is simply reported as depleted, not clamped: it draws
+    # the charge a large one draws
+    res = run_scenario(_reference_scenario(aircraft=params, q0=1000.0))
+    s = res.summary
+    assert s["final_q_C"] < 0.0 and s["battery_depleted"] is True
+    assert s["final_q_C"] == pytest.approx(
+        reference_result.summary["final_q_C"] - 249000.0, rel=1e-12)
+    assert res.samples.table[-1, 5] == s["final_q_C"]
+
+
 # ---------------------------------------------------------------------------
 # cost curves (the sweep's J(v); its CSV is checked in test_cli)
 
@@ -527,8 +538,7 @@ def test_replans_equal_solves_on_segment_between(variant, monkeypatch):
     full_seg = segment_between(origin, cruise, scn.h_dot_bar, scn.atmo,
                                scn.atmo_step)
     assert seg == full_seg
-    departure = fms_initial_speed(full_seg, scn.schedule.ci0, scn.aircraft,
-                                  q0=scn.q0)
+    departure = fms_initial_speed(full_seg, scn.schedule.ci0, scn.aircraft)
     for field in dataclasses.fields(departure):
         assert (getattr(res.plans[0], field.name)
                 == getattr(departure, field.name)), field.name

@@ -13,7 +13,6 @@ from econclimb import (
     DomainError,
     e430,
     final_charge_sensitivity,
-    fms_initial_speed,
     segment_discharge,
 )
 from econclimb.vehicle import _require_positive_speed
@@ -184,14 +183,6 @@ def test_discharge_monotone_in_climb_rate(params):
     for v in (25.0, 35.0, 44.0):
         assert segment_discharge(v, fast, params) > \
             segment_discharge(v, slow, params)
-
-
-def test_final_charge_may_go_negative(params, full_segment, ci_max_cal):
-    # a small pack is simply reported as depleted, not clamped
-    plan = fms_initial_speed(full_segment, 0.6 * ci_max_cal, params, q0=1000.0)
-    assert plan.q_f == 1000.0 - segment_discharge(plan.v_star, full_segment,
-                                                  params)
-    assert plan.q_f < 0.0 and plan.battery_depleted
 
 
 def test_sensitivity_matches_finite_differences(params, full_segment,
