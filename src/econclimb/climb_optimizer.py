@@ -227,9 +227,8 @@ def solve_optimal_speed(seg, ci0, ci_in, tau, params):
     iteration with g's analytic slope and checked for positive curvature
     (a falling CI can give two such roots; the cheaper flies). A gradient
     still negative at v_max means the unconstrained optimum sits outside
-    the envelope; the plan then clips to v_max and flags it. Q0 is a
-    constant of J, so the plan does not depend on the battery: its J*
-    counts the charge drawn, Q0 - Q_f.
+    the envelope; the plan then clips to v_max and flags it. J* counts
+    the charge drawn, Q0 - Q_f, and no plan depends on Q0.
 
     Args:
         seg: ClimbSegment to fly.

@@ -197,8 +197,9 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
     """Plan and replay the scenario.
 
     Returns the per-leg plans, the profile samples, and a summary
-    mapping. Solver failures propagate with the leg index prepended;
-    battery depletion is reported in the summary, not raised.
+    mapping. A leg's ``q_f_C`` is the replayed charge at its start less
+    its closed-form charge. Solver failures propagate with the leg index
+    prepended; a negative final charge is reported as depletion, not raised.
     """
     params = scn.aircraft
     sched = scn.schedule
@@ -206,10 +207,9 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
 
     full_seg = segment_between(origin, cruise, scn.h_dot_bar, scn.atmo,
                                scn.atmo_step)
-    plans, legs, event_log, q_fs = [], [], [], []
+    plans, legs, event_log, discharges = [], [], [], []
     t_leg, pos_leg = 0.0, origin
     ci_start_leg = ci_in_leg = sched.ci0
-    q_leg = scn.q0  # closed-form charge bookkeeping at leg starts
 
     # Each trigger kind is already ordered by the schedule, and the event
     # log runs in firing order, so its applied entries line up with the legs.
@@ -230,8 +230,7 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
             raise
         plans.append(plan)
         v_leg = plan.v_star
-        discharge = segment_discharge(v_leg, seg, params)
-        q_fs.append(q_leg - discharge)
+        discharges.append(segment_discharge(v_leg, seg, params))
 
         # The leg ends at the first event before arrival, else at arrival;
         # events at or after arrival are logged as skipped.
@@ -251,8 +250,6 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
             break
 
         ci_ev = ci_at(t_end - t_leg, ci_start_leg, ci_in_leg, sched.tau)
-        flown = (t_end - t_leg) * v_leg
-        q_leg = q_leg - discharge * (flown / seg.d)
         event_log.append({
             "t_s": t_end, "x_m": pos_end[0], "h_m": pos_end[1],
             "ci_before_Cs": ci_ev, "ci_in_Cs": ev.ci_in, "applied": True,
@@ -261,7 +258,7 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
         ci_start_leg, ci_in_leg = ci_ev, ev.ci_in
 
     t_total, legs = t_end, np.array(legs)
-    samples = Profile(_simulate_profile(scn, legs, full_seg, t_total))
+    samples, drawn = _simulate_profile(scn, legs, full_seg, t_total)
     final_q = samples[-1].q
     summary = {
         "ci_max_Cs": sched.ci_max,
@@ -278,12 +275,12 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
                 "planned_time_s": plan.t_c_star,
                 "flown_time_s": t1 - t0,
                 "j_star_C": plan.j_star,
-                "q_f_C": q_f,
+                "q_f_C": scn.q0 - at_start - discharge,
                 "at_envelope_limit": plan.at_envelope_limit,
                 "iterations": plan.iterations,
             }
-            for (t0, t1, x0, h0, *_), plan, q_f in zip(legs.tolist(), plans,
-                                                      q_fs)
+            for (t0, t1, x0, h0, *_), plan, at_start, discharge
+            in zip(legs.tolist(), plans, drawn.tolist(), discharges)
         ],
         "events": event_log,
         "baseline_time_s": plans[0].t_c_star,
@@ -292,8 +289,7 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
         "final_q_C": final_q,
         "final_e_J": samples[-1].e,
         "energy_used_J": (scn.q0 - final_q) * params.voltage,
-        "closed_form_final_q_C": q_fs[-1],
-        "battery_depleted": bool(final_q < 0.0 or min(q_fs) < 0.0),
+        "battery_depleted": bool(final_q < 0.0),
     }
     return ScenarioResult(plans=plans, samples=samples, summary=summary)
 
@@ -306,7 +302,8 @@ def _sample_times(t_total, dt):
 
 
 def _simulate_profile(scn, legs, full_seg, t_total):
-    """The replayed profile as one (n, 8) table, columns as in Profile.
+    """The replayed Profile, and the exact charge drawn before each leg
+    starts.  [C]
 
     ``legs`` holds one row per flown leg: t0, t1, x0, h0, x1, h1, v,
     ci_start and ci_in.
@@ -354,5 +351,5 @@ def _simulate_profile(scn, legs, full_seg, t_total):
     starts = np.flatnonzero(np.append(True, ci[1:] != ci[:-1]))
     v_track = np.repeat(economy_speed(full_seg, ci[starts], params),
                         np.diff(np.append(starts, len(ci))))
-    return np.column_stack([times, x, h, v, ci, q, q * params.voltage,
-                            v_track])
+    return Profile(np.column_stack([times, x, h, v, ci, q, q * params.voltage,
+                                    v_track])), at_start

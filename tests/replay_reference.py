@@ -40,15 +40,18 @@ def _legs(scn, summary):
     return list(zip(t0s, t1s, pos0s, pos1s, speeds, ci_starts, ci_ins))
 
 
-def replay_reference(scn, summary):
-    """The (n, 8) profile table of a run, replayed one leg at a time."""
+def replay_reference(scn, summary, times=None):
+    """The (n, 8) profile table of a run, replayed one leg at a time, at
+    the run's sample times or at the increasing ``times`` given, which
+    end at arrival."""
     params = scn.aircraft
     origin, cruise = scn.waypoints[0], scn.waypoints[-1]
     full_seg = segment_between(origin, cruise, scn.h_dot_bar, scn.atmo,
                                scn.atmo_step)
     legs = _legs(scn, summary)
     t_total = summary["total_time_s"]
-    times = _sample_times(t_total, scn.sim_step)
+    if times is None:
+        times = _sample_times(t_total, scn.sim_step)
     leg_starts = np.asarray([leg[0] for leg in legs])
     edges = np.unique(np.concatenate([
         times, leg_starts[1:], np.arange(0.0, t_total, ORACLE_STEP)]))

@@ -873,6 +873,17 @@ def test_main_env_override_applies(monkeypatch, tmp_path, capsys):
     assert len(lines) - 1 == math.ceil(meta["total_time_s"] / 2.5) + 1
 
 
+def test_depletion_is_the_replayed_charge_going_negative(monkeypatch,
+                                                          capsys):
+    # the replayed climb ends with 4592 C left; the closed form of each leg
+    # flown on to cruise would end below zero, and is no depletion
+    monkeypatch.setenv("ECONCLIMB_SCENARIO__Q0_COULOMBS", "185000")
+    assert main(["plan", "--config", str(CONFIG)]) == 0
+    text = capsys.readouterr().out
+    assert "final charge: 4592.33 C" in text
+    assert "battery depleted: no" in text
+
+
 def test_main_no_event_flag(capsys):
     assert main(["plan", "--config", str(CONFIG), "--no-event"]) == 0
     assert "delta: 0 s" in capsys.readouterr().out

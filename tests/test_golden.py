@@ -54,12 +54,12 @@ CONFIGS = ROOT / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 #: sha256 of the 200 replan-storm scenarios of seed 1001, rendered in order.
-STORM_PIN = ("55374bb1fa71aabf00d47706cce0678e"
-             "c9a21c984f5cc7d2b1cd870a49628aba")
+STORM_PIN = ("f2ef0d5340e9c1c9aad7d794aa19587b"
+             "798f6ac6119e35a232a6878d21157140")
 
 #: The same for the 200 replan-storm scenarios of seed 2001.
-STORM_PIN_2001 = ("6c56d687b13b50581cb513fd20943a9b"
-                  "ab239e52873f15217594d74942a90e9f")
+STORM_PIN_2001 = ("599a6c5c704260e02b06995c72c79b3b"
+                  "bcd1ddac56efa9ca1f8f127e517f68d0")
 
 # case -> (subcommand and its flags, golden file of its stdout or None,
 #          files it writes[, config file name, default e430_atc_climb.yaml])
@@ -85,15 +85,15 @@ PINS = {
         "e430_atc_climb.yaml",
         {"profile.csv": "981f09f8f980bf778b520da5f2ea8bc8"
                         "e6cc792debb46bdb22b1287720c48d3c",
-         "profile.csv.meta.json": "c66a69627becdf46b1e37488d27b14ea"
-                                  "9a8b32c21cc340fcea1763a45ecec452"}),
+         "profile.csv.meta.json": "12c67355059ce78e5363b9c9bd4486f4"
+                                  "5958f3e9e9b00148be1321bee8947614"}),
     "profile_storm_fine": (
         ["profile", "--sim-step", "0.01", "--out", "profile.csv"],
         "e430_atc_storm.yaml",
         {"profile.csv": "9119b0d855991e8eac2890d541e55c02"
                         "d94ddc79ad06c40e97f90d99ab9aa03e",
-         "profile.csv.meta.json": "7f8e5edb09c0cd09ce52aa854fc8be0f"
-                                  "c75fc5fe4d579436979eaa5e6241b7d8"}),
+         "profile.csv.meta.json": "cd5cc09c0d0476eead207dc66ebf062b"
+                                  "d0cbb72dcb249862b84cf920e3a9e5de"}),
     "sweep_fine": (
         ["sweep", "--v-step-kmh", "0.01", "--tau-s", "1,10,100,inf",
          "--out", "sweep.csv"],
