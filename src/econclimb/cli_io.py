@@ -429,43 +429,27 @@ _ZERO = _words("000000." if -4 <= x < 0 else "\0" * p + "." + "0" * (6 - p)
                for x, p in zip(_EXPONENTS, _POINT))
 
 
-def _break_ties(a, q, m, xi):
-    """m = rint(q), where q = a * 10**(5 - x) was rounded onto a
-    half-integer, moved to the side of q that the exact scaled a lies on;
-    rint's half to even stands only where q is exact. Dekker's two-product
-    gives the rounding error of the scaling exactly."""
-    up = _DOWN[xi] == 1.0  # q = a * 10**k, or else q = a / 10**k
-    uv = np.stack([np.where(up, a, q), _UP[xi] * _DOWN[xi]])
-    big = 134217729.0 * uv  # 2**27 + 1: Veltkamp's split into 26-bit halves
-    (uh, vh), (ul, vl) = big - (big - uv), uv - (big - (big - uv))
-    p = uv[0] * uv[1]
-    err = ((uh * vh - p) + uh * vl + ul * vh) + ul * vl  # u * v - p
-    side = np.sign(np.where(up, err, a - p - err))
-    return np.where(side == 0, m, q + 0.5 * side)
-
-
 def _csv_cells(cells, words):
     """Render float64 cells as "%.6g" does, into words: three int64 a cell
-    (head, body, tail), whose NUL bytes are padding. Zeros, subnormals, NaN,
-    inf and the decades past the exact powers of ten go through % one at a
-    time."""
+    (head, body, tail), whose NUL bytes are padding.
+
+    NumPy renders a cell only where its digits are exact: |c| lies in
+    [1e-15, 1e26), where 10**(5 - x) is an exact power of ten, and
+    q = |c| * 10**(5 - x), rounded once, lies in [1e5, 1e6) and is neither
+    on a half-integer nor rounded up to 1e6. Then rint(q) is the six digits
+    %.6g writes. Every other cell goes through % one at a time.
+    """
     a = np.abs(cells)
-    odd = np.flatnonzero(~((a >= 1e-15) & (a < 1e26)))
-    a[odd] = 1.0
+    fast = (a >= 1e-15) & (a < 1e26)
+    a[~fast] = 1.0
     # x + 32 by a float32 log10, which is one off at worst next to a power
-    # of ten: q = a * 10**(5 - x), rounded once, then leaves [1e5, 1e6)
+    # of ten; a cell it misses leaves [1e5, 1e6) and goes through %
     xi = (np.log10(a.astype(np.float32)) + np.float32(32)).astype(np.intp)
     q = a * _UP[xi] / _DOWN[xi]
-    off = np.flatnonzero((q < 1e5) | (q >= 1e6))
-    xi[off] += np.where(q[off] < 1e5, -1, 1)
-    q[off] = a[off] * _UP[xi[off]] / _DOWN[xi[off]]
     m = np.rint(q)
-    ties = np.flatnonzero(np.abs(q - m) == 0.5)
-    if ties.size:
-        m[ties] = _break_ties(a[ties], q[ties], m[ties], xi[ties])
-    top = m == 1e6  # rounded up into the next decade
-    m[top] = 1e5
-    xi += top
+    fast &= (q >= 1e5) & (m < 1e6) & (np.abs(q - m) != 0.5)
+    slow = np.flatnonzero(~fast)
+    m[slow] = 1e5  # any six digits: % overwrites the cell
     m = m.astype(np.intp)
     high = m // 1000
     digits = _DIGITS[high] | _DIGITS[m - 1000 * high] << 24
@@ -477,8 +461,8 @@ def _csv_cells(cells, words):
     words[:, 0] = _HEAD[xi] | (cells < 0) * 45
     words[:, 1] = body & (256 << (last - 1023 & -8)) - 1
     words[:, 2] = _TAIL[xi]
-    if odd.size:
-        words.view("S24")[odd, 0] = ["%.6g" % u for u in cells[odd].tolist()]
+    if slow.size:
+        words.view("S24")[slow, 0] = ["%.6g" % u for u in cells[slow].tolist()]
 
 
 def _csv(header, table):

@@ -350,6 +350,11 @@ def _tables(draw):
 @example(np.array([[2.577405e+22, 6.844745e+24, 1234565.0, 1234575.0]]))
 # past 1e-15 and 1e26, where a scaling by an inexact power of ten misrounds
 @example(np.array([[4.676255e-18, 9.992585e-18, 9.751305e+28, 8.864315e+28]]))
+# each kind of cell that % renders beside ordinary ones, on both sides of a
+# block boundary: a zero, one below its decade, an exact tie and a carry
+@example(np.asfortranarray(np.tile(
+    [0.0, 271.828, np.nextafter(1e5, 0), -3.14159, 1234565.0, 999999.7],
+    (_BLOCK_ROWS + 1, 1))))
 @given(_tables())
 def test_csv_matches_cell_by_cell_reference(table):
     header = ",".join(f"c{k}" for k in range(table.shape[1]))
