@@ -26,7 +26,7 @@ def _checked_altitude(h, h_max):
     h_arr = np.asarray(h, dtype=float)
     if (h_arr < 0.0).any() or (h_arr > h_max).any():
         lo, hi = float(np.min(h_arr)), float(np.max(h_arr))
-        got = f"{lo:g} m" if lo == hi else f"{lo:g} to {hi:g} m"
+        got = f"{lo!r} m" if lo == hi else f"{lo!r} to {hi!r} m"
         raise DomainError(f"altitude must lie in [0, {h_max:g}] m, got {got}")
     return h_arr
 
@@ -112,8 +112,8 @@ _MAX_GRID_POINTS = 10**7
 def _check_grid(span, step, name, unit):
     """DomainError unless a grid of this step over span fits the cap."""
     if not span / step <= _MAX_GRID_POINTS:
-        raise DomainError(f"{name} {step:g} {unit} needs {span / step:.4g} grid"
-                          f" points, more than the {_MAX_GRID_POINTS:.0e} allowed")
+        raise DomainError(f"{name} {step!r} {unit} needs {span / step!r} grid"
+                          f" points, more than the {_MAX_GRID_POINTS} allowed")
 
 
 def _altitude_grid(h0, hc, step):

@@ -149,7 +149,7 @@ def _number(raw, key, path, row):
     if value < low or (value == low and not low_allowed) or value > high:
         upper = f" and <= {high:g}" if high < math.inf else ""
         raise ConfigError(f"{path}: must be {'>=' if low_allowed else '>'} "
-                          f"{low:g}{upper}, got {value:g}")
+                          f"{low:g}{upper}, got {value!r}")
     return value
 
 
@@ -397,10 +397,11 @@ def fmt(value):
 _BLOCK_ROWS = 2048
 
 # Tables of the "%.6g" renderer, in little-endian words (a word's first
-# character is its low byte). Those by decimal exponent x (of a cell rounded
-# to six digits) are indexed by x + 32: "%.6g" writes 0.000ddd for x in
-# -4..-1, fixed notation up to x = 5, and d.ddddde±XX past that.
-_EXPONENTS = range(-32, 32)
+# character is its low byte), indexed by the decimal exponent x of a cell
+# rounded to six digits: "%.6g" writes fixed notation up to x = 5 and
+# d.ddddde+XX past that. They reach x = 26, where the float32 log10 of a
+# cell just below 1e26 can round it up.
+_EXPONENTS = range(27)
 
 
 def _words(texts):
@@ -410,41 +411,36 @@ def _words(texts):
 
 
 _DIGITS = _words(f"{k:03d}" for k in range(1000))
-# _HEAD has a NUL where a minus sign goes, then 0. and zeros; _TAIL is e±XX
-_HEAD = _words("\0" + "0." + "0" * (-x - 1) if -4 <= x < 0 else ""
-               for x in _EXPONENTS)
-_TAIL = _words("" if -4 <= x <= 5 else f"e{x:+03d}" for x in _EXPONENTS)
-# exact powers of ten (up to 10**22) in the decades in use
+_TAIL = _words("" if x <= 5 else f"e+{x:02d}" for x in _EXPONENTS)
+# exact powers of ten (up to 10**21) in the decades in use
 _UP = np.array([10.0 ** max(5 - x, 0) for x in _EXPONENTS])
 _DOWN = np.array([10.0 ** max(x - 5, 0) for x in _EXPONENTS])
-# The body's six digits take the point at byte x + 1 in fixed notation, at
-# byte 1 in e-notation, and at byte 6 (cut off again) for x = 5 and 0.000ddd.
+# The body's six digits take the point at byte x + 1 in fixed notation
+# (at byte 6, cut off again, for x = 5) and at byte 1 in e-notation.
 # XORed into a body, _ZERO zeroes what may be cut from its end: the point
 # and the digits after it that are 0.
-_POINT = [6 if -4 <= x < 0 else x + 1 if 0 <= x <= 5 else 1
-          for x in _EXPONENTS]
+_POINT = [x + 1 if x <= 5 else 1 for x in _EXPONENTS]
 _LOW = np.array([(1 << 8 * p) - 1 for p in _POINT], dtype=np.int64)
 _DOT = _words("\0" * p + "." for p in _POINT)
-_ZERO = _words("000000." if -4 <= x < 0 else "\0" * p + "." + "0" * (6 - p)
-               for x, p in zip(_EXPONENTS, _POINT))
+_ZERO = _words("\0" * p + "." + "0" * (6 - p) for p in _POINT)
 
 
 def _csv_cells(cells, words):
     """Render float64 cells as "%.6g" does, into words: three int64 a cell
-    (head, body, tail), whose NUL bytes are padding.
+    (sign, body, tail), whose NUL bytes are padding.
 
     NumPy renders a cell only where its digits are exact: |c| lies in
-    [1e-15, 1e26), where 10**(5 - x) is an exact power of ten, and
+    [1, 1e26), where 10**(5 - x) is an exact power of ten, and
     q = |c| * 10**(5 - x), rounded once, lies in [1e5, 1e6) and is neither
     on a half-integer nor rounded up to 1e6. Then rint(q) is the six digits
     %.6g writes. Every other cell goes through % one at a time.
     """
     a = np.abs(cells)
-    fast = (a >= 1e-15) & (a < 1e26)
+    fast = (a >= 1.0) & (a < 1e26)
     a[~fast] = 1.0
-    # x + 32 by a float32 log10, which is one off at worst next to a power
-    # of ten; a cell it misses leaves [1e5, 1e6) and goes through %
-    xi = (np.log10(a.astype(np.float32)) + np.float32(32)).astype(np.intp)
+    # x by a float32 log10, which is one off at worst next to a power of
+    # ten; a cell it misses leaves [1e5, 1e6) and goes through %
+    xi = np.log10(a.astype(np.float32)).astype(np.intp)
     q = a * _UP[xi] / _DOWN[xi]
     m = np.rint(q)
     fast &= (q >= 1e5) & (m < 1e6) & (np.abs(q - m) != 0.5)
@@ -458,7 +454,7 @@ def _csv_cells(cells, words):
     # cut the body after its last byte that _ZERO leaves nonzero: the float
     # exponent of the XORed body is the index of its highest set bit
     last = (body ^ _ZERO[xi]).astype(np.float64).view(np.int64) >> 52
-    words[:, 0] = _HEAD[xi] | (cells < 0) * 45
+    words[:, 0] = (cells < 0) * 45
     words[:, 1] = body & (256 << (last - 1023 & -8)) - 1
     words[:, 2] = _TAIL[xi]
     if slow.size:
@@ -502,8 +498,6 @@ def _jsonable(value):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if value is None:
-        return None
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (int, np.integer)):

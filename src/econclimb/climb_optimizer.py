@@ -141,13 +141,12 @@ def total_cost(v, seg, ci0, ci_in, tau, q0, params):
 
     With t = d / v, x = t / tau, psi = 1 - exp(-x) and phi = x - psi, the
     time cost is t (ci0 psi / x + ci_in phi / x), two terms >= 0 that cannot
-    cancel; below x = 0.1, phi / x is summed from ten Taylor terms.
+    cancel; below x = 0.1, phi / x is summed from ten Taylor terms. At
+    infinite tau, x is 0 and the time cost is ci0 t.
     """
     _check_speed_and_tau(v, tau)
     t = seg.d / v
     q_f = q0 - segment_discharge(v, seg, params)
-    if math.isinf(tau):
-        return ci0 * t + q0 - q_f
     x = t / tau
     if isinstance(x, float):  # no array round trip for a float
         phi = (functools.reduce(lambda s, c: (s + c) * x, _PHI_TAYLOR, 0.0)

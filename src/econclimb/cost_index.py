@@ -7,9 +7,8 @@ first-order filter
     tau * dCI/dt = -CI + CI_in
 
 whose analytic solution from a known start value is exponential relaxation.
-An infinite time constant (``math.inf``) is the sentinel for constant-CI
-operation: the commanded value is then never approached and CI stays at its
-start value.
+An infinite time constant (``math.inf``) is constant-CI operation, the
+formula's limit: t / tau is 0, so CI stays at its start value.
 
 Cost-index values here are expressed in C/s, the same unit as the battery
 charge rate they trade against (see ``vehicle`` for the kJ/s conversion).
@@ -17,7 +16,6 @@ charge rate they trade against (see ``vehicle`` for the kJ/s conversion).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,20 +85,16 @@ def ci_at(t, ci_start, ci_in, tau):
     """Filtered cost index t seconds after the forcing switched to ci_in.
 
     Returns ci_start + (ci_in - ci_start) (1 - exp(-t/tau)), by expm1 so
-    that no cancellation loses the step; for infinite tau the start value
-    is returned unchanged. Accepts scalar or array t, and for array t also
-    ci_start and ci_in of its shape (one per point).
+    that no cancellation loses the step; at infinite tau, t/tau is 0 and
+    the start value is returned. Accepts scalar or array t, finite and
+    >= 0, and for array t also ci_start and ci_in of its shape (one per
+    point).
     """
     scalar = isinstance(t, float)  # no array round trip for a float
-    if (t < 0.0) if scalar else (np.asarray(t) < 0.0).any():
-        raise DomainError(f"time must be >= 0, got {t!r}")
+    s = t if scalar else np.asarray(t, dtype=float)
+    if not (0.0 <= s < np.inf if scalar else ((s >= 0.0) & (s < np.inf)).all()):
+        raise DomainError(f"time must be finite and >= 0, got {t!r}")
     if not tau > 0.0:
         raise DomainError(f"tau must be positive or inf, got {tau!r}")
-    if math.isinf(tau):
-        if np.ndim(t) == 0:
-            return ci_start
-        return np.full(np.shape(t), ci_start, dtype=float)
-    out = ci_start + (ci_in - ci_start) * -np.expm1(
-        -(t if scalar else np.asarray(t, dtype=float)) / tau)
+    out = ci_start + (ci_in - ci_start) * -np.expm1(-s / tau)
     return out if isinstance(out, np.ndarray) else float(out)
-

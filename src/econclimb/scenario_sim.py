@@ -94,8 +94,8 @@ class Scenario:
         for x, h in wps[1:-1]:
             if not h0 <= h <= hc:
                 raise DomainError(
-                    f"interior waypoint ({x:g}, {h:g}) lies outside the "
-                    f"climb's altitude band [{h0:g}, {hc:g}] m"
+                    f"interior waypoint ({x!r}, {h!r}) lies outside the "
+                    f"climb's altitude band [{h0!r}, {hc!r}] m"
                 )
         if self.q0 < 0.0:
             raise DomainError(f"q0 must be >= 0, got {self.q0!r}")

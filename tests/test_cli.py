@@ -293,9 +293,10 @@ def test_csv_renders_cells_as_fmt():
 # Cells where a "%.6g" renderer can go wrong: the digits of a decimal
 # midpoint (M + 0.5) * 10**e and of a binary tie such as 123456.5 rest on
 # the last bit; 999999.5 * 10**e and a power of ten less one ulp round into
-# the next decade; 1e-5 and 1e6 switch between fixed and e-notation; 1e-15
-# and 1e26 bound the decades that the NumPy path renders; and zeros, NaN of
-# either sign, the infinities and subnormals take the one-at-a-time path.
+# the next decade; 1e-5 and 1e6 switch between fixed and e-notation; 1 and
+# 1e26 bound the decades that the NumPy path renders, and below 1e-15 a
+# scaling by a power of ten is inexact; and zeros, NaN of either sign, the
+# infinities and subnormals take the one-at-a-time path.
 _M = st.integers(100000, 999999)
 _E = st.integers(-20, 30)
 _EDGES = [1e-5, 1e6, 1e-15, 1e26, 9.999995e-6, 999999.5, 1e-4, 0.1, 1.0]
@@ -348,12 +349,15 @@ def _tables(draw):
 @example(np.full((_BLOCK_ROWS + 1, 2), 999999.5))
 # scaled down by a power of ten onto a half: above, below and on the tie
 @example(np.array([[2.577405e+22, 6.844745e+24, 1234565.0, 1234575.0]]))
-# past 1e-15 and 1e26, where a scaling by an inexact power of ten misrounds
+# far below 1 and past 1e26, where a scaling by an inexact power of ten
+# would misround; % renders them, as it does every cell below 1
 @example(np.array([[4.676255e-18, 9.992585e-18, 9.751305e+28, 8.864315e+28]]))
 # each kind of cell that % renders beside ordinary ones, on both sides of a
-# block boundary: a zero, one below its decade, an exact tie and a carry
+# block boundary: a zero, one below its decade, an exact tie, a carry and
+# cells of both signs below 1
 @example(np.asfortranarray(np.tile(
-    [0.0, 271.828, np.nextafter(1e5, 0), -3.14159, 1234565.0, 999999.7],
+    [0.0, 271.828, np.nextafter(1e5, 0), -3.14159, 1234565.0, 999999.7,
+     0.0271828, -0.000314159, np.nextafter(1.0, 0)],
     (_BLOCK_ROWS + 1, 1))))
 @given(_tables())
 def test_csv_matches_cell_by_cell_reference(table):
@@ -468,6 +472,18 @@ def test_sweep_rejects_empty_grid(tmp_path, capsys):
     assert code == 2
     assert "tau entries must be positive, got '-5'" in printed.err
     assert not out.exists()
+
+
+def test_plan_prints_a_grid_over_the_point_cap_exactly(tmp_path, capsys):
+    # one step just past the cap: rounded to four digits, the count would
+    # read as the cap itself
+    code, printed = _run(capsys, "plan", "--sim-step", "0.0006003332",
+                         "--out", tmp_path / "plan.json")
+    assert code == 2 and printed.out == ""
+    assert printed.err == ("config error: sim step 0.0006003332 s needs "
+                           "10000000.679491745 grid points, more than the "
+                           "10000000 allowed\n")
+    assert not (tmp_path / "plan.json").exists()
 
 
 def test_sweep_rejects_a_grid_over_the_point_cap(tmp_path, capsys):

@@ -343,13 +343,42 @@ def test_configs_rejected_before_the_runner(capsys, tmp_path):
     code, out = _plan(raw, capsys, tmp_path)
     assert code == 2 and "altitude band" in out.err
 
-    for waypoints, got in (([[0, 0], [30, 12]], "got 0 to 12000 m"),
-                           ([[0, -0.1], [30, 1]], "got -100 to 1000 m")):
+    for waypoints, got in (([[0, 0], [30, 12]], "got 0.0 to 12000.0 m"),
+                           ([[0, -0.1], [30, 1]], "got -100.0 to 1000.0 m")):
         raw = copy.deepcopy(REFERENCE)
         raw["scenario"]["waypoints_km"] = waypoints
         raw["cost_index"]["events"] = []
         code, out = _plan(raw, capsys, tmp_path)
         assert code == 2 and got in out.err and len(out.err) < 200
+
+
+# A rejected value is printed exactly: rounded to six digits, each of these
+# would read as the bound it broke.
+
+def test_number_past_its_bound_is_printed_exactly(capsys, tmp_path,
+                                                  monkeypatch):
+    monkeypatch.setenv("ECONCLIMB_AIRCRAFT__EFFICIENCY", "1.0000001")
+    code, out = _plan(copy.deepcopy(REFERENCE), capsys, tmp_path)
+    assert code == 2 and out.err == ("config error: aircraft.efficiency: "
+                                     "must be > 0 and <= 1, got 1.0000001\n")
+
+
+def test_cruise_past_the_ceiling_is_printed_exactly(capsys, tmp_path):
+    raw = copy.deepcopy(REFERENCE)
+    raw["scenario"]["waypoints_km"][-1] = [30, 11.0000001]
+    code, out = _plan(raw, capsys, tmp_path)
+    assert code == 2 and out.err == ("config error: altitude must lie in "
+                                     "[0, 11000] m, got 0.0 to 11000.0001 m\n")
+
+
+def test_interior_waypoint_off_the_band_is_printed_exactly(capsys, tmp_path):
+    raw = copy.deepcopy(REFERENCE)
+    raw["scenario"]["waypoints_km"][1] = [15, 1.0000001]
+    raw["cost_index"]["events"] = []
+    code, out = _plan(raw, capsys, tmp_path)
+    assert code == 2 and out.err == (
+        "config error: interior waypoint (15000.0, 1000.0001000000001) lies "
+        "outside the climb's altitude band [0.0, 1000.0] m\n")
 
 
 def test_time_event_after_a_waypoint_event_flies(capsys, tmp_path):

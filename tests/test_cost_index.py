@@ -40,6 +40,15 @@ def test_infinite_tau_freezes_command():
     assert ci_at(1e9, CI0, CI_IN, math.inf) == CI0
 
 
+@pytest.mark.parametrize("t", [math.inf, math.nan, np.array([1.0, math.inf]),
+                               np.array([0.0, math.nan])],
+                         ids=["inf", "nan", "array-inf", "array-nan"])
+@pytest.mark.parametrize("tau", [TAU, math.inf])
+def test_response_rejects_a_non_finite_time(t, tau):
+    with pytest.raises(DomainError, match="time must be finite and >= 0"):
+        ci_at(t, CI0, CI_IN, tau)
+
+
 def test_response_domain_errors():
     with pytest.raises(DomainError):
         ci_at(-0.1, CI0, CI_IN, TAU)

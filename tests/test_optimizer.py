@@ -20,6 +20,7 @@ from econclimb import (
     SaddlePointError,
     calibrate_ci_max,
     calibrate_ci_max_to_speed,
+    ci_at,
     cost_curvature,
     cost_gradient,
     e430,
@@ -116,6 +117,25 @@ def test_constant_ci_cost_reduces_to_simple_form(params, full_segment):
             + segment_discharge(v, full_segment, params)
         assert total_cost(v, full_segment, CI0, CI_IN, math.inf, q0, params) \
             == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("ci_in", [0.0, CI0, 295.19, 1e300])
+def test_infinite_tau_is_the_filter_formulas_limit(params, full_segment,
+                                                   ci_in):
+    # t / tau is 0 at tau = inf, so the filter's own expressions give the
+    # constant-CI cost and the start value, bit for bit
+    for v in (25.0, V0, 44.0, np.array([20.0, V0, 44.0])):
+        t = full_segment.d / v
+        j = total_cost(v, full_segment, CI0, ci_in, math.inf, 0.0, params)
+        expected = CI0 * t + segment_discharge(v, full_segment, params)
+        assert type(j) is type(expected)
+        assert np.asarray(j).tobytes() == np.asarray(expected).tobytes()
+        ci = ci_at(t, CI0, ci_in, math.inf)
+        assert type(ci) is (float if np.ndim(t) == 0 else np.ndarray)
+        assert np.asarray(ci).tobytes() == np.full(np.shape(t), CI0).tobytes()
+    starts = np.array([0.0, CI0, 327.99])
+    ci = ci_at(np.array([0.0, 1.0, 1e9]), starts, np.full(3, ci_in), math.inf)
+    assert ci.tobytes() == starts.tobytes()
 
 
 def test_cost_independent_of_initial_charge(params, full_segment):
