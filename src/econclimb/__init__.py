@@ -18,7 +18,6 @@ from .climb_optimizer import (
     ClimbSegment,
     calibrate_ci_max,
     calibrate_ci_max_to_speed,
-    cost_curvature,
     cost_gradient,
     fms_initial_speed,
     segment_between,
@@ -32,7 +31,6 @@ from .errors import (
     DomainError,
     EnvelopeError,
     NoInteriorOptimumError,
-    SaddlePointError,
 )
 from .scenario_sim import (
     ProfileSample,
@@ -40,13 +38,7 @@ from .scenario_sim import (
     ScenarioResult,
     run_scenario,
 )
-from .vehicle import (
-    STANDARD_GRAVITY,
-    AircraftParams,
-    e430,
-    final_charge_sensitivity,
-    segment_discharge,
-)
+from .vehicle import STANDARD_GRAVITY, AircraftParams, e430, segment_discharge
 
 __version__ = "0.1.0"
 
@@ -60,7 +52,6 @@ __all__ = [
     "ClimbSegment",
     "calibrate_ci_max",
     "calibrate_ci_max_to_speed",
-    "cost_curvature",
     "cost_gradient",
     "fms_initial_speed",
     "segment_between",
@@ -74,7 +65,6 @@ __all__ = [
     "DomainError",
     "EnvelopeError",
     "NoInteriorOptimumError",
-    "SaddlePointError",
     "ProfileSample",
     "Scenario",
     "ScenarioResult",
@@ -82,7 +72,6 @@ __all__ = [
     "STANDARD_GRAVITY",
     "AircraftParams",
     "e430",
-    "final_charge_sensitivity",
     "segment_discharge",
     "__version__",
 ]

@@ -40,7 +40,6 @@ from .errors import (
     DomainError,
     EnvelopeError,
     NoInteriorOptimumError,
-    SaddlePointError,
 )
 from .scenario_sim import Scenario, run_scenario
 from .vehicle import STANDARD_GRAVITY, AircraftParams
@@ -736,7 +735,7 @@ def main(argv=None):
         print(f"config error: a value leaves the float range "
               f"({exc.args[-1]})", file=sys.stderr)
         return 2
-    except (NoInteriorOptimumError, SaddlePointError, EnvelopeError) as exc:
+    except (NoInteriorOptimumError, EnvelopeError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
     except _OutputError as exc:

@@ -17,7 +17,8 @@ gives every constant-CI airspeed. With a filtered CI,
 dJ/dv = (d / v^2) (ci_for_speed(v) - ci_at(d / v)): v* is the constant-CI
 economy speed of the CI in force at arrival, a bracketed root on
 [5 m/s, v_max] (on either piece of it, for a falling CI that makes dJ/dv dip
-twice) checked to be a minimum.
+twice). There g rises through zero, so d2J/dv2 = (d / v^2) g' is >= 0 and
+the root is a minimum.
 """
 
 from __future__ import annotations
@@ -35,14 +36,8 @@ from .errors import (
     DomainError,
     EnvelopeError,
     NoInteriorOptimumError,
-    SaddlePointError,
 )
-from .vehicle import (
-    _polar,
-    _require_positive_speed,
-    final_charge_sensitivity,
-    segment_discharge,
-)
+from .vehicle import _polar, _require_positive_speed, segment_discharge
 
 #: Lowest airspeed an optimum may take.  [m s^-1]
 _V_LO = 5.0
@@ -78,6 +73,9 @@ class ClimbSegment:
     def __post_init__(self):
         object.__setattr__(self, "start", (float(self.start[0]), float(self.start[1])))
         object.__setattr__(self, "end", (float(self.end[0]), float(self.end[1])))
+        if not all(map(math.isfinite, (*self.start, *self.end, self.h_dot_bar,
+                                       self.rho_bar, self.delta_rho_bar))):
+            raise DomainError(f"segment values must be finite, got {self!r}")
         if self.end[1] < self.start[1]:
             raise DomainError(
                 f"segment must not descend: start h {self.start[1]!r}, "
@@ -161,29 +159,12 @@ def total_cost(v, seg, ci0, ci_in, tau, q0, params):
 
 
 def cost_gradient(v, seg, ci0, ci_in, tau, params):
-    """dJ/dv; the root in v is the optimal climb airspeed."""
+    """dJ/dv = (d / v^2) g(v), with g(v) = ci_for_speed(v) - ci_at(d / v)
+    the gap whose rising root is the optimal climb airspeed."""
     _check_speed_and_tau(v, tau)
     d = seg.d
-    return (-ci_at(d / v, ci0, ci_in, tau) * d / v**2
-            - final_charge_sensitivity(v, seg, params))
-
-
-def cost_curvature(v, seg, ci0, ci_in, tau, params):
-    """d2J/dv2; positive at a gradient root confirms a minimum.
-
-    Second derivative of total_cost, with c = ci_at(d / v) and _polar's A, B, C:
-
-        (2 c - (c - ci_in) d / (tau v)) d / v^3
-        + (d / (eta U)) (A + 2 C / v^3 + 3 B / v^4)
-    """
-    _check_speed_and_tau(v, tau)
-    d = seg.d
-    a, b, climb = _polar(seg, params)
-    ci = ci_at(d / v, ci0, ci_in, tau)
-    time = (2.0 * ci - (ci - ci_in) * d / (tau * v)) * d / v**3
-    discharge = (d / (params.efficiency * params.voltage)) * (
-        a + 2.0 * climb / v**3 + 3.0 * b / v**4)
-    return time + discharge
+    return d / v**2 * (ci_for_speed(seg, v, params)
+                       - ci_at(d / v, ci0, ci_in, tau))
 
 
 def _rtsafe(slope_and_curvature, lo, hi):
@@ -223,8 +204,9 @@ def solve_optimal_speed(seg, ci0, ci_in, tau, params):
     Newton root. Otherwise dJ/dv has the sign of
     g(v) = ci_for_speed(v) - ci_at(d / v, ci0, ci_in, tau), and v* is where
     g rises through zero in [5 m/s, v_max], found by a safeguarded Newton
-    iteration with g's analytic slope and checked for positive curvature
-    (a falling CI can give two such roots; the cheaper flies). A gradient
+    iteration with g's analytic slope (a falling CI can give two such
+    roots; the cheaper flies). No curvature check is needed: at a root
+    where g rises, d2J/dv2 = (d / v^2) g'(v*) >= 0. A gradient
     still negative at v_max means the unconstrained optimum sits outside
     the envelope; the plan then clips to v_max and flags it. J* counts
     the charge drawn, Q0 - Q_f, and no plan depends on Q0.
@@ -239,11 +221,10 @@ def solve_optimal_speed(seg, ci0, ci_in, tau, params):
     Raises:
         NoInteriorOptimumError: g rises through zero nowhere and is not
             negative at v_max, so the optimum lies below 5 m/s.
-        SaddlePointError: the root fails the curvature check.
     """
     if seg.d <= 0.0:
         raise DegenerateSegmentError("segment has zero length")
-    if ci0 < 0.0 or ci_in < 0.0:
+    if not (ci0 >= 0.0 and ci_in >= 0.0):
         raise DomainError("cost-index values must be >= 0")
     if not _V_LO < params.v_max:
         raise DomainError(
@@ -265,16 +246,8 @@ def solve_optimal_speed(seg, ci0, ci_in, tau, params):
     else:
         roots, gap = _arrival_roots(seg, ci0, ci_in, tau, params)
         if roots:
-            plan = min((_assemble_plan(v, seg, ci0, ci_in, tau, params, steps)
+            return min((_assemble_plan(v, seg, ci0, ci_in, tau, params, steps)
                         for v, steps in roots), key=lambda plan: plan.j_star)
-            curvature = cost_curvature(plan.v_star, seg, ci0, ci_in, tau,
-                                       params)
-            if not curvature > 0.0:
-                raise SaddlePointError(
-                    f"stationary point at v={plan.v_star:.6g} m/s has "
-                    f"non-positive curvature {curvature:.6g}"
-                )
-            return plan
         clipped = gap(params.v_max)[0] < 0.0
 
     if clipped:
@@ -361,10 +334,15 @@ def fms_initial_speed(seg, ci0, params):
 def ci_for_speed(seg, v, params):
     """Constant cost index whose optimal airspeed on the segment is v.
 
-    Solves the constant-CI optimality condition -ci d / v^2 - dQf/dv = 0 for
-    ci = v^2 (-dQf/dv) / d  [C s^-1]; negative below best-economy speed.
+    Solves the constant-CI optimality condition -ci d / v^2 - dQf/dv = 0,
+    with dQf/dv = -(d / (eta U)) (A v - C / v^2 - B / v^3) in the polar's
+    (A, B, C), for ci  [C s^-1]; negative below best-economy speed.
     """
-    return v**2 * (-final_charge_sensitivity(v, seg, params)) / seg.d
+    a, b, climb = _polar(seg, params)
+    # Not (A v^3 - C - B / v): where v^2 underflows, this form divides by
+    # zero and reports the float range instead of a finite wrong ceiling.
+    return v**2 * (a * v - climb / v**2 - b / v**3) / (
+        params.efficiency * params.voltage)
 
 
 def economy_speed(seg, ci, params):

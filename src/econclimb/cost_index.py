@@ -43,7 +43,7 @@ class CiEvent:
             )
         if self.at_time is not None and not self.at_time > 0.0:
             raise DomainError(f"event time must be > 0, got {self.at_time!r}")
-        if self.ci_in < 0.0:
+        if not self.ci_in >= 0.0:
             raise DomainError(f"ci_in must be >= 0, got {self.ci_in!r}")
 
 
@@ -58,8 +58,9 @@ class CostIndexSchedule:
 
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(self.events))
-        if not self.ci_max > 0.0:
-            raise DomainError(f"ci_max must be positive, got {self.ci_max!r}")
+        if not 0.0 < self.ci_max < np.inf:
+            raise DomainError(
+                f"ci_max must be positive and finite, got {self.ci_max!r}")
         if not 0.0 <= self.ci0 <= self.ci_max:
             raise DomainError(
                 f"ci0 must lie in [0, ci_max={self.ci_max:g}], got {self.ci0!r}"

@@ -26,9 +26,5 @@ class NoInteriorOptimumError(RuntimeError):
         self.grad_hi = grad_hi
 
 
-class SaddlePointError(RuntimeError):
-    """A stationary point failed the second-order (positive curvature) check."""
-
-
 class ConfigError(ValueError):
     """A scenario configuration file is malformed or inconsistent."""

@@ -62,8 +62,9 @@ class AircraftParams:
         for name in ("wing_area", "mass", "cd0", "cd2", "v_max", "voltage",
                      "gravity"):
             value = getattr(self, name)
-            if not value > 0.0:
-                raise DomainError(f"{name} must be positive, got {value!r}")
+            if not 0.0 < value < np.inf:
+                raise DomainError(
+                    f"{name} must be positive and finite, got {value!r}")
         if not 0.0 < self.efficiency <= 1.0:
             raise DomainError(
                 f"efficiency must lie in (0, 1], got {self.efficiency!r}"
@@ -132,15 +133,3 @@ def _polar(seg, params):
     return (seg.rho_bar * s * params.cd0,
             4.0 * params.cd2 * w**2 * seg.delta_rho_bar / s,
             w * seg.h_dot_bar)
-
-
-def final_charge_sensitivity(v, seg, params):
-    """Analytic derivative of the final charge Q0 - segment_discharge with
-    respect to airspeed.
-
-    dQf/dv = -(d / (eta U)) * (A v - C / v^2 - B / v^3)
-    """
-    _require_positive_speed(v)
-    a, b, climb = _polar(seg, params)
-    return -(seg.d / (params.efficiency * params.voltage)) * (
-        a * v - climb / v**2 - b / v**3)

@@ -7,9 +7,13 @@ inline. These helpers state each piece on its own: the polar, the climb
 thrust, the point charge rate the replay oracle integrates, and the
 three-term segment discharge in the segment's means, so the tests can check
 the package's closed form against independent expressions. The paper's
-mean-value-theorem check (``mvt_crosscheck``, criterion 7) lives here too,
-and so does the gradient sign scan (``scan_optimal_speed``) that once found
-the filtered-CI optimum, as the reference for the bracketed root.
+speed derivatives live here too: dQf/dv (``final_charge_sensitivity``) and
+d2J/dv2 (``cost_curvature``). The package does not state them: its solver
+roots the gap g, dJ/dv = (d / v^2) g, and d2J/dv2 = (d / v^2) g' at a
+rising root. The paper's mean-value-theorem check (``mvt_crosscheck``,
+criterion 7) lives here as well, and so does the gradient sign scan
+(``scan_optimal_speed``) that once found the filtered-CI optimum, as the
+reference for the bracketed root.
 """
 
 from dataclasses import replace
@@ -21,13 +25,13 @@ from econclimb import (
     DegenerateSegmentError,
     DomainError,
     NoInteriorOptimumError,
-    cost_curvature,
+    ci_at,
     cost_gradient,
     segment_discharge,
     total_cost,
 )
-from econclimb.climb_optimizer import _V_LO, _rtsafe
-from econclimb.vehicle import _require_positive_speed
+from econclimb.climb_optimizer import _V_LO, _check_speed_and_tau, _rtsafe
+from econclimb.vehicle import _polar, _require_positive_speed
 
 
 def drag(v, rho, params):
@@ -92,6 +96,36 @@ def segment_discharge_terms(v, seg, params):
         + seg.rho_bar * s * params.cd0 * v**2 / 2.0
         + 2.0 * params.cd2 * w**2 * seg.delta_rho_bar / (s * v**2)
     )
+
+
+def final_charge_sensitivity(v, seg, params):
+    """Analytic derivative of the final charge Q0 - segment_discharge with
+    respect to airspeed.
+
+    dQf/dv = -(d / (eta U)) * (A v - C / v^2 - B / v^3)
+    """
+    _require_positive_speed(v)
+    a, b, climb = _polar(seg, params)
+    return -(seg.d / (params.efficiency * params.voltage)) * (
+        a * v - climb / v**2 - b / v**3)
+
+
+def cost_curvature(v, seg, ci0, ci_in, tau, params):
+    """d2J/dv2; positive at a gradient root confirms a minimum.
+
+    Second derivative of total_cost, with c = ci_at(d / v) and _polar's A, B, C:
+
+        (2 c - (c - ci_in) d / (tau v)) d / v^3
+        + (d / (eta U)) (A + 2 C / v^3 + 3 B / v^4)
+    """
+    _check_speed_and_tau(v, tau)
+    d = seg.d
+    a, b, climb = _polar(seg, params)
+    ci = ci_at(d / v, ci0, ci_in, tau)
+    time = (2.0 * ci - (ci - ci_in) * d / (tau * v)) * d / v**3
+    discharge = (d / (params.efficiency * params.voltage)) * (
+        a + 2.0 * climb / v**3 + 3.0 * b / v**4)
+    return time + discharge
 
 
 def mvt_crosscheck(seg, v, params, atmo=TROPOSPHERE):

@@ -17,9 +17,7 @@ from econclimb import (
     ConstantAtmosphere,
     calibrate_ci_max,
     ci_at,
-    cost_curvature,
     cost_gradient,
-    final_charge_sensitivity,
     fms_initial_speed,
     segment_between,
     segment_discharge,
@@ -27,7 +25,11 @@ from econclimb import (
     total_cost,
 )
 from econclimb.cli_io import main
-from tests.force_reference import mvt_crosscheck
+from tests.force_reference import (
+    cost_curvature,
+    final_charge_sensitivity,
+    mvt_crosscheck,
+)
 from tests.ode_reference import ci_ode_check
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" \

@@ -29,14 +29,13 @@ from econclimb.errors import (
     DomainError,
     EnvelopeError,
     NoInteriorOptimumError,
-    SaddlePointError,
 )
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" \
     / "e430_atc_climb.yaml"
 REFERENCE = yaml.safe_load(CONFIG.read_text())
 
-SOLVER_ERRORS = (NoInteriorOptimumError, SaddlePointError, EnvelopeError)
+SOLVER_ERRORS = (NoInteriorOptimumError, EnvelopeError)
 
 
 # ---------------------------------------------------------------------------

@@ -11,20 +11,19 @@ from hypothesis import strategies as st
 import econclimb.climb_optimizer as co
 import econclimb.scenario_sim as scenario_sim
 from econclimb import (
+    CiEvent,
     ClimbSegment,
     ConstantAtmosphere,
+    CostIndexSchedule,
     DegenerateSegmentError,
     DomainError,
     EnvelopeError,
     NoInteriorOptimumError,
-    SaddlePointError,
     calibrate_ci_max,
     calibrate_ci_max_to_speed,
     ci_at,
-    cost_curvature,
     cost_gradient,
     e430,
-    final_charge_sensitivity,
     fms_initial_speed,
     segment_between,
     segment_discharge,
@@ -33,6 +32,8 @@ from econclimb import (
 )
 from tests.force_reference import (
     climbing_time,
+    cost_curvature,
+    final_charge_sensitivity,
     mvt_crosscheck,
     scan_optimal_speed,
 )
@@ -511,14 +512,6 @@ def test_no_interior_optimum_reports_gradient_signs(full_segment):
                                             tau, light)
 
 
-def test_saddle_check_guards_the_accepted_root(params, replan_segment,
-                                               monkeypatch):
-    monkeypatch.setattr(co, "cost_curvature",
-                        lambda *args, **kwargs: -1.0)
-    with pytest.raises(SaddlePointError):
-        solve_optimal_speed(replan_segment, CI0, CI_IN, TAU, params)
-
-
 def test_constant_ci_speed_skips_the_scan(params, full_segment,
                                           monkeypatch):
     calls = []
@@ -569,7 +562,9 @@ def _filtered_legs(draw):
 
 def _same_optimum(leg):
     """The bracketed root and the reference scan agree on one leg: the
-    scan's (v*, clipped), or its floor error's gradient signs."""
+    scan's (v*, clipped), or its floor error's gradient signs. At an
+    interior optimum the paper's d2J/dv2 is positive and equals
+    (d / v*^2) g'(v*), the slope of the gap that the solver roots."""
     solved = _plan_or_floor(lambda: solve_optimal_speed(*leg))
     try:
         scanned = scan_optimal_speed(*leg)
@@ -580,6 +575,13 @@ def _same_optimum(leg):
     else:
         assert solved[0] == pytest.approx(scanned[0], rel=1e-10, abs=0.0)
         assert solved[1] == scanned[1]
+        if not solved[1]:
+            v = solved[0]
+            curvature = cost_curvature(v, *leg)
+            slope = co._arrival_roots(*leg)[1](v)[1]
+            assert curvature > 0.0
+            assert curvature == pytest.approx(leg[0].d / v**2 * slope,
+                                              rel=1e-6)
     return scanned
 
 
@@ -669,6 +671,27 @@ def test_root_polish_safeguards():
     v, steps = co._rtsafe(slope, 0.0, 3.0)
     assert v == pytest.approx(root, rel=1e-9)
     assert steps < co._MAXITER
+
+
+_SEGMENT = dict(start=(0.0, 0.0), end=(30000.0, 1000.0), h_dot_bar=1.65,
+                rho_bar=1.17, delta_rho_bar=0.86)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ClimbSegment(**{**_SEGMENT, "h_dot_bar": math.nan}),
+    lambda: ClimbSegment(**{**_SEGMENT, "end": (math.nan, 1000.0)}),
+    lambda: ClimbSegment(**{**_SEGMENT, "end": (math.inf, 1000.0)}),
+    lambda: dataclasses.replace(e430(), v_max=math.inf),
+    lambda: CiEvent(ci_in=math.nan, at_time=10.0),
+    lambda: CostIndexSchedule(ci0=CI0, tau=TAU, ci_max=math.inf),
+    lambda: solve_optimal_speed(ClimbSegment(**_SEGMENT), math.nan, CI_IN,
+                                TAU, e430()),
+], ids=["h_dot_bar nan", "end x nan", "end x inf", "v_max inf", "ci_in nan",
+        "ci_max inf", "solver ci0 nan"])
+def test_value_types_reject_nonfinite_input(build):
+    # NaN fails every comparison, so each check asks for what it accepts
+    with pytest.raises(DomainError):
+        build()
 
 
 def test_solver_input_validation(params, full_segment):

@@ -12,13 +12,13 @@ from econclimb import (
     ClimbSegment,
     DomainError,
     e430,
-    final_charge_sensitivity,
     segment_discharge,
 )
 from econclimb.vehicle import _require_positive_speed
 from tests.force_reference import (
     charge_rate,
     drag,
+    final_charge_sensitivity,
     segment_discharge_terms,
     thrust_for_climb,
 )
