@@ -25,13 +25,7 @@ from .climb_optimizer import (
     total_cost,
 )
 from .cost_index import CiEvent, CostIndexSchedule, ci_at
-from .errors import (
-    ConfigError,
-    DegenerateSegmentError,
-    DomainError,
-    EnvelopeError,
-    NoInteriorOptimumError,
-)
+from .errors import ConfigError, DomainError, EnvelopeError
 from .scenario_sim import (
     ProfileSample,
     Scenario,
@@ -61,10 +55,8 @@ __all__ = [
     "CostIndexSchedule",
     "ci_at",
     "ConfigError",
-    "DegenerateSegmentError",
     "DomainError",
     "EnvelopeError",
-    "NoInteriorOptimumError",
     "ProfileSample",
     "Scenario",
     "ScenarioResult",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSegmentError, DomainError
+from .errors import DomainError
 
 
 def _checked_altitude(h, h_max):
@@ -123,9 +123,7 @@ def _altitude_grid(h0, hc, step):
     participate in the average, regardless of whether step divides the span.
     """
     if hc <= h0:
-        raise DegenerateSegmentError(
-            f"altitude band must climb: h0={h0!r}, hc={hc!r}"
-        )
+        raise DomainError(f"altitude band must climb: h0={h0!r}, hc={hc!r}")
     if step <= 0.0:
         raise DomainError(f"grid step must be positive, got {step!r}")
     _check_grid(hc - h0, step, "atmosphere step", "m")

@@ -34,13 +34,7 @@ from .climb_optimizer import (
     total_cost,
 )
 from .cost_index import CiEvent, CostIndexSchedule
-from .errors import (
-    ConfigError,
-    DegenerateSegmentError,
-    DomainError,
-    EnvelopeError,
-    NoInteriorOptimumError,
-)
+from .errors import ConfigError, DomainError, EnvelopeError
 from .scenario_sim import Scenario, run_scenario
 from .vehicle import STANDARD_GRAVITY, AircraftParams
 
@@ -728,14 +722,14 @@ def main(argv=None):
                 raise
         sys.stdout.write(text)
         return 0
-    except (ConfigError, DomainError, DegenerateSegmentError) as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:  # Python or NumPy floats past their range
         print(f"config error: a value leaves the float range "
               f"({exc.args[-1]})", file=sys.stderr)
         return 2
-    except (NoInteriorOptimumError, EnvelopeError) as exc:
+    except EnvelopeError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
     except _OutputError as exc:

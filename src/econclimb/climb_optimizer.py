@@ -31,12 +31,7 @@ import numpy as np
 
 from .atmosphere import TROPOSPHERE, mean_density, mean_inverse_density
 from .cost_index import ci_at
-from .errors import (
-    DegenerateSegmentError,
-    DomainError,
-    EnvelopeError,
-    NoInteriorOptimumError,
-)
+from .errors import DomainError, EnvelopeError
 from .vehicle import _polar, _require_positive_speed, segment_discharge
 
 #: Lowest airspeed an optimum may take.  [m s^-1]
@@ -219,13 +214,18 @@ def solve_optimal_speed(seg, ci0, ci_in, tau, params):
         params: AircraftParams.
 
     Raises:
-        NoInteriorOptimumError: g rises through zero nowhere and is not
-            negative at v_max, so the optimum lies below 5 m/s.
+        DomainError: a segment of zero length, a cost index that is not
+            finite and >= 0, a tau that is not positive, or v_max <= 5 m/s.
+        EnvelopeError: g rises through zero nowhere and is not negative
+            at v_max, so the optimum lies below 5 m/s.
     """
     if seg.d <= 0.0:
-        raise DegenerateSegmentError("segment has zero length")
-    if not (ci0 >= 0.0 and ci_in >= 0.0):
-        raise DomainError("cost-index values must be >= 0")
+        raise DomainError("segment has zero length")
+    if not (0.0 <= ci0 < math.inf and 0.0 <= ci_in < math.inf):
+        raise DomainError(f"cost-index values must be finite and >= 0, "
+                          f"got ci0={ci0!r}, ci_in={ci_in!r}")
+    # tau before the constant-CI switch, which replaces it by inf
+    _check_speed_and_tau(params.v_max, tau)
     if not _V_LO < params.v_max:
         raise DomainError(
             f"need v_max > {_V_LO:g} m/s, got v_max={params.v_max!r}"
@@ -254,13 +254,9 @@ def solve_optimal_speed(seg, ci0, ci_in, tau, params):
         # Cost still falling at the envelope edge: clipped optimum.
         return _assemble_plan(params.v_max, seg, ci0, ci_in, tau, params,
                               iterations=0, at_envelope_limit=True)
-    grad = cost_gradient(np.array([_V_LO, params.v_max]), seg, ci0, ci_in,
-                         tau, params)
-    raise NoInteriorOptimumError(
+    raise EnvelopeError(
         "cost gradient has no descending-to-ascending sign change in "
-        f"({_V_LO:g}, {params.v_max:g}] m/s",
-        grad_lo=float(grad[0]), grad_hi=float(grad[-1]),
-    )
+        f"({_V_LO:g}, {params.v_max:g}] m/s")
 
 
 def _arrival_roots(seg, ci0, ci_in, tau, params):
@@ -398,7 +394,7 @@ def calibrate_ci_max_to_speed(params, seg, v_ref, ci0_fraction):
         ci0_fraction: fraction of ci_max that reproduces v_ref, in (0, 1].
     """
     if seg.d <= 0.0:
-        raise DegenerateSegmentError("segment has zero length")
+        raise DomainError("segment has zero length")
     if not 0.0 < ci0_fraction <= 1.0:
         raise DomainError(
             f"ci0_fraction must lie in (0, 1], got {ci0_fraction!r}"

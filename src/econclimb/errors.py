@@ -1,29 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, one per kind of failure a
+caller can act on; ``cli_io.main`` maps each to its exit code."""
 
 
 class DomainError(ValueError):
-    """An argument is outside the physical domain of a model function."""
-
-
-class DegenerateSegmentError(ValueError):
-    """A climb segment has no altitude gain or no length where one is required."""
+    """An argument is outside the physical domain of a model function, or
+    a climb segment has no length or altitude gain where one is required."""
 
 
 class EnvelopeError(ValueError):
-    """Cost-index envelope calibration produced an unusable ceiling."""
-
-
-class NoInteriorOptimumError(RuntimeError):
-    """The cost gradient has no sign change inside the search bracket.
-
-    Carries the gradient values at both bracket ends so callers can tell
-    whether the cost was monotone increasing or decreasing over the range.
-    """
-
-    def __init__(self, msg, grad_lo, grad_hi):
-        super().__init__(msg)
-        self.grad_lo = grad_lo
-        self.grad_hi = grad_hi
+    """No answer inside the airspeed envelope: a cost-index ceiling that is
+    not positive and finite, or an optimum below the 5 m/s floor."""
 
 
 class ConfigError(ValueError):

@@ -22,9 +22,8 @@ import numpy as np
 
 from econclimb import (
     TROPOSPHERE,
-    DegenerateSegmentError,
     DomainError,
-    NoInteriorOptimumError,
+    EnvelopeError,
     ci_at,
     cost_gradient,
     segment_discharge,
@@ -61,7 +60,7 @@ def climbing_time(v, seg):
     """Time to fly the whole segment at constant airspeed v.  [s]"""
     _require_positive_speed(v)
     if seg.d <= 0.0:
-        raise DegenerateSegmentError("segment has zero length")
+        raise DomainError("segment has zero length")
     return seg.d / v
 
 
@@ -157,8 +156,8 @@ def scan_optimal_speed(seg, ci0, ci_in, tau, params):
     polishes each descending-to-ascending crossing with the package's
     safeguarded Newton iteration on (dJ/dv, d2J/dv2), and keeps the
     crossing of lowest cost. With no crossing, a gradient still
-    negative at v_max clips to v_max; otherwise it raises
-    NoInteriorOptimumError with the gradients at the grid ends.
+    negative at v_max clips to v_max; otherwise it raises EnvelopeError,
+    with the gradients at the grid ends as its grad_lo and grad_hi.
     """
     grid = np.geomspace(_V_LO, params.v_max, 50)
     grad = cost_gradient(grid, seg, ci0, ci_in, tau, params)
@@ -176,6 +175,6 @@ def scan_optimal_speed(seg, ci0, ci_in, tau, params):
             v, seg, ci0, ci_in, tau, 0.0, params)), False
     if grad[-1] < 0.0:
         return params.v_max, True
-    raise NoInteriorOptimumError("no sign change in the scan",
-                                 grad_lo=float(grad[0]),
-                                 grad_hi=float(grad[-1]))
+    floor = EnvelopeError("no sign change in the scan")
+    floor.grad_lo, floor.grad_hi = float(grad[0]), float(grad[-1])
+    raise floor

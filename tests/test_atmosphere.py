@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from econclimb import (
     AtmosphereModel,
     ConstantAtmosphere,
-    DegenerateSegmentError,
     DomainError,
     TROPOSPHERE,
     mean_density,
@@ -137,9 +136,9 @@ def test_mean_bounds_and_jensen(h0, span):
 
 
 def test_mean_density_validation():
-    with pytest.raises(DegenerateSegmentError):
+    with pytest.raises(DomainError, match="altitude band must climb"):
         mean_density(TROPOSPHERE, 1000.0, 1000.0)
-    with pytest.raises(DegenerateSegmentError):
+    with pytest.raises(DomainError, match="altitude band must climb"):
         mean_density(TROPOSPHERE, 1000.0, 500.0)
     with pytest.raises(DomainError):
         mean_density(TROPOSPHERE, 0.0, 1000.0, step=0.0)

@@ -24,18 +24,13 @@ from econclimb.cli_io import (
     main,
     validate_config,
 )
-from econclimb.errors import (
-    DegenerateSegmentError,
-    DomainError,
-    EnvelopeError,
-    NoInteriorOptimumError,
-)
+from econclimb.errors import DomainError, EnvelopeError
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" \
     / "e430_atc_climb.yaml"
 REFERENCE = yaml.safe_load(CONFIG.read_text())
 
-SOLVER_ERRORS = (NoInteriorOptimumError, EnvelopeError)
+SOLVER_ERRORS = (EnvelopeError,)
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +301,7 @@ def test_validated_config_flies(raw):
         path.write_text(yaml.safe_dump(raw))
         try:
             scenario, _climb = build_scenario(load_config(path))
-        except (ConfigError, DomainError, DegenerateSegmentError,
-                *SOLVER_ERRORS):
+        except (ConfigError, DomainError, *SOLVER_ERRORS):
             assume(False)
         try:
             run_scenario(scenario)

@@ -2,7 +2,8 @@
 ``econclimb.__all__``, and every public top-level function and class of the
 package's modules, is read somewhere in the package's own modules, or is
 kept public for a stated reason. Helpers only the tests use live under
-``tests/``."""
+``tests/``. Every exception class of ``errors`` has one exit code in
+``cli_io.main``."""
 
 import ast
 from pathlib import Path
@@ -12,6 +13,8 @@ import econclimb
 #: Public names no package module reads, each kept for a reason.
 KEPT_UNUSED = {
     "ConstantAtmosphere": "the benchmark's span tracer patches its density",
+    "cost_gradient": "the benchmark's span tracer counts its calls, and the "
+                     "tests' reference scan reads it",
     "e430": "the README's library example builds its aircraft with it",
     "__version__": "package metadata",
 }
@@ -28,8 +31,8 @@ def _names_read(module_path):
     return names
 
 
-MODULES = sorted(path for path in
-                 Path(econclimb.__file__).resolve().parent.glob("*.py")
+PACKAGE = Path(econclimb.__file__).resolve().parent
+MODULES = sorted(path for path in PACKAGE.glob("*.py")
                  if path.name != "__init__.py")
 
 
@@ -67,3 +70,25 @@ def test_the_drag_polar_is_read_in_vehicle_only():
     assert readers == [], (
         f"drag polar attributes read outside vehicle: {readers}; take the "
         "coefficients from vehicle._polar")
+
+
+def _parsed(name):
+    return ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+
+
+def test_every_error_has_one_exit_code():
+    # a new class in errors.py with no except clause in main would end the
+    # command in a traceback instead of a clear exit code
+    errors = [node.name for node in _parsed("errors.py").body
+              if isinstance(node, ast.ClassDef)]
+    main = next(node for node in _parsed("cli_io.py").body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    handlers = [handler for node in ast.walk(main)
+                if isinstance(node, ast.Try) for handler in node.handlers]
+    codes = {name: [ret.value.value for handler in handlers
+                    if name in {n.id for n in ast.walk(handler.type)
+                                if isinstance(n, ast.Name)}
+                    for ret in handler.body if isinstance(ret, ast.Return)]
+             for name in errors}
+    assert codes == {"DomainError": [2], "EnvelopeError": [3],
+                     "ConfigError": [2]}

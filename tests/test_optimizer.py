@@ -15,10 +15,8 @@ from econclimb import (
     ClimbSegment,
     ConstantAtmosphere,
     CostIndexSchedule,
-    DegenerateSegmentError,
     DomainError,
     EnvelopeError,
-    NoInteriorOptimumError,
     calibrate_ci_max,
     calibrate_ci_max_to_speed,
     ci_at,
@@ -87,7 +85,7 @@ def test_replan_segment_keeps_whole_climb_band(replan_segment, full_segment):
 
 
 def test_segment_validation():
-    with pytest.raises(DegenerateSegmentError):
+    with pytest.raises(DomainError, match="altitude band must climb"):
         segment_between((0.0, 1000.0), (30000.0, 500.0), 1.65)
     with pytest.raises(DomainError, match="must not descend"):
         ClimbSegment(start=(0.0, 1000.0), end=(30000.0, 500.0),
@@ -399,12 +397,12 @@ def test_calibration_rejects_uneconomic_reference(params, full_segment):
 
 
 def _plan_or_floor(solve):
-    """The plan's (v*, at_envelope_limit), or the floor error's gradient
-    signs."""
+    """The plan's (v*, at_envelope_limit), or "floor" where the optimum lies
+    below 5 m/s."""
     try:
         plan = solve()
-    except NoInteriorOptimumError as exc:
-        return "floor", exc.grad_lo > 0.0, exc.grad_hi > 0.0
+    except EnvelopeError:
+        return "floor"
     return plan.v_star, plan.at_envelope_limit
 
 
@@ -425,9 +423,9 @@ def test_economy_speed_matches_planner(params, full_segment, replan_segment):
                 lambda: fms_initial_speed(seg, ci_k, craft))
             scan = _plan_or_floor(
                 lambda: solve_optimal_speed(seg, ci_k, ci_k, TAU, craft))
-            outcomes.append(kernel[-1] if kernel[0] != "floor" else "floor")
-            if kernel[0] == "floor":
-                assert kernel == scan == ("floor", True, True)
+            outcomes.append(kernel[-1] if kernel != "floor" else "floor")
+            if kernel == "floor":
+                assert scan == "floor"
                 assert v_k < 5.0
                 continue
             assert kernel[0] == pytest.approx(scan[0], rel=1e-9)
@@ -496,20 +494,18 @@ def test_boundary_clip_is_flagged(params, full_segment):
     assert plan.iterations == 0
 
 
-def test_no_interior_optimum_reports_gradient_signs(full_segment):
+def test_an_optimum_below_the_floor_is_an_envelope_error(full_segment):
     # the light airframe's optimum lies below the 5 m/s floor, whether the
-    # constant-CI kernel (tau = inf, or a CI that cannot move) or the scan
-    # (a CI that moves) looks for it
+    # constant-CI kernel (tau = inf, or a CI that cannot move) or the
+    # bracketed root (a CI that moves) looks for it: the cost rises at both
+    # ends of [5 m/s, v_max]
     light = dataclasses.replace(e430(), mass=1.0, wing_area=100.0)
     for tau, ci_in in ((math.inf, 6e-4), (TAU, 6e-4), (TAU, 7e-4)):
-        with pytest.raises(NoInteriorOptimumError,
-                           match=r"in \(5, 44\.7222\] m/s") as exc_info:
+        with pytest.raises(EnvelopeError, match=r"in \(5, 44\.7222\] m/s"):
             solve_optimal_speed(full_segment, 6e-4, ci_in, tau, light)
-        err = exc_info.value
-        assert err.grad_lo > 0.0
-        assert err.grad_hi > 0.0
-        assert err.grad_lo == cost_gradient(5.0, full_segment, 6e-4, ci_in,
-                                            tau, light)
+        ends = np.array([5.0, light.v_max])
+        assert (cost_gradient(ends, full_segment, 6e-4, ci_in, tau,
+                              light) > 0.0).all()
 
 
 def test_constant_ci_speed_skips_the_scan(params, full_segment,
@@ -562,15 +558,16 @@ def _filtered_legs(draw):
 
 def _same_optimum(leg):
     """The bracketed root and the reference scan agree on one leg: the
-    scan's (v*, clipped), or its floor error's gradient signs. At an
-    interior optimum the paper's d2J/dv2 is positive and equals
-    (d / v*^2) g'(v*), the slope of the gap that the solver roots."""
+    scan's (v*, clipped), or "floor", where the scan's dJ/dv is > 0 at both
+    grid ends. At an interior optimum the paper's d2J/dv2 is positive and
+    equals (d / v*^2) g'(v*), the slope of the gap that the solver roots."""
     solved = _plan_or_floor(lambda: solve_optimal_speed(*leg))
     try:
         scanned = scan_optimal_speed(*leg)
-    except NoInteriorOptimumError as exc:
-        scanned = "floor", exc.grad_lo > 0.0, exc.grad_hi > 0.0
-    if scanned[0] == "floor":
+    except EnvelopeError as exc:
+        assert exc.grad_lo > 0.0 and exc.grad_hi > 0.0
+        scanned = "floor"
+    if scanned == "floor":
         assert solved == scanned
     else:
         assert solved[0] == pytest.approx(scanned[0], rel=1e-10, abs=0.0)
@@ -686,8 +683,15 @@ _SEGMENT = dict(start=(0.0, 0.0), end=(30000.0, 1000.0), h_dot_bar=1.65,
     lambda: CostIndexSchedule(ci0=CI0, tau=TAU, ci_max=math.inf),
     lambda: solve_optimal_speed(ClimbSegment(**_SEGMENT), math.nan, CI_IN,
                                 TAU, e430()),
+    lambda: solve_optimal_speed(ClimbSegment(**_SEGMENT), math.inf, CI_IN,
+                                TAU, e430()),
+    lambda: solve_optimal_speed(ClimbSegment(**_SEGMENT), CI0, math.inf,
+                                TAU, e430()),
+    lambda: solve_optimal_speed(ClimbSegment(**_SEGMENT), CI0, CI0,
+                                math.nan, e430()),
 ], ids=["h_dot_bar nan", "end x nan", "end x inf", "v_max inf", "ci_in nan",
-        "ci_max inf", "solver ci0 nan"])
+        "ci_max inf", "solver ci0 nan", "solver ci0 inf", "solver ci_in inf",
+        "solver tau nan at constant CI"])
 def test_value_types_reject_nonfinite_input(build):
     # NaN fails every comparison, so each check asks for what it accepts
     with pytest.raises(DomainError):
@@ -697,9 +701,9 @@ def test_value_types_reject_nonfinite_input(build):
 def test_solver_input_validation(params, full_segment):
     zero = ClimbSegment(start=(0.0, 0.0), end=(0.0, 0.0), h_dot_bar=1.65,
                         rho_bar=1.16, delta_rho_bar=0.86)
-    with pytest.raises(DegenerateSegmentError):
+    with pytest.raises(DomainError, match="zero length"):
         solve_optimal_speed(zero, CI0, CI_IN, TAU, params)
-    with pytest.raises(DegenerateSegmentError):
+    with pytest.raises(DomainError, match="zero length"):
         calibrate_ci_max_to_speed(params, zero, V0, CI0_FRACTION)
     with pytest.raises(DomainError):
         solve_optimal_speed(full_segment, -1.0, CI_IN, TAU, params)
