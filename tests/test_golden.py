@@ -35,7 +35,11 @@ and must be declared with its old and new values.
 The replan-storm traffic of the benchmark (the 200 scenarios
 ``bench/inputs.py`` generates for seeds 1001 and 2001) is pinned the same
 way: one sha256 per seed over each scenario's profile CSV followed by its
-summary JSON, as ``profile`` and ``plan --out`` render them.
+summary JSON, as ``profile`` and ``plan --out`` render them. Six
+significant digits would hide a one-ulp drift, so seed 1001 is pinned once
+more by its raw bits: each profile table's float64 bytes, each plan's
+fields packed as float64, and the summary as ``json.dumps`` writes it
+(``repr`` of every float, which round-trips).
 """
 
 import hashlib
@@ -44,6 +48,7 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from econclimb import run_scenario
@@ -56,6 +61,10 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 #: sha256 of the 200 replan-storm scenarios of seed 1001, rendered in order.
 STORM_PIN = ("f2ef0d5340e9c1c9aad7d794aa19587b"
              "798f6ac6119e35a232a6878d21157140")
+
+#: sha256 of the raw bits of the 200 replan-storm scenarios of seed 1001.
+STORM_BITS_PIN = ("bab62db292635d9fcf1ae1aa39636b3d"
+                  "1f9a7c6b6c9545d61ece77e60d94e868")
 
 #: The same for the 200 replan-storm scenarios of seed 2001.
 STORM_PIN_2001 = ("599a6c5c704260e02b06995c72c79b3b"
@@ -164,3 +173,16 @@ def test_replan_storm_matches_pinned_digest():
 
 def test_replan_storm_2001_matches_pinned_digest():
     assert _storm_digest(2001) == STORM_PIN_2001
+
+
+def test_replan_storm_raw_bits_match_pinned_digest():
+    digest = hashlib.sha256()
+    for scn in _bench_inputs().replan_storm_scenarios(1001):
+        result = run_scenario(scn)
+        digest.update(result.samples.table.tobytes())
+        for plan in result.plans:
+            digest.update(np.array(
+                [plan.v_star, plan.t_c_star, plan.j_star, plan.iterations,
+                 plan.at_envelope_limit], dtype=np.float64).tobytes())
+        digest.update(json.dumps(result.summary, sort_keys=True).encode())
+    assert digest.hexdigest() == STORM_BITS_PIN
