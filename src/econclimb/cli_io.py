@@ -479,24 +479,24 @@ def _jsonable(value):
     """Round floats to output precision; keep JSON strictly standard.
 
     Non-finite floats become the strings "nan", "inf" and "-inf", and NumPy
-    scalars their Python counterparts.
+    scalars their Python counterparts; a summary's exact types go first.
     """
-    if isinstance(value, float):  # np.float64 included; the commonest case
-        if math.isinf(value):
-            return "-inf" if value < 0.0 else "inf"
-        if math.isnan(value):
-            return "nan"
-        return float(f"{float(value):.6g}")
+    if type(value) is float:
+        if math.isfinite(value):
+            return float(f"{value:.6g}")
+        return "nan" if math.isnan(value) else "-inf" if value < 0.0 else "inf"
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
+    if value is None or type(value) in (str, int, bool):
+        return value
+    if isinstance(value, (float, np.floating)):  # np.float64 included
+        return _jsonable(float(value))
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (int, np.integer)):
         return int(value)
-    if isinstance(value, np.floating):
-        return _jsonable(float(value))
     return value
 
 

@@ -141,13 +141,16 @@ def total_cost(v, seg, ci0, ci_in, tau, q0, params):
     t = seg.d / v
     q_f = q0 - segment_discharge(v, seg, params)
     x = t / tau
-    if isinstance(x, float):  # no array round trip for a float
-        phi = (functools.reduce(lambda s, c: (s + c) * x, _PHI_TAYLOR, 0.0)
-               if x < 0.1 else 1.0 + np.expm1(-x) / x)
-        psi = 1.0 - phi if x < 0.1 else -np.expm1(-x) / x
+    if isinstance(x, float) and x >= 0.1:  # no array round trip for a float
+        e = float(np.expm1(-x))  # psi = -e / x, phi = 1 + e / x
+        return t * (ci0 * (-e / x) + ci_in * (1.0 + e / x)) + q0 - q_f
+    near = x if isinstance(x, float) else np.minimum(x, 0.1)
+    phi = 0.0
+    for c in _PHI_TAYLOR:  # Horner's rule, kept below x = 0.1
+        phi = (phi + c) * near
+    if isinstance(x, float):
+        psi = 1.0 - phi
     else:  # each form only where it holds: no overflow, no 0 / 0
-        near = np.minimum(x, 0.1)
-        phi = functools.reduce(lambda s, c: (s + c) * near, _PHI_TAYLOR, 0.0)
         psi = np.where(x < 0.1, 1.0 - phi, -np.expm1(-x) / np.maximum(x, 0.1))
         phi = np.where(x < 0.1, phi, 1.0 - psi)
     return t * (ci0 * psi + ci_in * phi) + q0 - q_f
@@ -278,13 +281,16 @@ def _arrival_roots(seg, ci0, ci_in, tau, params):
     d = seg.d
     k = d / tau
 
+    def arrival_ci(v):  # ci_at(d / v, ci0, ci_in, tau), on floats
+        return ci0 + (ci_in - ci0) * -float(np.expm1(-(d / v) / tau))
+
     def gap(v):
-        ci = ci_at(d / v, ci0, ci_in, tau)
+        ci = arrival_ci(v)
         return ((a * v**3 - climb - b / v) / eu - ci,
                 (3.0 * a * v**2 + b / v**2) / eu - (ci - ci_in) * k / v**2)
 
     def rise(v):  # v^2 g'(v), and its slope
-        pull = (ci_at(d / v, ci0, ci_in, tau) - ci_in) * k
+        pull = (arrival_ci(v) - ci_in) * k
         return ((3.0 * a * v**4 + b) / eu - pull,
                 12.0 * a * v**3 / eu - pull * k / v**2)
 
@@ -355,8 +361,29 @@ def economy_speed(seg, ci, params):
 
 def _economy_newton(seg, ci, params):
     """economy_speed's Newton iteration: (speeds, steps taken). The
-    quartic, times d / (eta U v^3), is the constant-CI dJ/dv."""
-    a, b, climb = _polar(seg, params)
+    quartic, times d / (eta U v^3), is the constant-CI dJ/dv.
+
+    A Python float CI runs a second loop, on floats: ~4 us a solve against
+    ~30 us, same bits (v_max**3 and v_max**4 from np.power, whose rounding
+    sets the sign at a CI on the ceiling; later, libm's pow, as NumPy
+    scalars call it). Arrays (v_track), and a first step past the float
+    range, where NumPy raises or warns, take the array loop.
+    """
+    a, b, climb = map(float, _polar(seg, params))
+    if type(ci) is float:
+        r, v = ci * params.efficiency * params.voltage + climb, params.v_max
+        v3, v4 = np.power(v, (3, 4)).tolist()
+        f, df = a * v4 - r * v - b, 4.0 * a * v3 - r
+        if math.isfinite(f) and math.isfinite(df) and (f < 0.0 or df > 0.0):
+            inside = f >= 0.0
+            for steps in range(1, _MAXITER + 1):
+                step = f / df if inside else 0.0
+                v -= step
+                if abs(step) <= _RTOL * v:
+                    break
+                f, df = a * v**4 - r * v - b, 4.0 * a * v**3 - r
+            if math.isfinite(v):
+                return v, steps
     r = np.asarray(ci, dtype=float) * params.efficiency * params.voltage + climb
     v = np.full_like(r, params.v_max)
     inside = a * v**4 - r * v - b >= 0.0

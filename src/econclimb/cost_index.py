@@ -97,5 +97,6 @@ def ci_at(t, ci_start, ci_in, tau):
         raise DomainError(f"time must be finite and >= 0, got {t!r}")
     if not tau > 0.0:
         raise DomainError(f"tau must be positive or inf, got {tau!r}")
-    out = ci_start + (ci_in - ci_start) * -np.expm1(-s / tau)
+    step = -np.expm1(-s / tau)  # math.expm1 rounds otherwise
+    out = ci_start + (ci_in - ci_start) * (float(step) if scalar else step)
     return out if isinstance(out, np.ndarray) else float(out)

@@ -26,7 +26,6 @@ Geometry conventions used by the replay:
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -296,9 +295,10 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
 
 def _sample_times(t_total, dt):
     """Fixed-step grid from 0, with a final sample snapped to t_total."""
-    eps = 1e-9 * max(1.0, t_total)
-    grid = dt * np.arange(math.ceil(t_total / dt))
-    return np.append(grid[grid < t_total - eps], t_total)
+    times = dt * np.arange(math.ceil(t_total / dt) + 1)
+    last = times.searchsorted(t_total - 1e-9 * max(1.0, t_total))
+    times[last] = t_total
+    return times[:last + 1]
 
 
 def _simulate_profile(scn, legs, full_seg, t_total):
@@ -334,15 +334,17 @@ def _simulate_profile(scn, legs, full_seg, t_total):
     # start; a leg that does not climb (zero length, or shorter than the
     # rounding of its altitude) draws nothing. Both are the same monotone
     # expression, so q never rises.
-    band = functools.partial(scn.atmo.band_integral, scn.waypoints[0][1])
+    heights, cuts = np.concatenate([h0, h1, h]), [len(h0), 2 * len(h0)]
+    (rho_0, rho_1, rho), (inv_0, inv_1, inv) = (
+        np.split(scn.atmo.band_integral(scn.waypoints[0][1], heights, power),
+                 cuts) for power in (1, -1))
     per_m = np.divide(t1 - t0, h1 - h0, out=np.zeros_like(t0), where=h1 > h0)
-    rho_0, inv_0 = band(h0, 1), band(h0, -1)
-    per_leg = _charge_drawn(v_leg, h1 - h0, per_m * (band(h1, 1) - rho_0),
-                            per_m * (band(h1, -1) - inv_0), params)
+    per_leg = _charge_drawn(v_leg, h1 - h0, per_m * (rho_1 - rho_0),
+                            per_m * (inv_1 - inv_0), params)
     at_start = np.append(0.0, np.cumsum(per_leg[:-1]))
     q = scn.q0 - (at_start[idx] + _charge_drawn(
-        v, h - h0[idx], per_m[idx] * (band(h, 1) - rho_0[idx]),
-        per_m[idx] * (band(h, -1) - inv_0[idx]), params))
+        v, h - h0[idx], per_m[idx] * (rho - rho_0[idx]),
+        per_m[idx] * (inv - inv_0[idx]), params))
 
     # One tracking-speed solve per run of equal cost index, repeated over
     # the run. The speeds are those of a solve per row: the Newton loop

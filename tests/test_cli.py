@@ -688,6 +688,36 @@ def test_numpy_values_past_the_float_range_exit_2(command, overrides,
     assert not out.exists()
 
 
+_SCALAR_MULTIPLY = ("config error: a value leaves the float range "
+                    "(overflow encountered in scalar multiply)\n")
+_CI_MAX_INF = ("solver error: calibration gave ci_max inf: ci0_fraction 1.0 "
+               "is too small\n")
+
+
+@pytest.mark.parametrize("command, overrides, code, err", [
+    ("plan", {"WING_AREA_M2": "1e200", "VMAX_KMH": "1e50"}, 2,
+     _SCALAR_MULTIPLY),
+    ("calibrate", {"WING_AREA_M2": "1e200", "VMAX_KMH": "1e50"}, 3,
+     _CI_MAX_INF),
+    ("plan", {"CD0": "1e250", "VMAX_KMH": "1e20"}, 2, _SCALAR_MULTIPLY),
+    ("plan", {"WING_AREA_M2": "1e280", "VMAX_KMH": "1e10"}, 2,
+     _SCALAR_MULTIPLY),
+    ("calibrate", {"WING_AREA_M2": "1e280", "VMAX_KMH": "1e10"}, 2,
+     _SCALAR_MULTIPLY),
+    ("plan", {"CD0": "1e300", "VMAX_KMH": "1e3"}, 2, _SCALAR_MULTIPLY),
+    ("calibrate", {"CD0": "1e300", "VMAX_KMH": "1e3"}, 3, _CI_MAX_INF)])
+def test_newton_products_past_the_float_range_keep_their_exit(
+        command, overrides, code, err, monkeypatch, capsys):
+    # the quartic at v_max stays finite through np.power, but a product of
+    # the Newton's first step overflows, which Python floats would carry
+    # as inf without raising: the solve goes the array way, and the
+    # command exits and reports as NumPy's overflow makes it
+    for key, value in overrides.items():
+        monkeypatch.setenv(f"ECONCLIMB_AIRCRAFT__{key}", value)
+    got, printed = _run(capsys, command)
+    assert (got, printed.err) == (code, err)
+
+
 def _number_keys(node, path=()):
     """(path, value) of every number a config block sets, events included
     and waypoint coordinates left out."""
