@@ -324,7 +324,6 @@ def _simulate_profile(scn, legs, full_seg, t_total):
     h = h0[idx] + frac * (h1 - h0)[idx]
     x[-1], h[-1] = scn.waypoints[-1]  # h0 + (h1 - h0) may miss h1 by an ulp
     v = v_leg[idx]
-    del tl, span, frac  # grid-sized; the final table is the memory peak
 
     # The charge drawn by each sample: its leg's start value (one cumsum
     # over the legs) plus the closed form from the leg start at the leg's
@@ -345,6 +344,7 @@ def _simulate_profile(scn, legs, full_seg, t_total):
     q = scn.q0 - (at_start[idx] + _charge_drawn(
         v, h - h0[idx], per_m[idx] * (rho - rho_0[idx]),
         per_m[idx] * (inv - inv_0[idx]), params))
+    del tl, span, frac, heights, rho, inv  # grid-sized; the table is the peak
 
     # One tracking-speed solve per run of equal cost index, repeated over
     # the run. The speeds are those of a solve per row: the Newton loop

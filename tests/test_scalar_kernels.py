@@ -78,19 +78,36 @@ def test_float_newton_matches_the_array_kernel(leg):
         assert (_bits(v), steps) == (_bits(v_ref), steps_ref)
 
 
+# a leg whose J rounds to another float where math.expm1 stands in for
+# np.expm1 in the time cost
+_COST_ROUNDS = (
+    ClimbSegment(start=(0.0, 0.0), end=(2647.5922780188566, 2948.6238198523297),
+                 h_dot_bar=1.8562562226326325, rho_bar=0.3487485387690457,
+                 delta_rho_bar=2.9147109060646574),
+    dataclasses.replace(e430(), wing_area=61.287170023599636,
+                        mass=445.84900671805093, cd0=0.05573537171180692,
+                        cd2=0.013116613657602496, v_max=65.0253933761278),
+    1707.945930056239, 2617.541533382546, 149.75998033258807,
+    19.33854601837329)
+
+
 @given(_legs())
 @example((*_LIGHT, 900.0, 0.0, 550.0, 20.0))
+@example(_COST_ROUNDS)
 def test_float_filter_and_cost_match_the_array_kernels(leg):
     seg, craft, ci0, ci_in, tau, v = leg
-    t = seg.d / v
-    assert _bits(ci_at(t, ci0, ci_in, tau)) == \
-        _bits(ref.ci_at(t, ci0, ci_in, tau))
-    for q0 in (0.0, 2.5e5):
-        assert _bits(total_cost(v, seg, ci0, ci_in, tau, q0, craft)) == \
-            _bits(ref.total_cost(v, seg, ci0, ci_in, tau, q0, craft))
-    # the gap the filtered solve roots states the filter inline
     a, b, climb = _polar(seg, craft)
-    eu = craft.efficiency * craft.voltage
+    eu, k = craft.efficiency * craft.voltage, seg.d / tau
     gap = co._arrival_roots(seg, ci0, ci_in, tau, craft)[1]
-    assert _bits(gap(v)[0]) == _bits(
-        (a * v**3 - climb - b / v) / eu - ref.ci_at(t, ci0, ci_in, tau))
+    for w in [v] + [co._V_LO + (craft.v_max - co._V_LO) * j / 15
+                    for j in range(16)]:
+        ci = ref.ci_at(seg.d / w, ci0, ci_in, tau)
+        assert _bits(ci_at(seg.d / w, ci0, ci_in, tau)) == _bits(ci)
+        for q0 in (0.0, 2.5e5):
+            assert _bits(total_cost(w, seg, ci0, ci_in, tau, q0, craft)) == \
+                _bits(ref.total_cost(w, seg, ci0, ci_in, tau, q0, craft))
+        # the gap the filtered solve roots states the filter inline; the
+        # reference is its form around ci_at
+        assert list(map(_bits, gap(w))) == list(map(_bits, (
+            (a * w**3 - climb - b / w) / eu - ci,
+            (3.0 * a * w**2 + b / w**2) / eu - (ci - ci_in) * k / w**2)))
