@@ -142,7 +142,7 @@ def total_cost(v, seg, ci0, ci_in, tau, q0, params):
     q_f = q0 - segment_discharge(v, seg, params)
     x = t / tau
     if isinstance(x, float) and x >= 0.1:  # no array round trip for a float
-        e = float(np.expm1(-x))  # psi = -e / x, phi = 1 + e / x
+        e = float(np.expm1(-x))  # psi / x = -e / x, phi / x = 1 + e / x
         return t * (ci0 * (-e / x) + ci_in * (1.0 + e / x)) + q0 - q_f
     near = x if isinstance(x, float) else np.minimum(x, 0.1)
     phi = 0.0
@@ -364,10 +364,9 @@ def _economy_newton(seg, ci, params):
     quartic, times d / (eta U v^3), is the constant-CI dJ/dv.
 
     A Python float CI runs a second loop, on floats: ~4 us a solve against
-    ~30 us, same bits (v_max**3 and v_max**4 from np.power, whose rounding
-    sets the sign at a CI on the ceiling; later, libm's pow, as NumPy
-    scalars call it). Arrays (v_track), and a first step past the float
-    range, where NumPy raises or warns, take the array loop.
+    ~30 us, same bits (np.power's v_max**3 and v_max**4 set the sign at the
+    ceiling CI; later, libm's pow, as for NumPy scalars). Arrays (v_track),
+    or a first step past the float range (NumPy flags it), use the array loop.
     """
     a, b, climb = map(float, _polar(seg, params))
     if type(ci) is float:

@@ -324,6 +324,7 @@ def _simulate_profile(scn, legs, full_seg, t_total):
     h = h0[idx] + frac * (h1 - h0)[idx]
     x[-1], h[-1] = scn.waypoints[-1]  # h0 + (h1 - h0) may miss h1 by an ulp
     v = v_leg[idx]
+    del tl, span, frac  # grid-sized; the final table is the memory peak
 
     # The charge drawn by each sample: its leg's start value (one cumsum
     # over the legs) plus the closed form from the leg start at the leg's
@@ -333,10 +334,10 @@ def _simulate_profile(scn, legs, full_seg, t_total):
     # start; a leg that does not climb (zero length, or shorter than the
     # rounding of its altitude) draws nothing. Both are the same monotone
     # expression, so q never rises.
-    heights, cuts = np.concatenate([h0, h1, h]), [len(h0), 2 * len(h0)]
-    (rho_0, rho_1, rho), (inv_0, inv_1, inv) = (
-        np.split(scn.atmo.band_integral(scn.waypoints[0][1], heights, power),
-                 cuts) for power in (1, -1))
+    cuts = [len(h0), 2 * len(h0)]
+    (rho_0, rho_1, rho), (inv_0, inv_1, inv) = (np.split(
+        scn.atmo.band_integral(scn.waypoints[0][1], np.concatenate([h0, h1, h]),
+                               power), cuts) for power in (1, -1))
     per_m = np.divide(t1 - t0, h1 - h0, out=np.zeros_like(t0), where=h1 > h0)
     per_leg = _charge_drawn(v_leg, h1 - h0, per_m * (rho_1 - rho_0),
                             per_m * (inv_1 - inv_0), params)
@@ -344,7 +345,7 @@ def _simulate_profile(scn, legs, full_seg, t_total):
     q = scn.q0 - (at_start[idx] + _charge_drawn(
         v, h - h0[idx], per_m[idx] * (rho - rho_0[idx]),
         per_m[idx] * (inv - inv_0[idx]), params))
-    del tl, span, frac, heights, rho, inv  # grid-sized; the table is the peak
+    del rho_0, rho_1, rho, inv_0, inv_1, inv  # views of the grid-sized bands
 
     # One tracking-speed solve per run of equal cost index, repeated over
     # the run. The speeds are those of a solve per row: the Newton loop
