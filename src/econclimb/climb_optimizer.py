@@ -363,10 +363,10 @@ def _economy_newton(seg, ci, params):
     """economy_speed's Newton iteration: (speeds, steps taken). The
     quartic, times d / (eta U v^3), is the constant-CI dJ/dv.
 
-    A Python float CI runs a second loop, on floats: ~4 us a solve against
-    ~30 us, same bits (np.power's v_max**3 and v_max**4 set the sign at the
-    ceiling CI; later, libm's pow, as for NumPy scalars). Arrays (v_track),
-    or a first step past the float range (NumPy flags it), use the array loop.
+    One Python float CI runs a float loop: ~3 us against ~25 us a solve (2
+    x86 vCPUs), same bits (np.power's v_max**3 and v_max**4 set the sign at
+    the ceiling CI; later, libm's pow, as for NumPy scalars). Arrays, and a
+    first step past the float range (NumPy flags it), use the array loop.
     """
     a, b, climb = map(float, _polar(seg, params))
     if type(ci) is float:
