@@ -16,7 +16,6 @@ from .atmosphere import (
 from .climb_optimizer import (
     ClimbPlan,
     ClimbSegment,
-    calibrate_ci_max,
     calibrate_ci_max_to_speed,
     cost_gradient,
     fms_initial_speed,
@@ -44,7 +43,6 @@ __all__ = [
     "mean_inverse_density",
     "ClimbPlan",
     "ClimbSegment",
-    "calibrate_ci_max",
     "calibrate_ci_max_to_speed",
     "cost_gradient",
     "fms_initial_speed",

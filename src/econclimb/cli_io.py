@@ -27,7 +27,6 @@ import yaml
 
 from .atmosphere import TROPOSPHERE, _check_grid
 from .climb_optimizer import (
-    calibrate_ci_max,
     calibrate_ci_max_to_speed,
     fms_initial_speed,
     segment_between,
@@ -322,7 +321,7 @@ def _ci_max(mode, cx, params, climb):
     """The cost-index ceiling [C/s] that ci_max mode ``mode`` picks on
     climb, with the cost_index block cx holding the keys the mode reads."""
     if mode == "vmax":
-        return calibrate_ci_max(params, climb)
+        return calibrate_ci_max_to_speed(params, climb, params.v_max, 1.0)
     if mode == "calibrated":
         return calibrate_ci_max_to_speed(
             params, climb, cx["ci_max"]["reference_v_kmh"] / 3.6,

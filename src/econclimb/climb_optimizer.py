@@ -238,8 +238,8 @@ def solve_optimal_speed(seg, ci0, ci_in, tau, params):
         # The CI cannot move, so J = ci0 d / v + Q0 - Qf for any tau (the
         # plan states it at tau = inf): convex, so the quartic's root is the
         # optimum whenever it lies in the envelope, i.e. whenever ci0 is at
-        # most the ceiling calibrate_ci_max computes (at ci0 equal to it the
-        # quartic at v_max is zero up to rounding, so its sign cannot tell).
+        # most the v_max ceiling (at ci0 equal to it the quartic at v_max is
+        # zero up to rounding, so its sign cannot tell).
         tau = math.inf
         # Before the Newton: its Python-float ** raises where NumPy's warns.
         clipped = ci0 > ci_for_speed(seg, params.v_max, params)
@@ -281,16 +281,13 @@ def _arrival_roots(seg, ci0, ci_in, tau, params):
     d = seg.d
     k = d / tau
 
-    def arrival_ci(v):  # ci_at(d / v, ci0, ci_in, tau), on floats
-        return ci0 + (ci_in - ci0) * -float(np.expm1(-(d / v) / tau))
-
     def gap(v):
-        ci = arrival_ci(v)
+        ci = ci_at(d / v, ci0, ci_in, tau)
         return ((a * v**3 - climb - b / v) / eu - ci,
                 (3.0 * a * v**2 + b / v**2) / eu - (ci - ci_in) * k / v**2)
 
     def rise(v):  # v^2 g'(v), and its slope
-        pull = (arrival_ci(v) - ci_in) * k
+        pull = (ci_at(d / v, ci0, ci_in, tau) - ci_in) * k
         return ((3.0 * a * v**4 + b) / eu - pull,
                 12.0 * a * v**3 / eu - pull * k / v**2)
 
@@ -396,28 +393,26 @@ def _economy_newton(seg, ci, params):
     return v, steps
 
 
-def calibrate_ci_max(params, seg):
-    """Cost-index ceiling implied by the airspeed envelope.
-
-    Returns the constant CI whose optimal airspeed is exactly v_max: the
-    ceiling anchored to v_max at fraction 1.
-    """
-    return calibrate_ci_max_to_speed(params, seg, params.v_max, 1.0)
-
-
 def calibrate_ci_max_to_speed(params, seg, v_ref, ci0_fraction):
     """Cost-index ceiling anchored to a known-good initial climb speed.
 
     Picks ci_max such that planning with ci0 = ci0_fraction * ci_max yields
     v_ref as the constant-CI optimum, i.e. ci_for_speed at v_ref divided by
     the fraction; the constant-CI optimal speed is strictly increasing in
-    CI, so the anchoring is exact.
+    CI, so the anchoring is exact. At v_ref = v_max and fraction 1 it is
+    the ceiling the airspeed envelope implies.
 
     Args:
         params: AircraftParams.
         seg: segment the reference speed belongs to.
         v_ref: reference optimal airspeed  [m s^-1]
         ci0_fraction: fraction of ci_max that reproduces v_ref, in (0, 1].
+
+    Raises:
+        DomainError: a zero-length segment, or an argument out of range.
+        ArithmeticError: ci_for_speed at v_ref leaves the float range.
+        EnvelopeError: v_ref lies below the best-economy speed, or the
+            fraction divides a finite ceiling past the float range.
     """
     if seg.d <= 0.0:
         raise DomainError("segment has zero length")
@@ -429,7 +424,10 @@ def calibrate_ci_max_to_speed(params, seg, v_ref, ci0_fraction):
         raise DomainError(
             f"v_ref must lie in (0, v_max={params.v_max:g}], got {v_ref!r}"
         )
-    ci = ci_for_speed(seg, v_ref, params) / ci0_fraction
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        # on a NumPy float, which raises where a Python float carries inf
+        ceiling = float(ci_for_speed(seg, np.float64(v_ref), params))
+    ci = ceiling / ci0_fraction
     if not ci > 0.0:
         raise EnvelopeError(
             f"calibration gave non-positive ci_max {ci:.6g}; {v_ref:g} m/s "

@@ -15,7 +15,7 @@ import pytest
 
 from econclimb import (
     ConstantAtmosphere,
-    calibrate_ci_max,
+    calibrate_ci_max_to_speed,
     ci_at,
     cost_gradient,
     fms_initial_speed,
@@ -66,7 +66,8 @@ def test_criterion_01_initialization(params, full_segment, ci_max_cal):
     assert elapsed < 1.0
 
     # envelope-anchored ceiling: the implied initial speed stays within 2%
-    ci_max_vmax = calibrate_ci_max(params, full_segment)
+    ci_max_vmax = calibrate_ci_max_to_speed(params, full_segment,
+                                            params.v_max, 1.0)
     v_vmax = fms_initial_speed(full_segment, 0.6 * ci_max_vmax,
                                params).v_star * 3.6
     deviation = 100.0 * abs(v_vmax - 140.19) / 140.19

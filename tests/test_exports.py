@@ -76,6 +76,19 @@ def _parsed(name):
     return ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
 
 
+def test_the_filtered_ci_comes_from_ci_at():
+    # cost_index.ci_at states the filter once; in the optimizer only
+    # total_cost, the filter's time integral, calls expm1 itself
+    callers = {getattr(top, "name", "<module>")
+               for top in _parsed("climb_optimizer.py").body
+               for node in ast.walk(top)
+               if isinstance(node, ast.Attribute) and node.attr == "expm1"
+               or isinstance(node, ast.Name) and node.id == "expm1"}
+    assert callers == {"total_cost"}, (
+        f"expm1 called in {sorted(callers)}; take the filtered CI from "
+        "cost_index.ci_at")
+
+
 def test_every_error_has_one_exit_code():
     # a new class in errors.py with no except clause in main would end the
     # command in a traceback instead of a clear exit code

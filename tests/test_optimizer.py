@@ -17,7 +17,6 @@ from econclimb import (
     CostIndexSchedule,
     DomainError,
     EnvelopeError,
-    calibrate_ci_max,
     calibrate_ci_max_to_speed,
     ci_at,
     cost_gradient,
@@ -351,12 +350,14 @@ def test_faster_filter_pulls_speed_toward_command(params, full_segment):
 # ci_max calibration
 
 def test_envelope_calibration_value(params, full_segment):
-    assert calibrate_ci_max(params, full_segment) == \
-        pytest.approx(CI_MAX_VMAX, rel=1e-12)
+    ci_max = calibrate_ci_max_to_speed(params, full_segment, params.v_max,
+                                       1.0)
+    assert ci_max == pytest.approx(CI_MAX_VMAX, rel=1e-12)
 
 
 def test_envelope_calibration_puts_optimum_at_vmax(params, full_segment):
-    ci_max = calibrate_ci_max(params, full_segment)
+    ci_max = calibrate_ci_max_to_speed(params, full_segment, params.v_max,
+                                       1.0)
     plan = fms_initial_speed(full_segment, ci_max, params)
     assert plan.v_star == pytest.approx(params.v_max, rel=1e-9)
 
@@ -415,7 +416,7 @@ def test_economy_speed_matches_planner(params, full_segment, replan_segment):
     outcomes = []
     for seg, craft in ((full_segment, params), (replan_segment, params),
                        (full_segment, light)):
-        ci_max = calibrate_ci_max(craft, seg)
+        ci_max = calibrate_ci_max_to_speed(craft, seg, craft.v_max, 1.0)
         ci = np.linspace(0.0, 1.05 * ci_max, 43)
         v = co.economy_speed(seg, ci, craft)
         for ci_k, v_k in zip(ci, v):
@@ -442,12 +443,13 @@ def test_economy_speed_matches_planner(params, full_segment, replan_segment):
 
 @pytest.mark.parametrize("light", [False, True])
 def test_envelope_flag_at_the_ceiling_is_exact(light, params, full_segment):
-    # at ci0 == calibrate_ci_max, dJ/dv(v_max) is zero in exact arithmetic
+    # at ci0 == the v_max ceiling, dJ/dv(v_max) is zero in exact arithmetic
     # and the quartic at v_max rounds to -2e-10 (E430) or -1.6e-9 (a 1 kg
     # airframe with a 100 m^2 wing): the flag must not follow that rounding
     craft = (dataclasses.replace(params, mass=1.0, wing_area=100.0) if light
              else params)
-    ci_max = calibrate_ci_max(craft, full_segment)
+    ci_max = calibrate_ci_max_to_speed(craft, full_segment, craft.v_max,
+                                       1.0)
     at = fms_initial_speed(full_segment, ci_max, craft)
     assert at.v_star == craft.v_max
     assert not at.at_envelope_limit
@@ -463,7 +465,8 @@ def test_economy_speed_mixes_inside_and_beyond_the_envelope(params,
     # one array of CIs below, at and above the ceiling, interleaved: those
     # beyond it stay at v_max while the others iterate, and every other
     # entry is the scalar solve's speed bit for bit
-    ci_max = calibrate_ci_max(params, full_segment)
+    ci_max = calibrate_ci_max_to_speed(params, full_segment, params.v_max,
+                                       1.0)
     ci = np.array([0.0, 1.2 * ci_max, 0.3 * ci_max, ci_max,
                    np.nextafter(ci_max, math.inf), 0.9 * ci_max,
                    2.0 * ci_max, 0.6 * ci_max])
@@ -481,7 +484,7 @@ def test_economy_speed_mixes_inside_and_beyond_the_envelope(params,
 def test_envelope_calibration_needs_room(full_segment):
     slow = dataclasses.replace(e430(), v_max=25.0)  # below best-economy speed
     with pytest.raises(EnvelopeError):
-        calibrate_ci_max(slow, full_segment)
+        calibrate_ci_max_to_speed(slow, full_segment, slow.v_max, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +644,8 @@ def test_a_ci_that_cannot_move_is_the_constant_ci_plan(share, params,
                                                        full_segment):
     # with ci0 == ci_in the filter term of J is zero for any tau, so a
     # finite tau must give the infinite-tau plan, field by field
-    ci = share * calibrate_ci_max(params, full_segment)
+    ci = share * calibrate_ci_max_to_speed(params, full_segment,
+                                           params.v_max, 1.0)
     plan = fms_initial_speed(full_segment, ci, params)
     for tau in (TAU, 600.0):
         same = solve_optimal_speed(full_segment, ci, ci, tau, params)
@@ -767,3 +771,7 @@ def test_reference_calibration_rejects_overflow(params, full_segment):
     ci = calibrate_ci_max_to_speed(params, full_segment, V_REF_KMH / 3.6,
                                    1e-300)
     assert ci == pytest.approx(CI0 * 1e300, rel=1e-9)
+    # a ceiling that overflows before the division is the float range
+    huge = dataclasses.replace(params, wing_area=1e200, v_max=1e50 / 3.6)
+    with pytest.raises(ArithmeticError, match="overflow"):
+        calibrate_ci_max_to_speed(huge, full_segment, huge.v_max, 1.0)
