@@ -18,7 +18,6 @@ from .climb_optimizer import (
     ClimbSegment,
     calibrate_ci_max_to_speed,
     cost_gradient,
-    fms_initial_speed,
     segment_between,
     solve_optimal_speed,
     total_cost,
@@ -45,7 +44,6 @@ __all__ = [
     "ClimbSegment",
     "calibrate_ci_max_to_speed",
     "cost_gradient",
-    "fms_initial_speed",
     "segment_between",
     "solve_optimal_speed",
     "total_cost",

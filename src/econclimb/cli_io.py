@@ -28,8 +28,8 @@ import yaml
 from .atmosphere import TROPOSPHERE, _check_grid
 from .climb_optimizer import (
     calibrate_ci_max_to_speed,
-    fms_initial_speed,
     segment_between,
+    solve_optimal_speed,
     total_cost,
 )
 from .cost_index import CiEvent, CostIndexSchedule
@@ -368,7 +368,7 @@ def build_scenario(cfg, no_event=False):
         ci_max_mode=mode,
     )
     if tau_cfg["mode"] == "fraction_of_tc0":
-        v0 = fms_initial_speed(climb, ci0, params).v_star
+        v0 = solve_optimal_speed(climb, ci0, ci0, math.inf, params).v_star
         schedule = replace(schedule, tau=tau_cfg["factor"] * climb.d / v0)
         scenario = replace(scenario, schedule=schedule)
     return scenario, climb
@@ -587,7 +587,8 @@ def cmd_sweep(cfg, args):
         )
     _check_grid(v_max_kmh - v_min_kmh, v_step_kmh, "sweep step", "km/h")
     grid_kmh = np.arange(v_min_kmh, v_max_kmh + 0.5 * v_step_kmh, v_step_kmh)
-    grid_kmh = grid_kmh[grid_kmh <= v_max_kmh + 1e-12]
+    # arange's last point may overshoot v_max by rounding; clip it onto v_max
+    grid_kmh = np.minimum(grid_kmh[grid_kmh <= v_max_kmh + 1e-12], v_max_kmh)
     v = grid_kmh / 3.6
     params, sched = scenario.aircraft, scenario.schedule
     if not (np.all(v > 0.0) and np.all(v <= params.v_max)):
@@ -640,8 +641,9 @@ def cmd_calibrate(cfg, args):
     report = {"chosen_mode": chosen, "ci0_fraction": fraction, "modes": {}}
     for mode in ("vmax",) if ref_v_kmh is None else ("vmax", "calibrated"):
         ci_max = _ci_max(mode, cx, params, climb)
-        v0_kmh = 3.6 * fms_initial_speed(climb, fraction * ci_max,
-                                         params).v_star
+        ci0 = fraction * ci_max
+        v0_kmh = 3.6 * solve_optimal_speed(climb, ci0, ci0, math.inf,
+                                           params).v_star
         entry = report["modes"][mode] = {"ci_max_Cs": ci_max, "v0_kmh": v0_kmh}
         if ref_v_kmh is not None:
             entry["deviation_pct"] = 100.0 * (v0_kmh - ref_v_kmh) / ref_v_kmh

@@ -243,7 +243,7 @@ def solve_optimal_speed(seg, ci0, ci_in, tau, params):
         tau = math.inf
         # Before the Newton: its Python-float ** raises where NumPy's warns.
         clipped = ci0 > ci_for_speed(seg, params.v_max, params)
-        v, steps = _economy_newton(seg, ci0, params)
+        v, steps = economy_speed(seg, ci0, params)
         if not clipped and v >= _V_LO:
             return _assemble_plan(float(v), seg, ci0, ci_in, tau, params, steps)
     else:
@@ -321,15 +321,6 @@ def _assemble_plan(v_star, seg, ci0, ci_in, tau, params, iterations,
     )
 
 
-def fms_initial_speed(seg, ci0, params):
-    """Pre-departure speed choice: the constant-CI special case.
-
-    Solves -ci0 d / v^2 - dQf/dv = 0, which is solve_optimal_speed with the
-    infinite-tau cost (the commanded value never deviates from ci0).
-    """
-    return solve_optimal_speed(seg, ci0, ci0, math.inf, params)
-
-
 def ci_for_speed(seg, v, params):
     """Constant cost index whose optimal airspeed on the segment is v.
 
@@ -345,20 +336,15 @@ def ci_for_speed(seg, v, params):
 
 
 def economy_speed(seg, ci, params):
-    """Constant-CI optimal airspeed for each cost index in ci.  [m s^-1]
+    """Constant-CI optimal airspeed for each cost index in ci, and the
+    Newton steps taken: (speeds [m s^-1], steps).
 
     Inverts ci_for_speed. Multiplied out, its condition is the quartic
     A v^4 - R v - B = 0 in the polar's (A, B, C), with R = ci eta U + C,
-    convex for v > 0 with one positive root. Newton's method from v_max
-    falls monotonically onto that root where the quartic is >= 0 at v_max;
-    elsewhere the optimum lies past the envelope and the speed is exactly v_max.
-    """
-    return _economy_newton(seg, ci, params)[0]
-
-
-def _economy_newton(seg, ci, params):
-    """economy_speed's Newton iteration: (speeds, steps taken). The
-    quartic, times d / (eta U v^3), is the constant-CI dJ/dv.
+    convex for v > 0 with one positive root; times d / (eta U v^3) it is
+    the constant-CI dJ/dv. Newton's method from v_max falls monotonically
+    onto that root where the quartic is >= 0 at v_max; elsewhere the
+    optimum lies past the envelope and the speed is exactly v_max.
 
     One Python float CI runs a float loop: ~3 us against ~25 us a solve (2
     x86 vCPUs), same bits (np.power's v_max**3 and v_max**4 set the sign at

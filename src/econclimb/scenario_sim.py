@@ -168,7 +168,6 @@ class Profile(Sequence):
 
 @dataclass
 class ScenarioResult:
-    plans: list
     samples: Profile
     summary: dict
 
@@ -195,10 +194,11 @@ def _pop_next_event(timed, placed, seg, t_leg, v_leg):
 def run_scenario(scn: Scenario) -> ScenarioResult:
     """Plan and replay the scenario.
 
-    Returns the per-leg plans, the profile samples, and a summary
-    mapping. A leg's ``q_f_C`` is the replayed charge at its start less
-    its closed-form charge. Solver failures propagate with the leg index
-    prepended; a negative final charge is reported as depletion, not raised.
+    Returns the profile samples and a summary mapping, whose segments hold
+    each leg's plan. A leg's ``q_f_C`` is the replayed charge at its start
+    less its closed-form charge. Solver failures propagate with the leg
+    index prepended; a negative final charge is reported as depletion, not
+    raised.
     """
     params = scn.aircraft
     sched = scn.schedule
@@ -290,7 +290,7 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
         "energy_used_J": (scn.q0 - final_q) * params.voltage,
         "battery_depleted": bool(final_q < 0.0),
     }
-    return ScenarioResult(plans=plans, samples=samples, summary=summary)
+    return ScenarioResult(samples=samples, summary=summary)
 
 
 def _sample_times(t_total, dt):
@@ -352,7 +352,7 @@ def _simulate_profile(scn, legs, full_seg, t_total):
     # stops when its slowest element settles, and the distinct values are
     # the same.
     starts = np.flatnonzero(np.append(True, ci[1:] != ci[:-1]))
-    v_track = np.repeat(economy_speed(full_seg, ci[starts], params),
+    v_track = np.repeat(economy_speed(full_seg, ci[starts], params)[0],
                         np.diff(np.append(starts, len(ci))))
     return Profile(np.column_stack([times, x, h, v, ci, q, q * params.voltage,
                                     v_track])), at_start

@@ -19,7 +19,7 @@ from econclimb.vehicle import _polar, segment_discharge
 
 
 def economy_newton(seg, ci, params):
-    """economy_speed's Newton iteration: (speeds, steps taken). The
+    """economy_speed's array Newton iteration: (speeds, steps taken). The
     quartic, times d / (eta U v^3), is the constant-CI dJ/dv."""
     a, b, climb = _polar(seg, params)
     r = np.asarray(ci, dtype=float) * params.efficiency * params.voltage + climb

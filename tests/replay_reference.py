@@ -86,7 +86,7 @@ def replay_reference(scn, summary, times=None):
     rows = np.searchsorted(edges, times)
     x, h, v, ci, q = x[rows], h[rows], v[rows], ci[rows], q[rows]
     starts = np.flatnonzero(np.append(True, ci[1:] != ci[:-1]))
-    v_track = np.repeat(economy_speed(full_seg, ci[starts], params),
+    v_track = np.repeat(economy_speed(full_seg, ci[starts], params)[0],
                         np.diff(np.append(starts, len(ci))))
     return np.column_stack([times, x, h, v, ci, q, q * params.voltage,
                             v_track])

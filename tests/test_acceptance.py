@@ -18,7 +18,6 @@ from econclimb import (
     calibrate_ci_max_to_speed,
     ci_at,
     cost_gradient,
-    fms_initial_speed,
     segment_between,
     segment_discharge,
     solve_optimal_speed,
@@ -57,8 +56,9 @@ def _random_segment(rng):
 
 
 def test_criterion_01_initialization(params, full_segment, ci_max_cal):
+    ci0 = 0.6 * ci_max_cal
     t0 = time.perf_counter()
-    plan = fms_initial_speed(full_segment, 0.6 * ci_max_cal, params)
+    plan = solve_optimal_speed(full_segment, ci0, ci0, math.inf, params)
     elapsed = time.perf_counter() - t0
     v_kmh = plan.v_star * 3.6
     assert abs(v_kmh - 140.19) <= 0.1
@@ -68,8 +68,9 @@ def test_criterion_01_initialization(params, full_segment, ci_max_cal):
     # envelope-anchored ceiling: the implied initial speed stays within 2%
     ci_max_vmax = calibrate_ci_max_to_speed(params, full_segment,
                                             params.v_max, 1.0)
-    v_vmax = fms_initial_speed(full_segment, 0.6 * ci_max_vmax,
-                               params).v_star * 3.6
+    ci0_vmax = 0.6 * ci_max_vmax
+    v_vmax = solve_optimal_speed(full_segment, ci0_vmax, ci0_vmax, math.inf,
+                                 params).v_star * 3.6
     deviation = 100.0 * abs(v_vmax - 140.19) / 140.19
     assert deviation < 2.0
     _report(1, f"v0*={v_kmh:.2f} km/h, tc0*={plan.t_c_star:.1f} s, "
@@ -82,7 +83,7 @@ def test_criterion_02_event_replan(params, full_segment, replan_segment,
     ci0 = 0.6 * ci_max_cal
     ci_in = 0.9 * ci_max_cal
     t0 = time.perf_counter()
-    plan0 = fms_initial_speed(full_segment, ci0, params)
+    plan0 = solve_optimal_speed(full_segment, ci0, ci0, math.inf, params)
     t1 = 0.5 * plan0.t_c_star  # event waypoint sits mid-climb
     tau = 0.01 * plan0.t_c_star
     plan1 = solve_optimal_speed(replan_segment, ci0, ci_in, tau, params)
@@ -108,7 +109,7 @@ def test_criterion_03_energy_ordering(params, full_segment, replan_segment,
     tau = 0.01 * TC0_REF
     worst = math.inf
     for q0 in (200000.0, 250000.0, 400000.0):
-        base = fms_initial_speed(full_segment, ci0, params)
+        base = solve_optimal_speed(full_segment, ci0, ci0, math.inf, params)
         base_q_f = q0 - segment_discharge(base.v_star, full_segment, params)
         assert base_q_f >= 0.0
         # with the event: first half at v0, re-planned second half
@@ -231,7 +232,7 @@ def test_criterion_08_limit_consistency(params, full_segment):
     worst = 0.0
     for ci in (60.0, CI0, 300.0):
         slow = solve_optimal_speed(full_segment, ci, 0.5 * ci, 1e9, params)
-        fms = fms_initial_speed(full_segment, ci, params)
+        fms = solve_optimal_speed(full_segment, ci, ci, math.inf, params)
         diff = abs(slow.v_star - fms.v_star) * 3.6
         worst = max(worst, diff)
         assert diff < 0.01

@@ -461,6 +461,22 @@ def test_sweep_rejects_speeds_outside_the_envelope(flag, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ("--v-step-kmh", 0.9),
+    ("--v-min-kmh", 100, "--v-step-kmh", 0.2),
+    ("--v-min-kmh", 50, "--v-step-kmh", 0.6),
+])
+def test_sweep_grid_rounding_past_the_ceiling_ends_at_it(flags, tmp_path,
+                                                        capsys):
+    # arange's last point rounds above the 161 km/h default ceiling on these
+    # grids; it is flown at the ceiling instead of rejecting the sweep
+    csv_path = tmp_path / "sweep.csv"
+    code, printed = _run(capsys, "sweep", "--out", csv_path, *flags)
+    assert (code, printed.err) == (0, "")
+    curves = _sweep_curves(csv_path)
+    assert [vs[-1] for vs, _, _ in curves.values()] == ["161"] * len(curves)
+
+
 def test_sweep_rejects_empty_grid(tmp_path, capsys):
     out = tmp_path / "x.csv"
     code, printed = _run(capsys, "sweep", "--out", out, "--v-min-kmh", 170)

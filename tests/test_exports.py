@@ -89,6 +89,34 @@ def test_the_filtered_ci_comes_from_ci_at():
         "cost_index.ci_at")
 
 
+def test_no_public_function_only_forwards_to_another():
+    # a public function whose body is one return of another package
+    # function's result (a [0] on it counts) is a second name for that
+    # result: callers call the function it forwards to
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in MODULES}
+    functions = {node.name for tree in trees.values() for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    wrappers = []
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or node.name[0] == "_":
+                continue
+            body = node.body[1:] if ast.get_docstring(node) else node.body
+            if len(body) != 1 or not isinstance(body[0], ast.Return):
+                continue
+            call = body[0].value
+            if isinstance(call, ast.Subscript):
+                call = call.value
+            callee = getattr(call, "func", None)
+            name = getattr(callee, "id", getattr(callee, "attr", None))
+            if isinstance(call, ast.Call) and name in functions:
+                wrappers.append(f"{stem}.{node.name} -> {name}")
+    assert wrappers == [], (
+        f"public functions that only forward a call: {wrappers}; call the "
+        "function they forward to")
+
+
 def test_every_error_has_one_exit_code():
     # a new class in errors.py with no except clause in main would end the
     # command in a traceback instead of a clear exit code

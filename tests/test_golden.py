@@ -37,9 +37,9 @@ The replan-storm traffic of the benchmark (the 200 scenarios
 way: one sha256 per seed over each scenario's profile CSV followed by its
 summary JSON, as ``profile`` and ``plan --out`` render them. Six
 significant digits would hide a one-ulp drift, so seed 1001 is pinned once
-more by its raw bits: each profile table's float64 bytes, each plan's
-fields packed as float64, and the summary as ``json.dumps`` writes it
-(``repr`` of every float, which round-trips).
+more by its raw bits: each profile table's float64 bytes, each leg's plan
+fields from the summary's segments packed as float64, and the summary as
+``json.dumps`` writes it (``repr`` of every float, which round-trips).
 """
 
 import hashlib
@@ -180,9 +180,10 @@ def test_replan_storm_raw_bits_match_pinned_digest():
     for scn in _bench_inputs().replan_storm_scenarios(1001):
         result = run_scenario(scn)
         digest.update(result.samples.table.tobytes())
-        for plan in result.plans:
+        for leg in result.summary["segments"]:
             digest.update(np.array(
-                [plan.v_star, plan.t_c_star, plan.j_star, plan.iterations,
-                 plan.at_envelope_limit], dtype=np.float64).tobytes())
+                [leg["v_star_ms"], leg["planned_time_s"], leg["j_star_C"],
+                 leg["iterations"], leg["at_envelope_limit"]],
+                dtype=np.float64).tobytes())
         digest.update(json.dumps(result.summary, sort_keys=True).encode())
     assert digest.hexdigest() == STORM_BITS_PIN

@@ -21,7 +21,6 @@ from econclimb import (
     ci_at,
     cost_gradient,
     e430,
-    fms_initial_speed,
     segment_between,
     segment_discharge,
     solve_optimal_speed,
@@ -253,7 +252,7 @@ def test_cruise_reduction(params):
 # solver
 
 def test_reference_initial_plan(params, full_segment):
-    plan = fms_initial_speed(full_segment, CI0, params)
+    plan = solve_optimal_speed(full_segment, CI0, CI0, math.inf, params)
     assert plan.v_star == pytest.approx(V0, rel=1e-9)
     assert plan.v_star * 3.6 == pytest.approx(140.19, abs=1e-6)
     assert plan.t_c_star == pytest.approx(TC0, rel=1e-9)
@@ -277,14 +276,16 @@ def test_settled_replan_is_the_constant_ci_speed_at_ci_in(params,
     # the leg lasts about 45 filter time constants, so the CI has settled
     # at ci_in and the speed is the constant-CI one at ci_in
     plan = solve_optimal_speed(replan_segment, CI0, CI_IN, TAU, params)
-    v_in = fms_initial_speed(replan_segment, CI_IN, params).v_star
+    v_in = solve_optimal_speed(replan_segment, CI_IN, CI_IN, math.inf,
+                               params).v_star
     assert plan.v_star == pytest.approx(v_in, rel=1e-9)
-    assert fms_initial_speed(replan_segment, CI0, params).v_star < v_in
+    assert solve_optimal_speed(replan_segment, CI0, CI0, math.inf,
+                               params).v_star < v_in
 
 
 def test_small_pack_flags_depletion(params, full_segment):
     # the plan does not depend on the pack; a 1000 C one cannot fly it
-    plan = fms_initial_speed(full_segment, CI0, params)
+    plan = solve_optimal_speed(full_segment, CI0, CI0, math.inf, params)
     assert 1000.0 - segment_discharge(plan.v_star, full_segment, params) < 0.0
 
 
@@ -321,19 +322,20 @@ def test_cost_is_locally_convex_at_reference_optimum(params, full_segment):
 
 
 def test_zero_cost_index_recovers_best_economy_speed(params, full_segment):
-    plan = fms_initial_speed(full_segment, 0.0, params)
+    plan = solve_optimal_speed(full_segment, 0.0, 0.0, math.inf, params)
     assert plan.v_star == pytest.approx(V_MAXRANGE, rel=1e-9)
 
 
 def test_optimal_speed_increases_with_cost_index(params, full_segment):
-    speeds = [fms_initial_speed(full_segment, ci, params).v_star
+    speeds = [solve_optimal_speed(full_segment, ci, ci, math.inf,
+                                  params).v_star
               for ci in (0.0, 50.0, 120.0, 200.0, 280.0, CI_MAX_CAL)]
     assert all(b > a for a, b in zip(speeds, speeds[1:]))
 
 
 def test_very_large_tau_matches_initial_plan(params, full_segment):
     slow = solve_optimal_speed(full_segment, CI0, CI_IN, 1e9, params)
-    fms = fms_initial_speed(full_segment, CI0, params)
+    fms = solve_optimal_speed(full_segment, CI0, CI0, math.inf, params)
     assert abs(slow.v_star - fms.v_star) * 3.6 < 0.01
 
 
@@ -358,13 +360,14 @@ def test_envelope_calibration_value(params, full_segment):
 def test_envelope_calibration_puts_optimum_at_vmax(params, full_segment):
     ci_max = calibrate_ci_max_to_speed(params, full_segment, params.v_max,
                                        1.0)
-    plan = fms_initial_speed(full_segment, ci_max, params)
+    plan = solve_optimal_speed(full_segment, ci_max, ci_max, math.inf, params)
     assert plan.v_star == pytest.approx(params.v_max, rel=1e-9)
 
 
 def test_reference_calibration_value(params, full_segment, ci_max_cal):
     assert ci_max_cal == pytest.approx(CI_MAX_CAL, rel=1e-12)
-    plan = fms_initial_speed(full_segment, CI0_FRACTION * ci_max_cal, params)
+    ci0 = CI0_FRACTION * ci_max_cal
+    plan = solve_optimal_speed(full_segment, ci0, ci0, math.inf, params)
     assert plan.v_star * 3.6 == pytest.approx(V_REF_KMH, abs=1e-6)
 
 
@@ -374,8 +377,9 @@ def test_reference_calibration_against_search_oracle(params, full_segment):
     target = V_REF_KMH / 3.6
 
     def planned(ci_max):
-        return fms_initial_speed(full_segment, CI0_FRACTION * ci_max,
-                                 params).v_star
+        ci0 = CI0_FRACTION * ci_max
+        return solve_optimal_speed(full_segment, ci0, ci0, math.inf,
+                                   params).v_star
 
     lo, hi = 1.0, 1000.0
     assert planned(lo) < target < planned(hi)
@@ -418,10 +422,10 @@ def test_economy_speed_matches_planner(params, full_segment, replan_segment):
                        (full_segment, light)):
         ci_max = calibrate_ci_max_to_speed(craft, seg, craft.v_max, 1.0)
         ci = np.linspace(0.0, 1.05 * ci_max, 43)
-        v = co.economy_speed(seg, ci, craft)
+        v = co.economy_speed(seg, ci, craft)[0]
         for ci_k, v_k in zip(ci, v):
             kernel = _plan_or_floor(
-                lambda: fms_initial_speed(seg, ci_k, craft))
+                lambda: solve_optimal_speed(seg, ci_k, ci_k, math.inf, craft))
             scan = _plan_or_floor(
                 lambda: solve_optimal_speed(seg, ci_k, ci_k, TAU, craft))
             outcomes.append(kernel[-1] if kernel != "floor" else "floor")
@@ -450,11 +454,12 @@ def test_envelope_flag_at_the_ceiling_is_exact(light, params, full_segment):
              else params)
     ci_max = calibrate_ci_max_to_speed(craft, full_segment, craft.v_max,
                                        1.0)
-    at = fms_initial_speed(full_segment, ci_max, craft)
+    at = solve_optimal_speed(full_segment, ci_max, ci_max, math.inf, craft)
     assert at.v_star == craft.v_max
     assert not at.at_envelope_limit
-    above = fms_initial_speed(full_segment, np.nextafter(ci_max, math.inf),
-                              craft)
+    ci_above = np.nextafter(ci_max, math.inf)
+    above = solve_optimal_speed(full_segment, ci_above, ci_above, math.inf,
+                                craft)
     assert above.v_star == craft.v_max
     assert above.at_envelope_limit
     assert above.iterations == 0
@@ -470,14 +475,15 @@ def test_economy_speed_mixes_inside_and_beyond_the_envelope(params,
     ci = np.array([0.0, 1.2 * ci_max, 0.3 * ci_max, ci_max,
                    np.nextafter(ci_max, math.inf), 0.9 * ci_max,
                    2.0 * ci_max, 0.6 * ci_max])
-    v = co.economy_speed(full_segment, ci, params)
+    v = co.economy_speed(full_segment, ci, params)[0]
     beyond = ci > ci_max
     assert beyond.sum() == 3
     for ci_k, v_k in zip(ci, v):
         if ci_k > ci_max:
             assert v_k == params.v_max
         else:
-            assert v_k == fms_initial_speed(full_segment, ci_k, params).v_star
+            assert v_k == solve_optimal_speed(full_segment, ci_k, ci_k,
+                                              math.inf, params).v_star
     assert len(set(v[~beyond].tolist())) == 5  # five distinct speeds
 
 
@@ -491,7 +497,8 @@ def test_envelope_calibration_needs_room(full_segment):
 # failure modes
 
 def test_boundary_clip_is_flagged(params, full_segment):
-    plan = fms_initial_speed(full_segment, 1.05 * CI_MAX_VMAX, params)
+    ci0 = 1.05 * CI_MAX_VMAX
+    plan = solve_optimal_speed(full_segment, ci0, ci0, math.inf, params)
     assert plan.at_envelope_limit
     assert plan.v_star == params.v_max
     assert plan.iterations == 0
@@ -522,7 +529,7 @@ def test_constant_ci_speed_skips_the_scan(params, full_segment,
         monkeypatch.setattr(co, name, wrapped)
 
     spy("_rtsafe", co._rtsafe)
-    plan = fms_initial_speed(full_segment, CI0, params)
+    plan = solve_optimal_speed(full_segment, CI0, CI0, math.inf, params)
     assert plan.v_star == pytest.approx(V0, rel=1e-9)
     assert plan.iterations == 5
     clipped = solve_optimal_speed(full_segment, 1.05 * CI_MAX_VMAX, CI_IN,
@@ -646,7 +653,7 @@ def test_a_ci_that_cannot_move_is_the_constant_ci_plan(share, params,
     # finite tau must give the infinite-tau plan, field by field
     ci = share * calibrate_ci_max_to_speed(params, full_segment,
                                            params.v_max, 1.0)
-    plan = fms_initial_speed(full_segment, ci, params)
+    plan = solve_optimal_speed(full_segment, ci, ci, math.inf, params)
     for tau in (TAU, 600.0):
         same = solve_optimal_speed(full_segment, ci, ci, tau, params)
         for field in dataclasses.fields(plan):
@@ -725,7 +732,7 @@ def test_constant_density_stub_segment(params):
     seg = segment_between((0.0, 0.0), (30000.0, 1000.0), 1.65, atmo=atmo)
     assert seg.rho_bar * seg.delta_rho_bar == \
         pytest.approx(1.0, rel=1e-14, abs=0.0)
-    plan = fms_initial_speed(seg, CI0, params)
+    plan = solve_optimal_speed(seg, CI0, CI0, math.inf, params)
     assert 30.0 < plan.v_star < params.v_max
 
 

@@ -72,7 +72,7 @@ _CEILING_ROUNDS = (
 def test_float_newton_matches_the_array_kernel(leg):
     seg, craft, ci0, ci_in, _, _ = leg
     for ci in (ci0, ci_in, co.ci_for_speed(seg, craft.v_max, craft)):
-        v, steps = co._economy_newton(seg, ci, craft)
+        v, steps = co.economy_speed(seg, ci, craft)
         v_ref, steps_ref = ref.economy_newton(seg, ci, craft)
         assert type(v) is float
         assert (_bits(v), steps) == (_bits(v_ref), steps_ref)

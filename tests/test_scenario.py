@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 
 from econclimb import (
     CiEvent,
+    ClimbPlan,
     ClimbSegment,
     ConstantAtmosphere,
     CostIndexSchedule,
     DomainError,
     Scenario,
     e430,
-    fms_initial_speed,
     run_scenario,
     segment_between,
     segment_discharge,
@@ -81,14 +81,14 @@ def test_reference_scenario_end_to_end(params, reference_result):
     assert s["time_delta_s"] == pytest.approx(T_TOTAL - T_BASELINE, rel=1e-6)
     assert s["battery_depleted"] is False
     assert tuple(reference_result.samples.table[-1, 1:3]) == (30000.0, 1000.0)
-    assert len(reference_result.plans) == 2
+    assert len(reference_result.summary["segments"]) == 2
 
 
 def test_no_event_scenario_is_one_leg(params):
     scn = _reference_scenario(schedule=_reference_schedule(events=()),
                               aircraft=params)
     res = run_scenario(scn)
-    assert len(res.plans) == 1
+    assert len(res.summary["segments"]) == 1
     s = res.summary
     assert s["total_time_s"] == pytest.approx(T_BASELINE, rel=1e-9)
     assert s["time_delta_s"] == pytest.approx(0.0, abs=1e-9)
@@ -163,7 +163,8 @@ def test_profile_speed_series(reference_result):
 def test_tracking_speed_series(params, reference_result, full_segment):
     samples = reference_result.samples
     assert samples[0].v_track == pytest.approx(V0, rel=1e-9)
-    v_end = fms_initial_speed(full_segment, CI_IN, params).v_star
+    v_end = solve_optimal_speed(full_segment, CI_IN, CI_IN, math.inf,
+                                params).v_star
     assert samples[-1].v_track == pytest.approx(v_end, rel=1e-9)
     track = np.asarray([smp.v_track for smp in samples])
     assert np.all(track >= V0 - 1e-9)
@@ -186,8 +187,9 @@ def test_constant_ci_scenario_never_scans(params, monkeypatch):
     res = run_scenario(_reference_scenario(schedule, aircraft=params,
                                            sim_step=1.0))
     assert [ev["applied"] for ev in res.summary["events"]] == [True, True]
-    assert [plan.iterations > 0 for plan in res.plans] == [True] * 3
-    assert res.plans[0].v_star == pytest.approx(V0, rel=1e-9)
+    legs = res.summary["segments"]
+    assert [leg["iterations"] > 0 for leg in legs] == [True] * 3
+    assert legs[0]["v_star_ms"] == pytest.approx(V0, rel=1e-9)
 
 
 def _sample_times_loop(t_total, dt):
@@ -292,7 +294,7 @@ def test_twelve_event_replay_applies_every_event(params):
     result = run_scenario(scn)
     summary = result.summary
     assert [ev["applied"] for ev in summary["events"]] == [True] * 12
-    assert len(result.plans) == 13
+    assert len(summary["segments"]) == 13
     rows = len(_sample_times(summary["total_time_s"], scn.sim_step))
     assert len(result.samples) == rows == 154
 
@@ -302,7 +304,8 @@ def test_time_triggered_event_matches_waypoint_trigger(params,
     sched = _reference_schedule(events=(CiEvent(ci_in=CI_IN,
                                                 at_time=T_EVENT),))
     res = run_scenario(_reference_scenario(schedule=sched, aircraft=params))
-    assert res.plans[1].v_star == pytest.approx(V1, rel=1e-9)
+    v1 = res.summary["segments"][1]["v_star_ms"]
+    assert v1 == pytest.approx(V1, rel=1e-9)
     assert res.summary["total_time_s"] == pytest.approx(T_TOTAL, rel=1e-9)
     assert res.summary["events"][0]["x_m"] == pytest.approx(15000.0, abs=1e-6)
 
@@ -310,7 +313,7 @@ def test_time_triggered_event_matches_waypoint_trigger(params,
 def test_event_after_arrival_is_skipped(params):
     sched = _reference_schedule(events=(CiEvent(ci_in=CI_IN, at_time=2000.0),))
     res = run_scenario(_reference_scenario(schedule=sched, aircraft=params))
-    assert len(res.plans) == 1
+    assert len(res.summary["segments"]) == 1
     assert res.summary["events"][0]["applied"] is False
     assert res.summary["total_time_s"] == pytest.approx(T_BASELINE, rel=1e-9)
 
@@ -458,7 +461,7 @@ def test_simultaneous_events_fire_in_list_order(timed_first, params):
     # where the departure speed puts the aircraft at 200 s: both fall due
     origin, cruise = (0.0, 0.0), (30000.0, 1000.0)
     seg = segment_between(origin, cruise, 1.3)
-    v0 = fms_initial_speed(seg, 150.0, params).v_star
+    v0 = solve_optimal_speed(seg, 150.0, 150.0, math.inf, params).v_star
     frac = 200.0 * v0 / seg.d
     wp = (frac * cruise[0], frac * cruise[1])
     events = [CiEvent(ci_in=300.0, at_time=200.0),
@@ -533,6 +536,10 @@ def test_replans_equal_solves_on_segment_between(variant, monkeypatch):
 
     monkeypatch.setattr(scenario_sim, "solve_optimal_speed", spy)
     res = run_scenario(scn)
+    plans = [ClimbPlan(leg["v_star_ms"], leg["planned_time_s"],
+                       leg["j_star_C"], leg["iterations"],
+                       leg["at_envelope_limit"])
+             for leg in res.summary["segments"]]
     origin, cruise = scn.waypoints[0], scn.waypoints[-1]
     fired = res.summary["events"]
     assert all(ev["applied"] for ev in fired)
@@ -541,11 +548,12 @@ def test_replans_equal_solves_on_segment_between(variant, monkeypatch):
     full_seg = segment_between(origin, cruise, scn.h_dot_bar, scn.atmo,
                                scn.atmo_step)
     assert seg == full_seg
-    departure = fms_initial_speed(full_seg, scn.schedule.ci0, scn.aircraft)
+    ci0 = scn.schedule.ci0
+    departure = solve_optimal_speed(full_seg, ci0, ci0, math.inf, scn.aircraft)
     for field in dataclasses.fields(departure):
-        assert (getattr(res.plans[0], field.name)
+        assert (getattr(plans[0], field.name)
                 == getattr(departure, field.name)), field.name
-    assert len(replans) == len(fired) == len(res.plans) - 1 == 6
+    assert len(replans) == len(fired) == len(plans) - 1 == 6
     for k, ((seg, args, kwargs), ev) in enumerate(zip(replans, fired), 1):
         reference = segment_between(
             (ev["x_m"], ev["h_m"]), cruise, scn.h_dot_bar, scn.atmo,
@@ -553,7 +561,7 @@ def test_replans_equal_solves_on_segment_between(variant, monkeypatch):
         assert seg == reference
         plan = solve_optimal_speed(reference, *args, **kwargs)
         for field in dataclasses.fields(plan):
-            assert (getattr(res.plans[k], field.name)
+            assert (getattr(plans[k], field.name)
                     == getattr(plan, field.name)), (k, field.name)
 
 
@@ -573,7 +581,7 @@ def test_tracking_speed_column_is_the_economy_speed_of_each_row(case):
         raw["cost_index"]["tau"] = {"mode": "infinite"}
     scn, full_seg = build_scenario(validate_config(raw))
     table = run_scenario(scn).samples.table
-    expected = economy_speed(full_seg, table[:, 4], scn.aircraft)
+    expected = economy_speed(full_seg, table[:, 4], scn.aircraft)[0]
     assert table[:, 7].tobytes() == expected.tobytes()
 
 
