@@ -11,7 +11,6 @@ from .atmosphere import (
     AtmosphereModel,
     ConstantAtmosphere,
     mean_density,
-    mean_inverse_density,
 )
 from .climb_optimizer import (
     ClimbPlan,
@@ -39,7 +38,6 @@ __all__ = [
     "AtmosphereModel",
     "ConstantAtmosphere",
     "mean_density",
-    "mean_inverse_density",
     "ClimbPlan",
     "ClimbSegment",
     "calibrate_ci_max_to_speed",

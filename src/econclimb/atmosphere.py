@@ -8,7 +8,7 @@ which is valid through the troposphere. A model gives ``density(h)`` and
 ``band_integral(h0, h, power)``, the altitude integral of rho or 1/rho that
 the replay's exact charge is built from. The climb plan needs the arithmetic
 means of rho and of 1/rho over a uniform altitude grid that includes the
-band endpoints.
+band endpoints; ``mean_density`` takes both from one density evaluation.
 """
 
 from __future__ import annotations
@@ -116,11 +116,24 @@ def _check_grid(span, step, name, unit):
                           f" points, more than the {_MAX_GRID_POINTS} allowed")
 
 
-def _altitude_grid(h0, hc, step):
-    """Uniform inclusive grid from h0 to hc.
+def mean_density(model, h0, hc, step=1.0):
+    """Arithmetic means of density and of 1/density over the inclusive grid
+    h0, h0+step, ..., hc, from one ``density`` call.
 
     The last point is pinned to hc exactly so the band endpoints always
-    participate in the average, regardless of whether step divides the span.
+    participate in the average, whether or not step divides the span. The
+    divisor is the number of grid samples, so a two-point grid returns the
+    plain averages of the endpoint values. By Jensen's inequality the second
+    mean is always >= 1 / the first.
+
+    Args:
+        model: object exposing ``density(h)``; normally :data:`TROPOSPHERE`.
+        h0: band bottom  [m]
+        hc: band top  [m]
+        step: grid spacing  [m], default 1 m.
+
+    Returns:
+        (rho_bar, inv_bar), the means of rho [kg m^-3] and 1/rho [m^3 kg^-1].
     """
     if hc <= h0:
         raise DomainError(f"altitude band must climb: h0={h0!r}, hc={hc!r}")
@@ -130,32 +143,5 @@ def _altitude_grid(h0, hc, step):
     n = int(np.ceil((hc - h0) / step - 1e-12))
     grid = h0 + step * np.arange(n + 1)
     grid[-1] = hc
-    return grid
-
-
-def mean_density(model, h0, hc, step=1.0):
-    """Arithmetic mean of density over the inclusive grid h0, h0+step, ..., hc.
-
-    The divisor is the number of grid samples, so a two-point grid returns
-    the plain average of the endpoint densities.
-
-    Args:
-        model: object exposing ``density(h)``; normally :data:`TROPOSPHERE`.
-        h0: band bottom  [m]
-        hc: band top  [m]
-        step: grid spacing  [m], default 1 m.
-
-    Returns:
-        Mean density in kg/m^3.
-    """
-    grid = _altitude_grid(h0, hc, step)
-    return float(np.mean(model.density(grid)))
-
-
-def mean_inverse_density(model, h0, hc, step=1.0):
-    """Arithmetic mean of 1/density over the same inclusive grid.
-
-    By Jensen's inequality this is always >= 1/mean_density for any band.
-    """
-    grid = _altitude_grid(h0, hc, step)
-    return float(np.mean(1.0 / model.density(grid)))
+    rho = model.density(grid)
+    return float(np.mean(rho)), float(np.mean(1.0 / rho))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atmosphere import TROPOSPHERE, mean_density, mean_inverse_density
+from .atmosphere import TROPOSPHERE, mean_density
 from .cost_index import ci_at
 from .errors import DomainError, EnvelopeError
 from .vehicle import _polar, _require_positive_speed, segment_discharge
@@ -98,18 +98,13 @@ def segment_between(start, end, h_dot_bar, atmo=TROPOSPHERE, grid_step=1.0,
         atmo: density model, default the troposphere power law.
         grid_step: altitude grid spacing for the means  [m]
         density_band: optional (h_lo, h_hi) overriding the altitude band the
-            means are taken over. A re-plan triggered mid-climb keeps the
-            whole climb's band here, so its mean densities stay those of the
-            flight the averages were calibrated for.
+            means are taken over, default (start h, end h). Passing the
+            whole climb's band for a leg that starts mid-climb gives it the
+            means ``run_scenario`` flies every leg with.
     """
     band = density_band if density_band is not None else (start[1], end[1])
-    return ClimbSegment(
-        start=tuple(start),
-        end=tuple(end),
-        h_dot_bar=h_dot_bar,
-        rho_bar=mean_density(atmo, band[0], band[1], grid_step),
-        delta_rho_bar=mean_inverse_density(atmo, band[0], band[1], grid_step),
-    )
+    rho_bar, inv_bar = mean_density(atmo, band[0], band[1], grid_step)
+    return ClimbSegment(tuple(start), tuple(end), h_dot_bar, rho_bar, inv_bar)
 
 
 @dataclass(frozen=True)

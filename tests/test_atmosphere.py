@@ -9,7 +9,7 @@ from econclimb import (
     DomainError,
     TROPOSPHERE,
     mean_density,
-    mean_inverse_density,
+    segment_between,
 )
 
 # Frozen values computed once by direct evaluation of the power law
@@ -76,50 +76,50 @@ def test_density_domain_error_names_the_altitude_range():
 def test_mean_density_two_point_band():
     # step equal to the span -> plain endpoint average
     expected = 0.5 * (TROPOSPHERE.density(0.0) + TROPOSPHERE.density(1000.0))
-    assert mean_density(TROPOSPHERE, 0.0, 1000.0, step=1000.0) == \
+    assert mean_density(TROPOSPHERE, 0.0, 1000.0, step=1000.0)[0] == \
         pytest.approx(expected, rel=1e-15, abs=0.0)
     expected_inv = 0.5 * (1.0 / TROPOSPHERE.density(0.0)
                           + 1.0 / TROPOSPHERE.density(1000.0))
-    assert mean_inverse_density(TROPOSPHERE, 0.0, 1000.0, step=1000.0) == \
+    assert mean_density(TROPOSPHERE, 0.0, 1000.0, step=1000.0)[1] == \
         pytest.approx(expected_inv, rel=1e-15, abs=0.0)
 
 
 def test_mean_density_frozen_values():
     # reference climb band at the default 1 m grid
-    assert mean_density(TROPOSPHERE, 0.0, 1000.0) == \
+    assert mean_density(TROPOSPHERE, 0.0, 1000.0)[0] == \
         pytest.approx(1.16924271654781, rel=1e-12)
-    assert mean_inverse_density(TROPOSPHERE, 0.0, 1000.0) == \
+    assert mean_density(TROPOSPHERE, 0.0, 1000.0)[1] == \
         pytest.approx(0.855925952019917, rel=1e-12, abs=0.0)
     # upper half of the climb
-    assert mean_density(TROPOSPHERE, 500.0, 1000.0) == \
+    assert mean_density(TROPOSPHERE, 500.0, 1000.0)[0] == \
         pytest.approx(1.1409082054932758, rel=1e-12)
-    assert mean_inverse_density(TROPOSPHERE, 500.0, 1000.0) == \
+    assert mean_density(TROPOSPHERE, 500.0, 1000.0)[1] == \
         pytest.approx(0.8766690319776704, rel=1e-12, abs=0.0)
     # non-dividing step pins the top endpoint
-    assert mean_density(TROPOSPHERE, 200.0, 800.0, step=2.0) == \
+    assert mean_density(TROPOSPHERE, 200.0, 800.0, step=2.0)[0] == \
         pytest.approx(1.1690186958431767, rel=1e-12)
-    assert mean_inverse_density(TROPOSPHERE, 200.0, 800.0, step=2.0) == \
+    assert mean_density(TROPOSPHERE, 200.0, 800.0, step=2.0)[1] == \
         pytest.approx(0.8556611787613062, rel=1e-12, abs=0.0)
 
 
 def test_mean_density_step_refinement_converges():
     # halving the default step must not move the mean by more than 1e-6 rel
-    coarse = mean_density(TROPOSPHERE, 0.0, 1000.0, step=1.0)
-    fine = mean_density(TROPOSPHERE, 0.0, 1000.0, step=0.5)
+    coarse = mean_density(TROPOSPHERE, 0.0, 1000.0, step=1.0)[0]
+    fine = mean_density(TROPOSPHERE, 0.0, 1000.0, step=0.5)[0]
     assert abs(fine - coarse) / coarse < 1e-6
-    coarse_inv = mean_inverse_density(TROPOSPHERE, 0.0, 1000.0, step=1.0)
-    fine_inv = mean_inverse_density(TROPOSPHERE, 0.0, 1000.0, step=0.5)
+    coarse_inv = mean_density(TROPOSPHERE, 0.0, 1000.0, step=1.0)[1]
+    fine_inv = mean_density(TROPOSPHERE, 0.0, 1000.0, step=0.5)[1]
     assert abs(fine_inv - coarse_inv) / coarse_inv < 1e-6
 
 
 def test_mean_density_matches_fine_grid_oracle():
     # 0.1 m grid values, frozen
-    assert mean_density(TROPOSPHERE, 0.0, 1000.0, step=0.1) == \
+    assert mean_density(TROPOSPHERE, 0.0, 1000.0, step=0.1)[0] == \
         pytest.approx(1.169242086088158, rel=1e-12)
-    assert mean_inverse_density(TROPOSPHERE, 0.0, 1000.0, step=0.1) == \
+    assert mean_density(TROPOSPHERE, 0.0, 1000.0, step=0.1)[1] == \
         pytest.approx(0.8559252067396129, rel=1e-12, abs=0.0)
     # default grid agrees with the fine grid to well under 1e-4
-    assert mean_density(TROPOSPHERE, 0.0, 1000.0) == \
+    assert mean_density(TROPOSPHERE, 0.0, 1000.0)[0] == \
         pytest.approx(1.169242086088158, rel=1e-4)
 
 
@@ -127,8 +127,7 @@ def test_mean_density_matches_fine_grid_oracle():
        st.floats(min_value=10.0, max_value=2000.0))
 def test_mean_bounds_and_jensen(h0, span):
     hc = h0 + span
-    rho_bar = mean_density(TROPOSPHERE, h0, hc)
-    inv_bar = mean_inverse_density(TROPOSPHERE, h0, hc)
+    rho_bar, inv_bar = mean_density(TROPOSPHERE, h0, hc)
     # mean sits between the band's extreme densities (density decreases in h)
     assert TROPOSPHERE.density(hc) <= rho_bar <= TROPOSPHERE.density(h0)
     # Jensen: mean of reciprocals dominates reciprocal of mean
@@ -147,7 +146,27 @@ def test_mean_density_validation():
     with pytest.raises(DomainError, match=r"atmosphere step 1e-12 m needs "
                        r"1000000000000000\.0 grid points, more than the "
                        r"10000000 allowed$"):
-        mean_inverse_density(TROPOSPHERE, 0.0, 1000.0, step=1e-12)
+        mean_density(TROPOSPHERE, 0.0, 1000.0, step=1e-12)
+
+
+def test_segment_between_evaluates_density_once():
+    # both band means come from one density call on the inclusive grid
+    grids = []
+
+    class Spy:
+        def density(self, h):
+            grids.append(np.array(h))
+            return TROPOSPHERE.density(h)
+
+    seg = segment_between((0.0, 200.0), (9000.0, 800.0), 1.65, Spy(),
+                          grid_step=7.0)
+    assert len(grids) == 1
+    grid = grids[0]
+    assert grid.size == np.ceil(600.0 / 7.0) + 1
+    assert (grid[0], grid[-1]) == (200.0, 800.0)
+    rho = TROPOSPHERE.density(grid)
+    assert seg.rho_bar == float(np.mean(rho))
+    assert seg.delta_rho_bar == float(np.mean(1.0 / rho))
 
 
 @pytest.mark.parametrize("power", [1, -1])
@@ -168,10 +187,9 @@ def test_band_integral_frozen_values_and_grid_means():
     inv = TROPOSPHERE.band_integral(0.0, 1000.0, -1)
     assert rho == pytest.approx(1169.2420160370964, rel=1e-14)
     assert inv == pytest.approx(855.925123930723, rel=1e-14)
-    assert mean_density(TROPOSPHERE, 0.0, 1000.0) / (rho / 1000.0) - 1.0 == \
-        pytest.approx(6.0e-7, rel=0.05)
-    assert mean_inverse_density(TROPOSPHERE, 0.0, 1000.0) / (inv / 1000.0) \
-        - 1.0 == pytest.approx(9.7e-7, rel=0.05)
+    rho_bar, inv_bar = mean_density(TROPOSPHERE, 0.0, 1000.0)
+    assert rho_bar / (rho / 1000.0) - 1.0 == pytest.approx(6.0e-7, rel=0.05)
+    assert inv_bar / (inv / 1000.0) - 1.0 == pytest.approx(9.7e-7, rel=0.05)
 
 
 @pytest.mark.parametrize("power", [1, -1])
@@ -209,9 +227,9 @@ def test_constant_atmosphere_stub():
     atmo = ConstantAtmosphere(1.1)
     assert atmo.density(0.0) == 1.1
     assert atmo.density(123456.0) == 1.1
-    assert mean_density(atmo, 0.0, 5000.0) == \
+    assert mean_density(atmo, 0.0, 5000.0)[0] == \
         pytest.approx(1.1, rel=1e-15, abs=0.0)
-    assert mean_inverse_density(atmo, 0.0, 5000.0) == \
+    assert mean_density(atmo, 0.0, 5000.0)[1] == \
         pytest.approx(1.0 / 1.1, rel=1e-15, abs=0.0)
     assert atmo.band_integral(0.0, 5000.0) == pytest.approx(5500.0, rel=1e-15)
     assert atmo.band_integral(0.0, np.array([0.0, 11.0]), -1).tolist() == \
