@@ -33,21 +33,15 @@ def _checked_altitude(h, h_max):
 
 @dataclass(frozen=True)
 class AtmosphereModel:
-    """Power-law density model for the troposphere.
+    """The paper's power-law density model for the troposphere; its
+    constants are class attributes, so ``AtmosphereModel()`` is
+    :data:`TROPOSPHERE`."""
 
-    Attributes:
-        c0: density coefficient  [kg m^-3 K^-4.256]
-        t0: base temperature term  [K]
-        lapse: temperature drop per meter of altitude  [K m^-1]
-        exponent: power-law exponent  [-]
-        h_max: validity ceiling  [m]
-    """
-
-    c0: float = 4.1748e-11
-    t0: float = 288.14
-    lapse: float = 0.00649
-    exponent: float = 4.256
-    h_max: float = 11000.0  # [m] troposphere ceiling
+    c0 = 4.1748e-11  # [kg m^-3 K^-4.256] density coefficient
+    t0 = 288.14  # [K] base temperature term
+    lapse = 0.00649  # [K m^-1] temperature drop per meter of altitude
+    exponent = 4.256  # [-] power-law exponent
+    h_max = 11000.0  # [m] troposphere ceiling
 
     def density(self, h):
         """Air density at altitude h.
@@ -72,9 +66,6 @@ class AtmosphereModel:
         is -c0^power T0^k / (lapse k) expm1(k log1p(-lapse (h - h0) / T0)),
         which cancels no two powers of order 1e13 and rounds off no climb."""
         k = power * self.exponent + 1.0
-        if self.lapse * k == 0.0:
-            raise DomainError("band_integral needs a nonzero lapse and "
-                              "power * exponent != -1")
         t_lo = self.t0 - self.lapse * _checked_altitude(h0, self.h_max)
         dh = _checked_altitude(h, self.h_max) - h0
         out = (-self.c0**power * t_lo**k / (self.lapse * k)
@@ -87,7 +78,7 @@ class ConstantAtmosphere:
     """Stub model with uniform density, for closed-form cross-checks."""
 
     value: float  # [kg m^-3]
-    h_max: float = float("inf")  # [m]
+    h_max = float("inf")  # [m] no ceiling
 
     def density(self, h):
         h_arr = _checked_altitude(h, self.h_max)

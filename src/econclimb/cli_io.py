@@ -317,15 +317,20 @@ def _cost_index(block, prefix, ci_max):
     return block[f"{prefix}_value_Cs"] if fraction is None else fraction * ci_max
 
 
-def _ci_max(mode, cx, params, climb):
+def _ci_max(mode, cfg, params, climb):
     """The cost-index ceiling [C/s] that ci_max mode ``mode`` picks on
-    climb, with the cost_index block cx holding the keys the mode reads."""
+    climb, with cfg's cost_index block holding the keys the mode reads."""
+    cx = cfg["cost_index"]
     if mode == "vmax":
         return calibrate_ci_max_to_speed(params, climb, params.v_max, 1.0)
     if mode == "calibrated":
-        return calibrate_ci_max_to_speed(
-            params, climb, cx["ci_max"]["reference_v_kmh"] / 3.6,
-            cx["ci0_fraction"])
+        v_ref_kmh = cx["ci_max"]["reference_v_kmh"]
+        if v_ref_kmh / 3.6 > params.v_max:  # calibrate_ci_max_to_speed's check
+            raise ConfigError(
+                "cost_index.ci_max.reference_v_kmh: must be <= aircraft."
+                f"vmax_kmh={cfg['aircraft']['vmax_kmh']!r}, got {v_ref_kmh!r}")
+        return calibrate_ci_max_to_speed(params, climb, v_ref_kmh / 3.6,
+                                         cx["ci0_fraction"])
     return cx["ci_max"]["value_Cs"]
 
 
@@ -341,7 +346,7 @@ def build_scenario(cfg, no_event=False):
 
     cx = cfg["cost_index"]
     mode = cx["ci_max"]["mode"]
-    ci_max = _ci_max(mode, cx, params, climb)
+    ci_max = _ci_max(mode, cfg, params, climb)
     ci0 = _cost_index(cx, "ci0", ci_max)
 
     # A tau in mode fraction_of_tc0 takes a departure solve, so it is sized
@@ -640,7 +645,7 @@ def cmd_calibrate(cfg, args):
 
     report = {"chosen_mode": chosen, "ci0_fraction": fraction, "modes": {}}
     for mode in ("vmax",) if ref_v_kmh is None else ("vmax", "calibrated"):
-        ci_max = _ci_max(mode, cx, params, climb)
+        ci_max = _ci_max(mode, cfg, params, climb)
         ci0 = fraction * ci_max
         v0_kmh = 3.6 * solve_optimal_speed(climb, ci0, ci0, math.inf,
                                            params).v_star

@@ -653,6 +653,19 @@ def test_airframe_values_past_the_float_range_exit_2(command, key, value,
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["plan", "calibrate"])
+def test_a_reference_speed_above_vmax_names_its_config_keys(command,
+                                                            monkeypatch,
+                                                            capsys):
+    # the calibrated reference, 140.19 km/h, lies above a 130 km/h ceiling:
+    # the message names the two config keys in km/h, not calibrate's v_ref
+    monkeypatch.setenv("ECONCLIMB_AIRCRAFT__VMAX_KMH", "130")
+    assert main([command, "--config", str(CONFIG)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: cost_index.ci_max.reference_v_kmh: must be <= "
+        "aircraft.vmax_kmh=130.0, got 140.19\n")
+
+
 @pytest.mark.parametrize("overrides, clipped", [
     ({"COST_INDEX__CI0_FRACTION": "1e-300",
       "COST_INDEX__TAU__FACTOR": "1e98"}, True),

@@ -2,7 +2,9 @@
 ``econclimb.__all__``, and every public top-level function and class of the
 package's modules, is read somewhere in the package's own modules, or is
 kept public for a stated reason. Helpers only the tests use live under
-``tests/``. Every exception class of ``errors`` has one exit code in
+``tests/``, and so do knobs only the tests set: every defaulted parameter
+is passed by a call in the package, or kept for a stated reason. Every
+exception class of ``errors`` has one exit code in
 ``cli_io.main``."""
 
 import ast
@@ -13,10 +15,21 @@ import econclimb
 #: Public names no package module reads, each kept for a reason.
 KEPT_UNUSED = {
     "ConstantAtmosphere": "the benchmark's span tracer patches its density",
-    "cost_gradient": "the benchmark's span tracer counts its calls, and the "
-                     "tests' reference scan reads it",
+    "cost_gradient": "bench/tests/test_bench.py::"
+                     "test_tracer_restores_every_binding reads it, and the "
+                     "tests' reference scan calls it",
     "e430": "the README's library example builds its aircraft with it",
     "__version__": "package metadata",
+}
+
+#: Defaulted parameters no package call passes, each kept for a reason.
+KEPT_DEFAULTS = {
+    "segment_between.density_band": "the benchmark's leg oracle in "
+                                    "bench/checks.py passes it",
+    "load_config.env": "the benchmark and the tests pass a fixed "
+                       "environment in place of os.environ",
+    "main.argv": "the console script passes none, and in-process callers "
+                 "pass the command line",
 }
 
 
@@ -133,3 +146,56 @@ def test_every_error_has_one_exit_code():
              for name in errors}
     assert codes == {"DomainError": [2], "EnvelopeError": [3],
                      "ConfigError": [2]}
+
+
+def _is_dataclass(node):
+    return any(getattr(getattr(d, "func", d), "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _defaulted_parameters(tree):
+    """(owner, name, index) of every defaulted dataclass field and function
+    or method parameter: the owner is the class or function a call names,
+    and the index is the parameter's position in a call (self not counted),
+    None for a keyword-only one."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            fields = [s for s in node.body if isinstance(s, ast.AnnAssign)]
+            yield from ((node.name, field.target.id, index)
+                        for index, field in enumerate(fields)
+                        if field.value is not None)
+        elif isinstance(node, ast.FunctionDef):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            bound = int(bool(positional) and positional[0].arg == "self")
+            yield from ((node.name, arg.arg, index - bound)
+                        for index, arg in enumerate(positional)
+                        if index >= first)
+            yield from ((node.name, arg.arg, None)
+                        for arg, default in zip(args.kwonlyargs,
+                                                args.kw_defaults)
+                        if default is not None)
+
+
+def test_every_defaulted_parameter_is_set_by_the_package():
+    # a default that only a test overrides is a knob for the tests: the
+    # package states the value once, as a constant, and calls match a
+    # definition by the name they call (f(...) or x.f(...))
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in MODULES]
+    keywords, positions = set(), {}
+    for node in (n for tree in trees for n in ast.walk(tree)
+                 if isinstance(n, ast.Call)):
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        keywords.update((name, kw.arg) for kw in node.keywords)
+        positions[name] = max(positions.get(name, 0), len(node.args))
+    unset = sorted(
+        f"{owner}.{name}" for tree in trees
+        for owner, name, index in _defaulted_parameters(tree)
+        if (owner, name) not in keywords
+        and (index is None or positions.get(owner, 0) <= index))
+    knobs = [name for name in unset if name not in KEPT_DEFAULTS]
+    assert unset == sorted(KEPT_DEFAULTS), (
+        f"defaulted parameters no package call passes: {knobs}; state the "
+        "value once in the package, or keep the default for a stated reason "
+        "in KEPT_DEFAULTS (whose entries must all still be unset)")
