@@ -290,9 +290,21 @@ def load_config(path, env=None, sim_step=None):
 # ---------------------------------------------------------------------------
 # scenario assembly
 
-def _airframe(cfg):
-    """(params, waypoints [m], origin-to-cruise segment) of a validated config."""
-    ac = cfg["aircraft"]
+def _cost_index(block, prefix, ci_max):
+    """A validated either/or cost index in C/s: ``<prefix>_fraction`` of
+    ci_max, or ``<prefix>_value_Cs``."""
+    fraction = block.get(f"{prefix}_fraction")
+    return block[f"{prefix}_value_Cs"] if fraction is None else fraction * ci_max
+
+
+def build_scenario(cfg, no_event=False):
+    """Resolve config modes into a concrete Scenario.
+
+    Returns (scenario, climb), climb being the origin-to-cruise
+    ClimbSegment the modes are resolved on. The resolved ci_max, ci0 and
+    tau are on scenario.schedule, the ci_max mode on scenario.ci_max_mode.
+    """
+    ac, sc, cx = cfg["aircraft"], cfg["scenario"], cfg["cost_index"]
     params = AircraftParams(
         wing_area=ac["wing_area_m2"],
         mass=ac["mass_kg"],
@@ -303,50 +315,26 @@ def _airframe(cfg):
         efficiency=ac["efficiency"],
         gravity=ac["gravity_ms2"],
     )
-    sc = cfg["scenario"]
     waypoints = tuple((x * 1000.0, h * 1000.0) for x, h in sc["waypoints_km"])
     climb = segment_between(waypoints[0], waypoints[-1], sc["h_dot_bar_ms"],
                             TROPOSPHERE, sc["atmosphere_step_m"])
-    return params, waypoints, climb
 
-
-def _cost_index(block, prefix, ci_max):
-    """A validated either/or cost index in C/s: ``<prefix>_fraction`` of
-    ci_max, or ``<prefix>_value_Cs``."""
-    fraction = block.get(f"{prefix}_fraction")
-    return block[f"{prefix}_value_Cs"] if fraction is None else fraction * ci_max
-
-
-def _ci_max(mode, cfg, params, climb):
-    """The cost-index ceiling [C/s] that ci_max mode ``mode`` picks on
-    climb, with cfg's cost_index block holding the keys the mode reads."""
-    cx = cfg["cost_index"]
-    if mode == "vmax":
-        return calibrate_ci_max_to_speed(params, climb, params.v_max, 1.0)
-    if mode == "calibrated":
-        v_ref_kmh = cx["ci_max"]["reference_v_kmh"]
-        if v_ref_kmh / 3.6 > params.v_max:  # calibrate_ci_max_to_speed's check
-            raise ConfigError(
-                "cost_index.ci_max.reference_v_kmh: must be <= aircraft."
-                f"vmax_kmh={cfg['aircraft']['vmax_kmh']!r}, got {v_ref_kmh!r}")
-        return calibrate_ci_max_to_speed(params, climb, v_ref_kmh / 3.6,
-                                         cx["ci0_fraction"])
-    return cx["ci_max"]["value_Cs"]
-
-
-def build_scenario(cfg, no_event=False):
-    """Resolve config modes into a concrete Scenario.
-
-    Returns (scenario, climb), climb being the origin-to-cruise
-    ClimbSegment the modes are resolved on. The resolved ci_max, ci0 and
-    tau are on scenario.schedule, the ci_max mode on scenario.ci_max_mode.
-    """
-    params, waypoints, climb = _airframe(cfg)
-    sc = cfg["scenario"]
-
-    cx = cfg["cost_index"]
+    # vmax puts ci_max itself at v_max; calibrated puts ci0 at the reference
     mode = cx["ci_max"]["mode"]
-    ci_max = _ci_max(mode, cfg, params, climb)
+    v_ref_kmh = (ac["vmax_kmh"] if mode == "vmax"
+                 else cx["ci_max"].get("reference_v_kmh"))
+    if mode == "value":
+        ci_max = cx["ci_max"]["value_Cs"]
+    elif v_ref_kmh is None:
+        raise ConfigError("set cost_index.ci_max.reference_v_kmh")
+    elif v_ref_kmh / 3.6 > params.v_max:  # calibrate_ci_max_to_speed's check
+        raise ConfigError(
+            "cost_index.ci_max.reference_v_kmh: must be <= aircraft."
+            f"vmax_kmh={ac['vmax_kmh']!r}, got {v_ref_kmh!r}")
+    else:
+        ci_max = calibrate_ci_max_to_speed(
+            params, climb, v_ref_kmh / 3.6,
+            1.0 if mode == "vmax" else cx["ci0_fraction"])
     ci0 = _cost_index(cx, "ci0", ci_max)
 
     # A tau in mode fraction_of_tc0 takes a departure solve, so it is sized
@@ -482,25 +470,18 @@ def _csv(header, table):
 def _jsonable(value):
     """Round floats to output precision; keep JSON strictly standard.
 
-    Non-finite floats become the strings "nan", "inf" and "-inf", and NumPy
-    scalars their Python counterparts; a summary's exact types go first.
+    Non-finite floats become the strings "nan", "inf" and "-inf". A record
+    holds dicts, lists, tuples, floats (np.float64 is one), ints, bools,
+    strings and None.
     """
-    if type(value) is float:
+    if isinstance(value, float):
         if math.isfinite(value):
             return float(f"{value:.6g}")
         return "nan" if math.isnan(value) else "-inf" if value < 0.0 else "inf"
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
-    if value is None or type(value) in (str, int, bool):
-        return value
-    if isinstance(value, (float, np.floating)):  # np.float64 included
-        return _jsonable(float(value))
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
     return value
 
 
@@ -633,7 +614,7 @@ def cmd_sweep(cfg, args):
 
 
 def cmd_calibrate(cfg, args):
-    params, _waypoints, climb = _airframe(cfg)
+    build_scenario(cfg)  # fail where plan's resolution fails
     cx = cfg["cost_index"]
     if "ci0_fraction" not in cx:
         raise ConfigError(
@@ -644,28 +625,29 @@ def cmd_calibrate(cfg, args):
     chosen = cx["ci_max"]["mode"]
 
     report = {"chosen_mode": chosen, "ci0_fraction": fraction, "modes": {}}
-    for mode in ("vmax",) if ref_v_kmh is None else ("vmax", "calibrated"):
-        ci_max = _ci_max(mode, cfg, params, climb)
-        ci0 = fraction * ci_max
-        v0_kmh = 3.6 * solve_optimal_speed(climb, ci0, ci0, math.inf,
-                                           params).v_star
+    lines = [f"chosen mode: {chosen}  (ci0 fraction: {fmt(fraction)})"]
+    for mode in ("vmax", "calibrated"):
+        as_mode = {**cfg, "cost_index": {
+            **cx, "ci_max": {**cx["ci_max"], "mode": mode}}}
+        try:
+            scenario, climb = build_scenario(as_mode, no_event=True)
+            ci_max, ci0 = scenario.schedule.ci_max, scenario.schedule.ci0
+            v0_kmh = 3.6 * solve_optimal_speed(climb, ci0, ci0, math.inf,
+                                               scenario.aircraft).v_star
+        except (ConfigError, DomainError, EnvelopeError,
+                ArithmeticError) as exc:
+            # the last argument: an OverflowError's first is its errno
+            lines.append(f"{mode} mode not shown: {exc.args[-1]}")
+            continue
         entry = report["modes"][mode] = {"ci_max_Cs": ci_max, "v0_kmh": v0_kmh}
+        line = (f"mode {mode}: ci_max = {fmt(ci_max)} C/s  "
+                f"v0* = {fmt(v0_kmh)} km/h")
         if ref_v_kmh is not None:
             entry["deviation_pct"] = 100.0 * (v0_kmh - ref_v_kmh) / ref_v_kmh
+            line += f"  (off reference by {fmt(entry['deviation_pct'])}%)"
         if mode == "calibrated":
             entry["reference_v_kmh"] = ref_v_kmh
-
-    lines = [f"chosen mode: {chosen}  (ci0 fraction: {fmt(fraction)})"]
-    for mode_name, data in report["modes"].items():
-        line = (f"mode {mode_name}: ci_max = {fmt(data['ci_max_Cs'])} C/s  "
-                f"v0* = {fmt(data['v0_kmh'])} km/h")
-        if "deviation_pct" in data:
-            line += f"  (off reference by {fmt(data['deviation_pct'])}%)"
         lines.append(line)
-    if ref_v_kmh is None:
-        lines.append(
-            "calibrated mode not shown: set cost_index.ci_max.reference_v_kmh"
-        )
     files = [] if args.out is None else [(args.out, _json_text(report))]
     return "\n".join(lines) + "\n", files
 

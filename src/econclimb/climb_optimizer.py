@@ -415,6 +415,6 @@ def calibrate_ci_max_to_speed(params, seg, v_ref, ci0_fraction):
             "sits below the segment's best-economy speed"
         )
     if math.isinf(ci):
-        raise EnvelopeError(f"calibration gave ci_max inf: "
+        raise EnvelopeError(f"calibration gave an infinite ci_max: "
                             f"ci0_fraction {ci0_fraction!r} is too small")
     return float(ci)

@@ -645,8 +645,12 @@ def test_main_exit_code_solver_error(monkeypatch, capsys):
 def test_airframe_values_past_the_float_range_exit_2(command, key, value,
                                                      monkeypatch, capsys):
     # the config validates, and then the force model's Python-float ** or /
-    # overflows, or divides by a speed whose square underflows to zero
+    # overflows, or the vmax ceiling divides by a speed whose square
+    # underflows to zero (in the bundled calibrated mode, the reference
+    # speed above that v_max is rejected first, as plan rejects it)
     monkeypatch.setenv(f"ECONCLIMB_AIRCRAFT__{key}", value)
+    if value == "1e-300":
+        monkeypatch.setenv("ECONCLIMB_COST_INDEX__CI_MAX__MODE", "vmax")
     assert main([command, "--config", str(CONFIG)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: a value leaves the float range")
@@ -664,6 +668,47 @@ def test_a_reference_speed_above_vmax_names_its_config_keys(command,
     assert capsys.readouterr().err == (
         "config error: cost_index.ci_max.reference_v_kmh: must be <= "
         "aircraft.vmax_kmh=130.0, got 140.19\n")
+
+
+_VMAX_MODE = {"COST_INDEX__CI_MAX__MODE": "vmax"}
+
+
+@pytest.mark.parametrize("overrides, shown", [
+    ({**_VMAX_MODE, "AIRCRAFT__VMAX_KMH": "130"},
+     "calibrated mode not shown: cost_index.ci_max.reference_v_kmh: must be "
+     "<= aircraft.vmax_kmh=130.0, got 140.19\n"),
+    ({**_VMAX_MODE, "COST_INDEX__CI_MAX__REFERENCE_V_KMH": "60"}, None),
+    ({**_VMAX_MODE, "COST_INDEX__CI0_FRACTION": "0"}, None),
+    ({**_VMAX_MODE, "COST_INDEX__CI_MAX__REFERENCE_V_KMH": "1e-300"}, None),
+    ({"SCENARIO__SIM_STEP_S": "1e-5"}, None),
+    ({"COST_INDEX__EVENTS":
+      "[{at_waypoint_km: [14.0, 0.5], ci_in_fraction: 0.9}]"}, None),
+    ({"COST_INDEX__EVENTS": "[{at_time_s: 100, ci_in_value_Cs: 1000}]"},
+     None),
+    ({"AIRCRAFT__VMAX_KMH": "1e-300"}, None)],
+    ids=["vmax-130", "vmax-reference-60", "vmax-ci0-0", "vmax-reference-tiny",
+         "sim-step-tiny", "event-off-waypoints", "event-over-ci_max",
+         "calibrated-vmax-tiny"])
+def test_calibrate_flies_what_plan_flies_and_fails_where_plan_fails(
+        overrides, shown, tmp_path, monkeypatch, capsys):
+    # calibrate resolves the config as plan does, then each mode's row;
+    # a row that cannot resolve is one "not shown" line, not a failure
+    for key, value in overrides.items():
+        monkeypatch.setenv(f"ECONCLIMB_{key}", value)
+    plan_code, plan = _run(capsys, "plan")
+    rec = tmp_path / "cal.json"
+    code, calibrate = _run(capsys, "calibrate", "--out", rec)
+    if plan_code != 0:
+        assert plan_code == 2
+        assert (code, calibrate.err) == (plan_code, plan.err)
+        assert calibrate.out == "" and not rec.exists()
+        return
+    assert code == 0 and calibrate.err == ""
+    line = calibrate.out.splitlines()[-1] + "\n"
+    assert line.startswith("calibrated mode not shown: ")
+    if shown is not None:
+        assert line == shown
+    assert list(json.loads(rec.read_text())["modes"]) == ["vmax"]
 
 
 @pytest.mark.parametrize("overrides, clipped", [
@@ -773,7 +818,18 @@ def _number_keys(node, path=()):
             yield from _number_keys(value, path + (key,))
 
 
-NUMBER_KEYS = dict(_number_keys(_read_config_dict()))
+#: The keys each drawn ci_max and tau mode sets beside the bundled
+#: reference speed: a ceiling at the bundled calibrated one, the bundled
+#: tau factor, or a 10 s tau.
+MODE_KEYS = {"ci_max": {"vmax": {}, "calibrated": {},
+                        "value": {"value_Cs": 327.989}},
+             "tau": {"fraction_of_tc0": {"factor": 0.01},
+                     "seconds": {"seconds": 10.0}, "infinite": {}}}
+
+NUMBER_KEYS = {**dict(_number_keys(_read_config_dict())),
+               **{("cost_index", block, key): value
+                  for block, modes in MODE_KEYS.items()
+                  for keys in modes.values() for key, value in keys.items()}}
 
 #: Each command at a 5 s step where it flies the replay; the sweep ends at
 #: the bundled v_max, so that a v_max scaled up does not tabulate millions
@@ -781,7 +837,7 @@ NUMBER_KEYS = dict(_number_keys(_read_config_dict()))
 FUZZ_ARGS = {"plan": ["--sim-step", "5", "--out", "out.json"],
              "profile": ["--sim-step", "5", "--out", "out.csv"],
              "sweep": ["--v-max-kmh", "161", "--out", "out.csv"],
-             "calibrate": ["--out", "out.json"]}
+             "calibrate": ["--sim-step", "5", "--out", "out.json"]}
 
 _NON_FINITE = re.compile(r"\b(?:nan|inf)\b", re.IGNORECASE)
 
@@ -810,32 +866,50 @@ def _finite_numbers(value, key=None):
     return key == "tau_s" or value not in ("nan", "inf", "-inf")
 
 
+def _captured(argv):
+    """main(argv): (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 @example("plan", {("cost_index", "ci0_fraction"): 1e-300,
-                  ("cost_index", "tau", "factor"): 1e98})
+                  ("cost_index", "tau", "factor"): 1e98},
+         "calibrated", "fraction_of_tc0")
 @example("plan", {("aircraft", "wing_area_m2"): 1.137e301,
                   ("scenario", "h_dot_bar_ms"): 1.65e-8,
-                  ("cost_index", "tau", "factor"): 1e18})
+                  ("cost_index", "tau", "factor"): 1e18},
+         "calibrated", "fraction_of_tc0")
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(list(FUZZ_ARGS)), _scaled_keys())
-def test_every_config_that_validates_flies_or_fails_in_one_line(command,
-                                                                 keys):
+@given(st.sampled_from(list(FUZZ_ARGS)), _scaled_keys(),
+       st.sampled_from(list(MODE_KEYS["ci_max"])),
+       st.sampled_from(list(MODE_KEYS["tau"])))
+def test_every_config_that_validates_flies_or_fails_in_one_line(
+        command, keys, ci_max_mode, tau_mode):
     raw = _read_config_dict()
+    cx = raw["cost_index"]
+    cx["ci_max"] = {"mode": ci_max_mode,
+                    "reference_v_kmh": cx["ci_max"]["reference_v_kmh"],
+                    **MODE_KEYS["ci_max"][ci_max_mode]}
+    cx["tau"] = {"mode": tau_mode, **MODE_KEYS["tau"][tau_mode]}
     for path, value in keys.items():
         node = raw
         for part in path[:-1]:
             node = node[part]
-        node[path[-1]] = value
+        if path[-1] in node:  # a key of a mode not drawn stays out
+            node[path[-1]] = value
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "cfg.yaml"
         config.write_text(yaml.safe_dump(raw))
         argv = [command, "--config", str(config), *FUZZ_ARGS[command]]
         argv[-1] = str(Path(tmp) / argv[-1])
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        out, err = out.getvalue(), err.getvalue()
+        code, out, err = _captured(argv)
         written = {name: (Path(tmp) / name).read_text()
                    for name in os.listdir(tmp) if name != "cfg.yaml"}
+        if command == "calibrate":  # it resolves the config as plan does
+            plan_code, _, plan_err = _captured(["plan", *argv[1:]])
+            assert code == 0 or (plan_code, plan_err) == (code, err)
     assert code in (0, 2, 3), err
     if code != 0:
         assert err.count("\n") == 1 and err.endswith("\n")
@@ -996,15 +1070,11 @@ def test_cli_import_does_not_load_scipy():
 
 def test_jsonable_renders_every_scalar_kind():
     record = {"nan": math.nan, "inf": math.inf, "neg_inf": -math.inf,
-              "f32": np.float32(0.1), "i64": np.int64(7),
-              "on": np.bool_(True), "off": np.bool_(False), "none": None,
-              "nested": (1.23456789, (np.float64(-math.inf),
-                                      [np.bool_(False), np.int64(-3)]))}
+              "f64": np.float64(0.1), "none": None,
+              "nested": (1.23456789, (np.float64(-math.inf), [False, -3]))}
     out = _jsonable(record)
     assert out == {"nan": "nan", "inf": "inf", "neg_inf": "-inf",
-                   "f32": 0.1, "i64": 7, "on": True, "off": False,
-                   "none": None,
+                   "f64": 0.1, "none": None,
                    "nested": [1.23457, ["-inf", [False, -3]]]}
-    assert [type(out[k]) for k in ("f32", "i64", "on", "off")] \
-        == [float, int, bool, bool]
+    assert type(out["f64"]) is float
     assert json.loads(_json_text(record)) == out

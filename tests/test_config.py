@@ -420,7 +420,7 @@ def test_calibrated_fraction_near_zero(capsys, tmp_path):
     assert validate_config(copy.deepcopy(raw))
     code, out = _plan(raw, capsys, tmp_path)
     assert code == 3
-    assert "ci_max inf" in out.err and "sign change" not in out.err
+    assert "an infinite ci_max" in out.err and "sign change" not in out.err
 
     raw["cost_index"]["ci0_fraction"] = 1e-300
     code, out = _plan(raw, capsys, tmp_path)

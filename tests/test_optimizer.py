@@ -772,7 +772,7 @@ def test_public_kernels_reject_nonpositive_speed(v, params, full_segment):
 
 def test_reference_calibration_rejects_overflow(params, full_segment):
     # ci_for_speed / 5e-324 is inf; 1e-300 still gives a finite ceiling
-    with pytest.raises(EnvelopeError, match="ci_max inf"):
+    with pytest.raises(EnvelopeError, match="an infinite ci_max"):
         calibrate_ci_max_to_speed(params, full_segment, V_REF_KMH / 3.6,
                                   5e-324)
     ci = calibrate_ci_max_to_speed(params, full_segment, V_REF_KMH / 3.6,
