@@ -29,7 +29,7 @@ from .scenario_sim import (
     ScenarioResult,
     run_scenario,
 )
-from .vehicle import STANDARD_GRAVITY, AircraftParams, e430, segment_discharge
+from .vehicle import STANDARD_GRAVITY, AircraftParams, segment_discharge
 
 __version__ = "0.1.0"
 
@@ -57,7 +57,6 @@ __all__ = [
     "run_scenario",
     "STANDARD_GRAVITY",
     "AircraftParams",
-    "e430",
     "segment_discharge",
     "__version__",
 ]

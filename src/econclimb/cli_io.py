@@ -208,10 +208,6 @@ def validate_config(raw):
     cx = _block(raw["cost_index"], "cost_index")
     cost_index = _either(cx, ("ci0_fraction", "ci0_value_Cs"), "cost_index")
     cost_index["ci_max"] = _moded(cx.get("ci_max"), "cost_index.ci_max")
-    if (cost_index["ci_max"]["mode"] == "calibrated"
-            and not cost_index.get("ci0_fraction", 0.0) > 0.0):
-        raise ConfigError("cost_index.ci0_fraction: must be > 0 with ci_max "
-                          "mode calibrated (the anchor divides by it)")
     cost_index["tau"] = _moded(cx.get("tau"), "cost_index.tau")
     events = cx.get("events")
     if not isinstance(events, (list, tuple, type(None))):
@@ -325,6 +321,10 @@ def build_scenario(cfg, no_event=False):
                  else cx["ci_max"].get("reference_v_kmh"))
     if mode == "value":
         ci_max = cx["ci_max"]["value_Cs"]
+    elif mode == "calibrated" and not cx.get("ci0_fraction", 0.0) > 0.0:
+        raise ConfigError("cost_index.ci0_fraction: "
+                          "must be > 0 with ci_max mode calibrated "
+                          "(the anchor divides by it)")
     elif v_ref_kmh is None:
         raise ConfigError("set cost_index.ci_max.reference_v_kmh")
     elif v_ref_kmh / 3.6 > params.v_max:  # calibrate_ci_max_to_speed's check
@@ -616,16 +616,14 @@ def cmd_sweep(cfg, args):
 def cmd_calibrate(cfg, args):
     build_scenario(cfg)  # fail where plan's resolution fails
     cx = cfg["cost_index"]
-    if "ci0_fraction" not in cx:
-        raise ConfigError(
-            "cost_index.ci0_fraction is required to compare calibration modes"
-        )
-    fraction = cx["ci0_fraction"]
+    ci0_key = "ci0_fraction" if "ci0_fraction" in cx else "ci0_value_Cs"
+    ci0 = (f"ci0 fraction: {fmt(cx[ci0_key])}" if ci0_key == "ci0_fraction"
+           else f"ci0: {fmt(cx[ci0_key])} C/s")
     ref_v_kmh = cx["ci_max"].get("reference_v_kmh")
     chosen = cx["ci_max"]["mode"]
 
-    report = {"chosen_mode": chosen, "ci0_fraction": fraction, "modes": {}}
-    lines = [f"chosen mode: {chosen}  (ci0 fraction: {fmt(fraction)})"]
+    report = {"chosen_mode": chosen, ci0_key: cx[ci0_key], "modes": {}}
+    lines = [f"chosen mode: {chosen}  ({ci0})"]
     for mode in ("vmax", "calibrated"):
         as_mode = {**cfg, "cost_index": {
             **cx, "ci_max": {**cx["ci_max"], "mode": mode}}}

@@ -76,19 +76,6 @@ class AircraftParams:
         return self.mass * self.gravity
 
 
-def e430():
-    """Parameters of the Yuneec E430 two-seat electric aircraft."""
-    return AircraftParams(
-        wing_area=11.37,      # [m^2]
-        mass=472.0,           # [kg]
-        cd0=0.035,
-        cd2=0.009,
-        v_max=161.0 / 3.6,    # [m s^-1] (161 km/h)
-        voltage=133.2,        # [V]
-        efficiency=0.7,
-    )
-
-
 def _require_positive_speed(v):
     """Raise DomainError unless every airspeed in v is > 0 (NaN passes).
 

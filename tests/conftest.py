@@ -3,7 +3,8 @@ import os
 import pytest
 from hypothesis import HealthCheck, settings
 
-from econclimb import calibrate_ci_max_to_speed, e430, segment_between
+from econclimb import calibrate_ci_max_to_speed, segment_between
+from tests.force_reference import e430
 
 settings.register_profile(
     "ci",

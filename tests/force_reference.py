@@ -13,7 +13,8 @@ roots the gap g, dJ/dv = (d / v^2) g, and d2J/dv2 = (d / v^2) g' at a
 rising root. The paper's mean-value-theorem check (``mvt_crosscheck``,
 criterion 7) lives here as well, and so does the gradient sign scan
 (``scan_optimal_speed``) that once found the filtered-CI optimum, as the
-reference for the bracketed root.
+reference for the bracketed root. The tests' airframe (``e430``), the
+bundled config's aircraft block, is stated here too.
 """
 
 from dataclasses import replace
@@ -22,6 +23,7 @@ import numpy as np
 
 from econclimb import (
     TROPOSPHERE,
+    AircraftParams,
     DomainError,
     EnvelopeError,
     ci_at,
@@ -31,6 +33,19 @@ from econclimb import (
 )
 from econclimb.climb_optimizer import _V_LO, _check_speed_and_tau, _rtsafe
 from econclimb.vehicle import _polar, _require_positive_speed
+
+
+def e430():
+    """Parameters of the Yuneec E430 two-seat electric aircraft."""
+    return AircraftParams(
+        wing_area=11.37,      # [m^2]
+        mass=472.0,           # [kg]
+        cd0=0.035,
+        cd2=0.009,
+        v_max=161.0 / 3.6,    # [m s^-1] (161 km/h)
+        voltage=133.2,        # [V]
+        efficiency=0.7,
+    )
 
 
 def drag(v, rho, params):

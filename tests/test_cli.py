@@ -711,6 +711,39 @@ def test_calibrate_flies_what_plan_flies_and_fails_where_plan_fails(
     assert list(json.loads(rec.read_text())["modes"]) == ["vmax"]
 
 
+_FRACTION_RULE = ("cost_index.ci0_fraction: must be > 0 with ci_max mode "
+                  "calibrated (the anchor divides by it)")
+
+
+@pytest.mark.parametrize("mode", ["vmax", "value", "calibrated"])
+def test_calibrate_takes_ci0_as_a_value(mode, tmp_path, capsys):
+    # ci0 given in C/s: calibrate flies wherever plan flies, shows the vmax
+    # row at that ci0 and leaves out the calibrated row, which divides by a
+    # fraction; in the calibrated mode both commands fail alike
+    raw = _read_config_dict()
+    cx = raw["cost_index"]
+    del cx["ci0_fraction"]
+    cx["ci0_value_Cs"] = 150.0
+    cx["ci_max"]["mode"] = mode
+    if mode == "value":
+        cx["ci_max"]["value_Cs"] = 327.989
+    config = tmp_path / "value.yaml"
+    config.write_text(yaml.safe_dump(raw))
+    plan_code, _, plan_err = _captured(["plan", "--config", str(config)])
+    code, out, err = _captured(["calibrate", "--config", str(config)])
+    if mode == "calibrated":
+        line = f"config error: {_FRACTION_RULE}\n"
+        assert (plan_code, plan_err) == (code, err) == (2, line)
+        assert out == ""
+        return
+    assert (plan_code, code, err) == (0, 0, "")
+    assert out == (
+        f"chosen mode: {mode}  (ci0: 150 C/s)\n"
+        "mode vmax: ci_max = 350.54 C/s  v0* = 132.503 km/h  "
+        "(off reference by -5.48305%)\n"
+        f"calibrated mode not shown: {_FRACTION_RULE}\n")
+
+
 @pytest.mark.parametrize("overrides, clipped", [
     ({"COST_INDEX__CI0_FRACTION": "1e-300",
       "COST_INDEX__TAU__FACTOR": "1e98"}, True),
@@ -826,10 +859,19 @@ MODE_KEYS = {"ci_max": {"vmax": {}, "calibrated": {},
              "tau": {"fraction_of_tc0": {"factor": 0.01},
                      "seconds": {"seconds": 10.0}, "infinite": {}}}
 
+#: Each cost index the bundled config sets, ci0 and its event's ci_in, in
+#: either form: a fraction of the ceiling, or the same C/s at the bundled
+#: calibrated ceiling.
+CI_FORMS = {("cost_index",): {"ci0_fraction": 0.6, "ci0_value_Cs": 196.793},
+            ("cost_index", "events", 0): {"ci_in_fraction": 0.9,
+                                          "ci_in_value_Cs": 295.19}}
+
 NUMBER_KEYS = {**dict(_number_keys(_read_config_dict())),
                **{("cost_index", block, key): value
                   for block, modes in MODE_KEYS.items()
-                  for keys in modes.values() for key, value in keys.items()}}
+                  for keys in modes.values() for key, value in keys.items()},
+               **{path + (key,): value for path, forms in CI_FORMS.items()
+                  for key, value in forms.items()}}
 
 #: Each command at a 5 s step where it flies the replay; the sweep ends at
 #: the bundled v_max, so that a v_max scaled up does not tabulate millions
@@ -874,30 +916,42 @@ def _captured(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _node(raw, path):
+    """The block of a config mapping at a path of keys and list indices."""
+    for part in path:
+        raw = raw[part]
+    return raw
+
+
 @example("plan", {("cost_index", "ci0_fraction"): 1e-300,
                   ("cost_index", "tau", "factor"): 1e98},
-         "calibrated", "fraction_of_tc0")
+         "calibrated", "fraction_of_tc0", ("ci0_fraction", "ci_in_fraction"))
 @example("plan", {("aircraft", "wing_area_m2"): 1.137e301,
                   ("scenario", "h_dot_bar_ms"): 1.65e-8,
                   ("cost_index", "tau", "factor"): 1e18},
-         "calibrated", "fraction_of_tc0")
+         "calibrated", "fraction_of_tc0", ("ci0_fraction", "ci_in_fraction"))
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(list(FUZZ_ARGS)), _scaled_keys(),
        st.sampled_from(list(MODE_KEYS["ci_max"])),
-       st.sampled_from(list(MODE_KEYS["tau"])))
+       st.sampled_from(list(MODE_KEYS["tau"])),
+       st.tuples(*(st.sampled_from(list(forms))
+                   for forms in CI_FORMS.values())))
 def test_every_config_that_validates_flies_or_fails_in_one_line(
-        command, keys, ci_max_mode, tau_mode):
+        command, keys, ci_max_mode, tau_mode, ci_forms):
     raw = _read_config_dict()
     cx = raw["cost_index"]
     cx["ci_max"] = {"mode": ci_max_mode,
                     "reference_v_kmh": cx["ci_max"]["reference_v_kmh"],
                     **MODE_KEYS["ci_max"][ci_max_mode]}
     cx["tau"] = {"mode": tau_mode, **MODE_KEYS["tau"][tau_mode]}
+    for (path, forms), form in zip(CI_FORMS.items(), ci_forms):
+        node = _node(raw, path)
+        for key in forms:
+            node.pop(key, None)
+        node[form] = forms[form]
     for path, value in keys.items():
-        node = raw
-        for part in path[:-1]:
-            node = node[part]
-        if path[-1] in node:  # a key of a mode not drawn stays out
+        node = _node(raw, path[:-1])
+        if path[-1] in node:  # a key of a mode or form not drawn stays out
             node[path[-1]] = value
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "cfg.yaml"

@@ -390,28 +390,30 @@ def test_time_event_after_a_waypoint_event_flies(capsys, tmp_path):
 
 
 def test_calibrated_fraction_must_be_positive(capsys, tmp_path):
-    # the calibrated ceiling divides by ci0_fraction, so 0 is rejected
-    # before anything flies; in the other modes 0 is a zero cost index
+    # the calibrated ceiling divides by ci0_fraction, so build_scenario
+    # rejects 0 before anything flies; in the other modes 0 is a zero cost
+    # index
     raw = copy.deepcopy(REFERENCE)
     raw["cost_index"]["ci0_fraction"] = 0.0
     with pytest.raises(ConfigError, match="cost_index.ci0_fraction: must be > 0"):
-        validate_config(copy.deepcopy(raw))
+        build_scenario(validate_config(copy.deepcopy(raw)))
     code, out = _plan(raw, capsys, tmp_path)
     assert code == 2 and "cost_index.ci0_fraction" in out.err
     raw["cost_index"]["ci_max"] = {"mode": "vmax"}
     assert validate_config(raw)["cost_index"]["ci0_fraction"] == 0.0
-    # one without ci0_fraction at all names the same key, and so does
-    # calibrate in any mode, since it compares the modes at that fraction
+    # one without ci0_fraction at all names the same key; calibrate in
+    # another mode flies and leaves the calibrated row out
     raw = copy.deepcopy(REFERENCE)
     del raw["cost_index"]["ci0_fraction"]
     raw["cost_index"]["ci0_value_Cs"] = 150.0
     with pytest.raises(ConfigError, match="cost_index.ci0_fraction"):
-        validate_config(copy.deepcopy(raw))
+        build_scenario(validate_config(copy.deepcopy(raw)))
     raw["cost_index"]["ci_max"] = {"mode": "vmax"}
     path = tmp_path / "value.yaml"
     path.write_text(yaml.safe_dump(raw))
-    assert main(["calibrate", "--config", str(path)]) == 2
-    assert "cost_index.ci0_fraction is required" in capsys.readouterr().err
+    assert main(["calibrate", "--config", str(path)]) == 0
+    assert ("calibrated mode not shown: cost_index.ci0_fraction: must be > 0"
+            in capsys.readouterr().out)
 
 
 def test_calibrated_fraction_near_zero(capsys, tmp_path):

@@ -20,7 +20,6 @@ from econclimb import (
     calibrate_ci_max_to_speed,
     ci_at,
     cost_gradient,
-    e430,
     segment_between,
     segment_discharge,
     solve_optimal_speed,
@@ -29,6 +28,7 @@ from econclimb import (
 from tests.force_reference import (
     climbing_time,
     cost_curvature,
+    e430,
     final_charge_sensitivity,
     mvt_crosscheck,
     scan_optimal_speed,

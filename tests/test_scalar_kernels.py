@@ -10,9 +10,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import econclimb.climb_optimizer as co
-from econclimb import ClimbSegment, ci_at, e430, total_cost
+from econclimb import ClimbSegment, ci_at, total_cost
 from econclimb.vehicle import _polar
 from tests import kernel_reference as ref
+from tests.force_reference import e430
 
 unit = st.floats(0.0, 1.0)
 

@@ -16,7 +16,6 @@ from econclimb import (
     CostIndexSchedule,
     DomainError,
     Scenario,
-    e430,
     run_scenario,
     segment_between,
     segment_discharge,
@@ -27,7 +26,7 @@ from econclimb import climb_optimizer, scenario_sim
 from econclimb.cli_io import build_scenario, validate_config
 from econclimb.climb_optimizer import economy_speed
 from econclimb.scenario_sim import ProfileSample, _sample_times
-from tests.force_reference import mvt_crosscheck
+from tests.force_reference import e430, mvt_crosscheck
 from tests.replay_reference import replay_reference
 from tests.test_golden import _bench_inputs
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,13 +12,14 @@ from econclimb import (
     AircraftParams,
     ClimbSegment,
     DomainError,
-    e430,
     segment_discharge,
 )
+from econclimb.cli_io import build_scenario, load_config
 from econclimb.vehicle import _require_positive_speed
 from tests.force_reference import (
     charge_rate,
     drag,
+    e430,
     final_charge_sensitivity,
     segment_discharge_terms,
     thrust_for_climb,
@@ -38,6 +40,13 @@ def test_e430_factory():
     assert p.voltage == 133.2
     assert p.efficiency == 0.7
     assert p.weight == pytest.approx(4628.7388, rel=1e-12)
+
+
+def test_e430_is_the_bundled_configs_aircraft():
+    # the tests' airframe and the bundled config cannot drift apart
+    config = Path(__file__).resolve().parent.parent / "configs" \
+        / "e430_atc_climb.yaml"
+    assert e430() == build_scenario(load_config(config, env={}))[0].aircraft
 
 
 def test_params_validation():
